@@ -14,8 +14,7 @@ from .losses import (
     frobenius_reg_covariance_grad,
     frobenius_regularization,
     off_diagonal_regularization,
-    sdpn_loss,
-    total_loss,
+    sdpn_objective,
 )
 from .metrics import det_sweep, eer, evaluation_report, min_dcf
 from .numerics import (
@@ -33,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DimRegLoss", "LossValue", "LossWeights", "cross_entropy_loss",
     "diversity_regularization", "frobenius_reg_covariance_grad",
-    "frobenius_regularization", "off_diagonal_regularization", "sdpn_loss",
-    "total_loss", "det_sweep", "eer", "evaluation_report", "min_dcf",
+    "frobenius_regularization", "off_diagonal_regularization",
+    "sdpn_objective", "det_sweep", "eer", "evaluation_report", "min_dcf",
     "finite_diff_gradient", "frobenius_norm", "l2_normalize",
     "normalized_covariance", "pairwise_min_distance", "softmax",
     "asnorm", "cohort_stats", "cosine_score", "snorm", "tnorm", "znorm",

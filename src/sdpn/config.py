@@ -2,8 +2,9 @@
 dimensions, training, scoring, and metric costs.
 
 Unknown keys are rejected with their path, the schema version is checked,
-and a canonical fingerprint (sha256 of the sorted JSON) tags checkpoints so
-a resumed run can prove it uses the same configuration.
+and a canonical fingerprint (sha256 of the sorted JSON of the fields
+training reads) tags checkpoints so a resumed run can prove it trains under
+the same configuration.
 """
 
 from __future__ import annotations
@@ -104,8 +105,12 @@ class RunConfig:
         return dataclasses.asdict(self)
 
     def fingerprint(self) -> str:
-        canonical = json.dumps(self.to_dict(), sort_keys=True,
-                               separators=(",", ":"))
+        """sha256 of the sorted JSON of what ``train`` reads: every field
+        except the ``scoring`` and ``metrics`` sections, so editing those
+        leaves a checkpoint resumable."""
+        trained = {k: v for k, v in self.to_dict().items()
+                   if k not in ("scoring", "metrics")}
+        canonical = json.dumps(trained, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 

@@ -153,6 +153,45 @@ def iter_crop_sets(utterances, crops, rng, mask=None):
 # feature files and manifests
 
 
+class BinaryReader:
+    """Cursor over the bytes of one binary file (feature file, checkpoint or
+    embedding store). Every short read, bad magic and leftover byte raises
+    MalformedFile naming the offset and the field being read."""
+
+    def __init__(self, path):
+        self.path = path
+        self.blob = Path(path).read_bytes()
+        self.off = 0
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.off + n > len(self.blob):
+            raise MalformedFile(self.path, self.off,
+                                f"truncated while reading {what}")
+        chunk = self.blob[self.off:self.off + n]
+        self.off += n
+        return chunk
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def float64s(self, count: int, what: str) -> np.ndarray:
+        """``count`` little-endian float64 values as a fresh float64 array."""
+        raw = np.frombuffer(self.take(8 * count, what), dtype="<f8")
+        return raw.astype(np.float64)
+
+    def expect_magic(self, magic: bytes, kind: str):
+        if self.take(len(magic), "magic") != magic:
+            raise MalformedFile(self.path, 0, f"bad magic, not {kind}")
+
+    def at_end(self) -> bool:
+        return self.off == len(self.blob)
+
+    def expect_end(self, what: str):
+        if not self.at_end():
+            raise MalformedFile(self.path, self.off,
+                                f"trailing bytes after {what}")
+
+
 def write_feature_file(utt: Utterance, path):
     frames = np.ascontiguousarray(utt.frames, dtype="<f8")
     if frames.ndim != 2:
@@ -172,32 +211,19 @@ def write_feature_file(utt: Utterance, path):
 
 
 def read_feature_file(path, include_speaker: bool = True) -> Utterance:
-    blob = Path(path).read_bytes()
-    off = 0
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(blob):
-            raise MalformedFile(path, off, f"truncated while reading {what}")
-        chunk = blob[off:off + n]
-        off += n
-        return chunk
-
-    if take(4, "magic") != FEATURE_MAGIC:
-        raise MalformedFile(path, 0, "bad magic, not a feature file")
-    version, t, f = struct.unpack("<HII", take(10, "header"))
+    r = BinaryReader(path)
+    r.expect_magic(FEATURE_MAGIC, "a feature file")
+    version, t, f = r.unpack("<HII", "header")
     if version != FEATURE_VERSION:
         raise MalformedFile(path, 4, f"unsupported feature version {version}")
-    frames = np.frombuffer(take(8 * t * f, "frames"), dtype="<f8")
-    frames = frames.astype(np.float64).reshape(t, f)
-    (ulen,) = struct.unpack("<H", take(2, "utterance id length"))
-    uid = take(ulen, "utterance id").decode("utf-8")
+    frames = r.float64s(t * f, "frames").reshape(t, f)
+    (ulen,) = r.unpack("<H", "utterance id length")
+    uid = r.take(ulen, "utterance id").decode("utf-8")
     speaker = None
-    if off < len(blob):
-        (slen,) = struct.unpack("<H", take(2, "speaker id length"))
-        speaker = take(slen, "speaker id").decode("utf-8")
-    if off != len(blob):
-        raise MalformedFile(path, off, "trailing bytes after trailers")
+    if not r.at_end():
+        (slen,) = r.unpack("<H", "speaker id length")
+        speaker = r.take(slen, "speaker id").decode("utf-8")
+    r.expect_end("trailers")
     return Utterance(uid, speaker if include_speaker else None, frames)
 
 

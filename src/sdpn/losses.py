@@ -24,15 +24,13 @@ from .errors import (
 # exact zeros cannot produce -inf.
 PROB_FLOOR = 1e-12
 
-REGULARIZER_KINDS = ("none", "off_diagonal", "frobenius")
-
 
 @dataclass(frozen=True)
 class LossValue:
     """A scalar loss plus the gradient w.r.t. its differentiated input."""
 
     value: float
-    gradient: np.ndarray | None = None
+    gradient: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -42,9 +40,6 @@ class DimRegLoss:
     value: float
     teacher_gradient: np.ndarray
     student_gradient: np.ndarray
-
-    def student_loss(self) -> LossValue:
-        return LossValue(self.value, self.student_gradient)
 
 
 @dataclass(frozen=True)
@@ -187,26 +182,15 @@ def frobenius_regularization(teacher_batch, student_batch, *,
                       grad_for(student_batch, c_s))
 
 
-def _combine(first: LossValue, second: LossValue, weight: float) -> LossValue:
-    value = first.value + weight * second.value
-    if first.gradient is None or second.gradient is None:
-        return LossValue(value, None)
-    if first.gradient.shape != second.gradient.shape:
-        raise ShapeMismatch(
-            "cannot combine gradients of shapes "
-            f"{first.gradient.shape} and {second.gradient.shape}; "
-            "combine values only (pass gradient=None) or differentiate "
-            "both losses w.r.t. the same input"
-        )
-    return LossValue(value, first.gradient + weight * second.gradient)
-
-
-def sdpn_loss(ce: LossValue, re: LossValue, weights: LossWeights) -> LossValue:
-    """Distillation term plus mu-weighted diversity term."""
-    return _combine(ce, re, weights.mu)
-
-
-def total_loss(sdpn: LossValue, dr: LossValue,
-               weights: LossWeights) -> LossValue:
-    """Full objective: sdpn term plus lam-weighted dimension regularizer."""
-    return _combine(sdpn, dr, weights.lam)
+def sdpn_objective(ce_value: float, re: LossValue, dr: DimRegLoss | None,
+                   weights: LossWeights) -> LossValue:
+    """Total ``ce + mu*re + lam*dr`` with its gradient w.r.t. the student
+    global projections, ``mu*re.gradient + lam*dr.student_gradient`` (the
+    distillation gradient flows through the local views instead). ``dr`` is
+    None when no dimension regularizer runs."""
+    dr_value = 0.0 if dr is None else dr.value
+    value = ce_value + weights.mu * re.value + weights.lam * dr_value
+    gradient = weights.mu * re.gradient
+    if dr is not None:
+        gradient = gradient + weights.lam * dr.student_gradient
+    return LossValue(value, gradient)

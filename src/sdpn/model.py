@@ -18,11 +18,11 @@ import math
 import os
 import struct
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 import numpy as np
 
 from . import numerics
+from .data import BinaryReader
 from .errors import InvalidConfig, MalformedFile, ShapeMismatch, ZeroVector
 
 # Keeps the std branch of the pooling differentiable at zero variance.
@@ -266,45 +266,6 @@ def ema_momentum_at(step: int, total_steps: int, base: float) -> float:
     return 1.0 - (1.0 - base) * (math.cos(math.pi * progress) + 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class MultiViewOutput:
-    p_teacher: np.ndarray        # (B, G, K)
-    p_student: np.ndarray        # (B, L, K)
-    teacher_global: np.ndarray   # (B*G, proj_dim), read-only
-    student_global: np.ndarray   # (B*G, proj_dim)
-
-
-def multi_view_forward(pair: TeacherStudentPair, global_views, local_views, *,
-                       student_temp: float, teacher_temp: float,
-                       center=None) -> MultiViewOutput:
-    """Teacher sees global views only; the student sees local views for the
-    distillation path and global views for the covariance path. Teacher
-    outputs are returned read-only — nothing may backpropagate into them.
-    """
-    gv = np.asarray(global_views, dtype=np.float64)
-    lv = np.asarray(local_views, dtype=np.float64)
-    if gv.ndim != 4 or lv.ndim != 4:
-        raise ShapeMismatch(
-            f"views must be (B, views, T, F), got {gv.shape} and {lv.shape}")
-    b, g = gv.shape[:2]
-    l = lv.shape[1]
-
-    _, t_proj, _ = network_forward(pair.teacher, gv.reshape(-1, *gv.shape[2:]))
-    p_teacher = prototype_distribution(t_proj, pair.prototypes,
-                                       teacher_temp, center)
-    p_teacher = p_teacher.reshape(b, g, -1)
-
-    _, s_proj_l, _ = network_forward(pair.student, lv.reshape(-1, *lv.shape[2:]))
-    p_student = prototype_distribution(s_proj_l, pair.prototypes, student_temp)
-    p_student = p_student.reshape(b, l, -1)
-
-    _, s_proj_g, _ = network_forward(pair.student, gv.reshape(-1, *gv.shape[2:]))
-
-    for arr in (p_teacher, t_proj):
-        arr.flags.writeable = False
-    return MultiViewOutput(p_teacher, p_student, t_proj, s_proj_g)
-
-
 # ----------------------------------------------------------------------
 # checkpoint container
 
@@ -334,37 +295,23 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], fingerprint: str):
 
 
 def load_checkpoint(path):
-    blob = Path(path).read_bytes()
-    off = 0
-
-    def take(n, what):
-        nonlocal off
-        if off + n > len(blob):
-            raise MalformedFile(path, off, f"truncated while reading {what}")
-        chunk = blob[off:off + n]
-        off += n
-        return chunk
-
-    if take(4, "magic") != CHECKPOINT_MAGIC:
-        raise MalformedFile(path, 0, "bad magic, not a checkpoint")
-    (version,) = struct.unpack("<H", take(2, "version"))
+    r = BinaryReader(path)
+    r.expect_magic(CHECKPOINT_MAGIC, "a checkpoint")
+    (version,) = r.unpack("<H", "version")
     if version != CHECKPOINT_VERSION:
         raise MalformedFile(path, 4, f"unsupported checkpoint version {version}")
-    (fp_len,) = struct.unpack("<H", take(2, "fingerprint length"))
-    fingerprint = take(fp_len, "fingerprint").decode("utf-8")
-    (count,) = struct.unpack("<I", take(4, "tensor count"))
+    (fp_len,) = r.unpack("<H", "fingerprint length")
+    fingerprint = r.take(fp_len, "fingerprint").decode("utf-8")
+    (count,) = r.unpack("<I", "tensor count")
     tensors = {}
     for _ in range(count):
-        (nlen,) = struct.unpack("<H", take(2, "name length"))
-        name = take(nlen, "name").decode("utf-8")
-        (ndim,) = struct.unpack("<B", take(1, "rank"))
-        shape = tuple(struct.unpack("<I", take(4, "dim"))[0]
-                      for _ in range(ndim))
+        (nlen,) = r.unpack("<H", "name length")
+        name = r.take(nlen, "name").decode("utf-8")
+        (ndim,) = r.unpack("<B", "rank")
+        shape = tuple(r.unpack("<I", "dim")[0] for _ in range(ndim))
         size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(8 * size, f"tensor '{name}'"), dtype="<f8")
-        tensors[name] = data.astype(np.float64).reshape(shape)
-    if off != len(blob):
-        raise MalformedFile(path, off, "trailing bytes after last tensor")
+        tensors[name] = r.float64s(size, f"tensor '{name}'").reshape(shape)
+    r.expect_end("last tensor")
     return tensors, fingerprint
 
 

@@ -166,22 +166,18 @@ def _fd_composite(seed, instances, tolerance):
         reg = (losses.frobenius_regularization if i % 2 == 0
                else losses.off_diagonal_regularization)
 
-        def f(z):
+        def objective(z):
             ce = losses.cross_entropy_loss(
                 p_tea, numerics.softmax(z @ protos.T, temp))
-            re = losses.diversity_regularization(z)
-            dr = reg(z_tea, z)
-            return losses.total_loss(
-                losses.sdpn_loss(losses.LossValue(ce.value),
-                                 losses.LossValue(re.value), weights),
-                losses.LossValue(dr.value), weights).value
+            total = losses.sdpn_objective(
+                ce.value, losses.diversity_regularization(z), reg(z_tea, z),
+                weights)
+            return ce, total
 
-        ce = losses.cross_entropy_loss(p_tea, numerics.softmax(x @ protos.T, temp))
-        re = losses.diversity_regularization(x)
-        dr = reg(z_tea, x)
-        analytic = (ce.gradient / temp) @ protos \
-            + weights.mu * re.gradient + weights.lam * dr.student_gradient
-        fd = numerics.finite_diff_gradient(f, x, FD_STEP)
+        ce, total = objective(x)
+        analytic = (ce.gradient / temp) @ protos + total.gradient
+        fd = numerics.finite_diff_gradient(
+            lambda z: objective(z)[1].value, x, FD_STEP)
         worst = max(worst, rel_error(analytic, fd))
     return worst, f"{instances} instances, alternating regularizers"
 

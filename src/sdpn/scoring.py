@@ -10,10 +10,10 @@ from __future__ import annotations
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from .data import BinaryReader
 from .errors import (
     DegenerateCohort,
     InvalidConfig,
@@ -74,31 +74,18 @@ class EmbeddingStore:
 
     @classmethod
     def load(cls, path) -> "EmbeddingStore":
-        blob = Path(path).read_bytes()
-        off = 0
-
-        def take(n, what):
-            nonlocal off
-            if off + n > len(blob):
-                raise MalformedFile(path, off, f"truncated while reading {what}")
-            chunk = blob[off:off + n]
-            off += n
-            return chunk
-
-        if take(4, "magic") != STORE_MAGIC:
-            raise MalformedFile(path, 0, "bad magic, not an embedding store")
-        version, count = struct.unpack("<HI", take(6, "header"))
+        r = BinaryReader(path)
+        r.expect_magic(STORE_MAGIC, "an embedding store")
+        version, count = r.unpack("<HI", "header")
         if version != STORE_VERSION:
             raise MalformedFile(path, 4, f"unsupported version {version}")
         vectors = {}
         for _ in range(count):
-            (klen,) = struct.unpack("<H", take(2, "id length"))
-            key = take(klen, "id").decode("utf-8")
-            (dim,) = struct.unpack("<I", take(4, "dim"))
-            vec = np.frombuffer(take(8 * dim, f"vector '{key}'"), dtype="<f8")
-            vectors[key] = vec.astype(np.float64)
-        if off != len(blob):
-            raise MalformedFile(path, off, "trailing bytes after last record")
+            (klen,) = r.unpack("<H", "id length")
+            key = r.take(klen, "id").decode("utf-8")
+            (dim,) = r.unpack("<I", "dim")
+            vectors[key] = r.float64s(dim, f"vector '{key}'")
+        r.expect_end("last record")
         return cls(vectors)
 
 
@@ -197,10 +184,11 @@ class Cohort:
         or dropped depending on ``overlap`` ('error' or 'drop')."""
         ids = store.ids()
         if trial_ids:
-            overlapping = [i for i in ids if i in set(trial_ids)]
+            trial_set = set(trial_ids)
+            overlapping = [i for i in ids if i in trial_set]
             if overlapping:
                 if overlap == "drop":
-                    ids = [i for i in ids if i not in set(trial_ids)]
+                    ids = [i for i in ids if i not in trial_set]
                 else:
                     raise InvalidConfig(
                         f"{len(overlapping)} cohort id(s) appear in the trial "
@@ -280,9 +268,9 @@ def asnorm(raw: float, enroll_scores, test_scores, top_k: int,
 
 
 class TrialScorer:
-    """Scores trials against a store, caching cohort score lists per
-    utterance. ``cohort_computes`` counts how many lists were actually
-    computed (ids repeated across trials hit the cache)."""
+    """Scores trials against a store, caching cohort statistics per
+    utterance. ``cohort_computes`` counts how many cohort score lists were
+    actually computed (ids repeated across trials hit the cache)."""
 
     def __init__(self, store: EmbeddingStore, cohort: Cohort | None,
                  method: str = "cosine", top_k: int | None = None,
@@ -299,22 +287,15 @@ class TrialScorer:
         self.top_k = top_k
         self.sample_stddev = sample_stddev
         self.cohort_computes = 0
-        self._score_cache: dict[str, np.ndarray] = {}
         self._stats_cache: dict[str, CohortStats] = {}
-
-    def _scores_for(self, utt: str) -> np.ndarray:
-        cached = self._score_cache.get(utt)
-        if cached is None:
-            cached = cohort_scores(self.store.get(utt), self.cohort)
-            self._score_cache[utt] = cached
-            self.cohort_computes += 1
-        return cached
 
     def _stats_for(self, utt: str) -> CohortStats:
         cached = self._stats_cache.get(utt)
         if cached is None:
+            scores = cohort_scores(self.store.get(utt), self.cohort)
+            self.cohort_computes += 1
             top_k = self.top_k if self.method == "as" else None
-            cached = cohort_stats(self._scores_for(utt), top_k=top_k,
+            cached = cohort_stats(scores, top_k=top_k,
                                   sample_stddev=self.sample_stddev)
             self._stats_cache[utt] = cached
         return cached
@@ -336,7 +317,7 @@ class TrialScorer:
 
     def score_trials(self, trials, threads: int = 1) -> list[ScoredTrial]:
         if self.method != "cosine":
-            # Single-writer phase: fill both caches serially so the threaded
+            # Single-writer phase: fill the cache serially so the threaded
             # phase is read-only and the output order never depends on timing.
             for t in trials:
                 if self.method in ("z", "s", "as"):
@@ -347,12 +328,3 @@ class TrialScorer:
             return [self.score_one(t) for t in trials]
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(self.score_one, trials))
-
-
-def normalize_trials(trials, store: EmbeddingStore, cohort: Cohort | None,
-                     method: str = "cosine", top_k: int | None = None,
-                     sample_stddev: bool = False,
-                     threads: int = 1) -> list[ScoredTrial]:
-    scorer = TrialScorer(store, cohort, method=method, top_k=top_k,
-                         sample_stddev=sample_stddev)
-    return scorer.score_trials(trials, threads=threads)

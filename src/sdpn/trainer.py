@@ -98,9 +98,7 @@ def diagnostics(student_global_embeddings, teacher_distributions
     d = c.shape[0]
     mean_abs = float((np.abs(c).sum() - np.trace(np.abs(c))) / (d * (d - 1)))
     emb_std = float(z.std(axis=0).mean())
-    p = np.asarray(teacher_distributions, dtype=np.float64).reshape(-1, 1) \
-        if np.asarray(teacher_distributions).ndim == 1 \
-        else np.asarray(teacher_distributions, dtype=np.float64)
+    p = np.atleast_2d(np.asarray(teacher_distributions, dtype=np.float64))
     p_mean = p.reshape(-1, p.shape[-1]).mean(axis=0)
     entropy = float(-(p_mean * np.log(np.maximum(p_mean, losses.PROB_FLOOR))).sum())
     return CollapseDiagnostics(mean_abs, emb_std, entropy)
@@ -134,27 +132,30 @@ def init_state(pair: model.TeacherStudentPair) -> TrainerState:
 def batch_loss_and_grads(pair: model.TeacherStudentPair, global_views,
                          local_views, cfg: TrainConfig,
                          model_cfg: ModelConfig, center):
-    """Composite loss for one batch plus gradients for every student-side
-    parameter (keyed like _student_param_arrays). Returns (terms, grads, aux).
+    """Multi-view forward and backward of one batch: the teacher sees the
+    global views only, the student the local views (distillation) and the
+    global views (diversity, covariance). Returns (terms, grads, aux), grads
+    keyed like _student_param_arrays; aux's teacher outputs are read-only.
     """
     gv = np.asarray(global_views, dtype=np.float64)
     lv = np.asarray(local_views, dtype=np.float64)
     b, g = gv.shape[:2]
     l = lv.shape[1]
     protos = pair.prototypes
-    weights = cfg.weights
 
     # teacher path: constants as far as gradients are concerned
     _, t_proj, _ = model.network_forward(pair.teacher,
                                          gv.reshape(-1, *gv.shape[2:]))
     t_scores = model.prototype_scores(t_proj, protos)
     p_tea = numerics.softmax(t_scores - center, model_cfg.teacher_temp)
+    for arr in (t_proj, p_tea):
+        arr.flags.writeable = False
 
     # student distillation path over local views
     _, s_proj_l, caches_l = model.network_forward(
         pair.student, lv.reshape(-1, *lv.shape[2:]))
-    s_scores_l = model.prototype_scores(s_proj_l, protos)
-    p_stu = numerics.softmax(s_scores_l, model_cfg.student_temp)
+    p_stu = model.prototype_distribution(s_proj_l, protos,
+                                         model_cfg.student_temp)
 
     ce_value = 0.0
     d_logits = np.empty_like(p_stu)
@@ -172,29 +173,23 @@ def batch_loss_and_grads(pair: model.TeacherStudentPair, global_views,
     _, s_proj_g, caches_g = model.network_forward(
         pair.student, gv.reshape(-1, *gv.shape[2:]))
     re = losses.diversity_regularization(s_proj_g, summed=cfg.diversity_summed)
-
     kind = REGULARIZERS[cfg.regularizer_kind]
-    if kind is None:
-        dr_value = 0.0
-        g_proj_g = weights.mu * re.gradient
-    else:
-        dr = kind(t_proj, s_proj_g, floor_columns=True,
-                  centered=cfg.centered_covariance)
-        dr_value = dr.value
-        g_proj_g = weights.mu * re.gradient + weights.lam * dr.student_gradient
+    dr = None if kind is None else kind(
+        t_proj, s_proj_g, floor_columns=True, centered=cfg.centered_covariance)
+    total = losses.sdpn_objective(ce_value, re, dr, cfg.weights)
 
     grads = {f"student.{k}": v for k, v in
              model.network_backward(pair.student, caches_l, g_proj_l).items()}
     for key, val in model.network_backward(pair.student, caches_g,
-                                           g_proj_g).items():
+                                           total.gradient).items():
         grads[f"student.{key}"] += val
     grads["prototypes"] = g_protos
 
     terms = {
         "loss_ce": ce_value,
         "loss_re": re.value,
-        "loss_dr": dr_value,
-        "loss": ce_value + weights.mu * re.value + weights.lam * dr_value,
+        "loss_dr": 0.0 if dr is None else dr.value,
+        "loss": total.value,
     }
     aux = {
         "teacher_scores": t_scores,

@@ -258,6 +258,20 @@ def test_resume_under_different_config_exits_1(world, tmp_path, capsys):
     assert "fingerprint" in capsys.readouterr().err
 
 
+def test_resume_under_changed_scoring_section_exits_0(world, tmp_path):
+    # train reads neither the scoring nor the metrics section, so they stay
+    # out of the fingerprint and editing them keeps the checkpoint resumable
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG_DOC, "scoring": {"top_k": 5}}),
+                      encoding="utf-8")
+    out = tmp_path / "resumed"
+    assert cli.main(["train", "--config", str(config),
+                     "--manifest", str(world["manifest"]),
+                     "--resume", str(world["ckpt"]),
+                     "--out", str(out)]) == 0
+    assert (out / "checkpoint.sdck").read_bytes() == world["ckpt"].read_bytes()
+
+
 def test_missing_embedding_exits_2(world, tmp_path):
     trials = tmp_path / "ghost.txt"
     trials.write_text("1 ghost utt00001\n", encoding="utf-8")

@@ -109,6 +109,8 @@ def test_fingerprint_stable_and_sensitive():
 def test_fingerprint_matches_manual_recipe():
     import hashlib
     cfg = RunConfig()
-    canonical = json.dumps(cfg.to_dict(), sort_keys=True,
+    trained = cfg.to_dict()
+    del trained["scoring"], trained["metrics"]
+    canonical = json.dumps(trained, sort_keys=True,
                            separators=(",", ":")).encode()
     assert cfg.fingerprint() == hashlib.sha256(canonical).hexdigest()

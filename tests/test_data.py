@@ -7,7 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sdpn import data
+from sdpn import data, model, scoring
 from sdpn.config import CropConfig, MaskConfig
 from sdpn.errors import InvalidConfig, MalformedFile, UtteranceTooShort
 
@@ -216,6 +216,55 @@ def test_feature_file_truncation_offsets(tmp_path):
     with pytest.raises(MalformedFile) as err:
         data.read_feature_file(path)
     assert "magic" in str(err.value)
+
+
+def _write_feature(path):
+    data.write_feature_file(
+        data.Utterance("abc", "spk", np.arange(8.0).reshape(4, 2)), path)
+
+
+def _write_store(path):
+    scoring.EmbeddingStore({"a": np.ones(3), "bc": np.arange(3.0)}).save(path)
+
+
+def _write_checkpoint(path):
+    model.save_checkpoint(path, {"w": np.ones((2, 3)), "s": np.array(1.0)},
+                          "fp")
+
+
+BINARY_FORMATS = {
+    "feature": (_write_feature, data.read_feature_file),
+    "store": (_write_store, scoring.EmbeddingStore.load),
+    "checkpoint": (_write_checkpoint, model.load_checkpoint),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(BINARY_FORMATS))
+def test_binary_readers_reject_prefixes_bad_magic_and_trailing_bytes(
+        tmp_path, fmt):
+    write, read = BINARY_FORMATS[fmt]
+    path = tmp_path / fmt
+    write(path)
+    raw = path.read_bytes()
+    read(path)
+    for cut in range(len(raw)):
+        path.write_bytes(raw[:cut])
+        if fmt == "feature" and cut == len(raw) - 2 - len(b"spk"):
+            # the speaker id is an optional trailer, so this prefix is a
+            # complete speaker-less feature file
+            assert read(path).speaker_id is None
+            continue
+        with pytest.raises(MalformedFile) as err:
+            read(path)
+        assert err.value.offset <= cut
+    path.write_bytes(b"XXXX" + raw[4:])
+    with pytest.raises(MalformedFile) as err:
+        read(path)
+    assert err.value.offset == 0
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(MalformedFile) as err:
+        read(path)
+    assert err.value.offset == len(raw)
 
 
 # ----------------------------------------------------------------------

@@ -239,29 +239,35 @@ def test_weights_validation():
 
 
 def test_sdpn_loss_arithmetic():
+    grad = np.ones((3, 2))
     w = losses.LossWeights(mu=0.5, lam=0.0)
-    combined = losses.sdpn_loss(losses.LossValue(1.0),
-                                losses.LossValue(-1.0), w)
+    combined = losses.sdpn_objective(1.0, losses.LossValue(-1.0, grad),
+                                     None, w)
     assert combined.value == pytest.approx(0.5)
-    unweighted = losses.sdpn_loss(losses.LossValue(1.0),
-                                  losses.LossValue(-1.0),
-                                  losses.LossWeights(mu=0.0))
+    unweighted = losses.sdpn_objective(1.0, losses.LossValue(-1.0, grad),
+                                       None, losses.LossWeights(mu=0.0))
     assert unweighted.value == pytest.approx(1.0)
 
 
 def test_total_loss_arithmetic():
+    zero = np.zeros((3, 2))
+    re = losses.LossValue(0.0, zero)
+    dr = losses.DimRegLoss(1.0, zero, zero)
     w = losses.LossWeights(mu=0.0, lam=0.1)
-    total = losses.total_loss(losses.LossValue(2.0), losses.LossValue(1.0), w)
+    total = losses.sdpn_objective(2.0, re, dr, w)
     assert total.value == pytest.approx(2.1)
-    frozen = losses.total_loss(losses.LossValue(2.0), losses.LossValue(1.0),
-                               losses.LossWeights(lam=0.0))
+    frozen = losses.sdpn_objective(2.0, re, dr, losses.LossWeights(lam=0.0))
     assert frozen.value == pytest.approx(2.0)
 
 
 def test_combined_gradient_linearity():
     rng = np.random.default_rng(46)
-    g1, g2 = rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
-    w = losses.LossWeights(mu=0.25, lam=0.0)
-    out = losses.sdpn_loss(losses.LossValue(1.0, g1),
-                           losses.LossValue(2.0, g2), w)
-    npt.assert_allclose(out.gradient, g1 + 0.25 * g2, atol=1e-15)
+    g1, g2, g_tea = (rng.standard_normal((3, 2)) for _ in range(3))
+    re = losses.LossValue(1.0, g1)
+    dr = losses.DimRegLoss(2.0, g_tea, g2)
+    w = losses.LossWeights(mu=0.25, lam=0.5)
+    out = losses.sdpn_objective(3.0, re, dr, w)
+    npt.assert_allclose(out.gradient, 0.25 * g1 + 0.5 * g2, atol=1e-15)
+    no_reg = losses.sdpn_objective(3.0, re, None, w)
+    npt.assert_allclose(no_reg.gradient, 0.25 * g1, atol=1e-15)
+    assert no_reg.value == pytest.approx(3.25)

@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sdpn import model, numerics
+from sdpn import losses, model, numerics, trainer
+from sdpn.config import ModelConfig
 from sdpn.errors import InvalidConfig, MalformedFile, ShapeMismatch
 from sdpn.model import Network, TeacherStudentPair
 
@@ -158,7 +159,16 @@ def test_ema_momentum_schedule_endpoints():
 
 
 # ----------------------------------------------------------------------
-# multi-view forward
+# multi-view forward (trainer.batch_loss_and_grads)
+
+
+def multi_view(pair, gv, lv, student_temp=0.1, teacher_temp=0.04):
+    """The trainer's multi-view forward at a zero teacher center."""
+    model_cfg = ModelConfig(student_temp=student_temp,
+                            teacher_temp=teacher_temp)
+    return trainer.batch_loss_and_grads(
+        pair, gv, lv, trainer.TrainConfig(), model_cfg,
+        np.zeros(pair.prototypes.shape[0]))
 
 
 def test_multi_view_shapes_and_distributions():
@@ -166,47 +176,54 @@ def test_multi_view_shapes_and_distributions():
     rng = np.random.default_rng(89)
     gv = rng.standard_normal((3, 1, 12, 5))
     lv = rng.standard_normal((3, 4, 6, 5))
-    out = model.multi_view_forward(pair, gv, lv, student_temp=0.1,
-                                   teacher_temp=0.04)
-    assert out.p_teacher.shape == (3, 1, 4)
-    assert out.p_student.shape == (3, 4, 4)
-    npt.assert_allclose(out.p_teacher.sum(axis=-1), 1.0, atol=1e-9)
-    npt.assert_allclose(out.p_student.sum(axis=-1), 1.0, atol=1e-9)
-    assert out.teacher_global.shape == (3, 3)  # (B*G, proj_dim)
-    assert out.student_global.shape == (3, 3)
+    terms, grads, aux = multi_view(pair, gv, lv)
+    p_teacher = aux["teacher_distributions"]
+    assert p_teacher.shape == (3, 1, 4)
+    npt.assert_allclose(p_teacher.sum(axis=-1), 1.0, atol=1e-9)
+    assert aux["teacher_global"].shape == (3, 3)  # (B*G, proj_dim)
+    assert aux["student_global"].shape == (3, 3)
+    # the distillation term is taken against the student's local-view
+    # prototype distributions
+    _, s_proj_l, _ = model.network_forward(pair.student, lv.reshape(12, 6, 5))
+    p_student = model.prototype_distribution(
+        s_proj_l, pair.prototypes, 0.1).reshape(3, 4, 4)
+    npt.assert_allclose(p_student.sum(axis=-1), 1.0, atol=1e-9)
+    ce = sum(losses.cross_entropy_loss(p_teacher[i], p_student[i]).value
+             for i in range(3)) / 3
+    assert terms["loss_ce"] == pytest.approx(ce, rel=1e-12)
+    params = dict(pair.student.named_arrays("student"),
+                  prototypes=pair.prototypes)
+    assert {k: v.shape for k, v in grads.items()} \
+        == {k: v.shape for k, v in params.items()}
 
 
 def test_multi_view_teacher_outputs_are_read_only():
     pair = tiny_pair(seed=90)
     rng = np.random.default_rng(91)
-    out = model.multi_view_forward(pair, rng.standard_normal((2, 1, 8, 5)),
-                                   rng.standard_normal((2, 2, 5, 5)),
-                                   student_temp=0.1, teacher_temp=0.04)
+    _, _, aux = multi_view(pair, rng.standard_normal((2, 1, 8, 5)),
+                           rng.standard_normal((2, 2, 5, 5)))
     with pytest.raises(ValueError):
-        out.p_teacher[0, 0, 0] = 1.0
+        aux["teacher_distributions"][0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        out.teacher_global[0, 0] = 1.0
+        aux["teacher_global"][0, 0] = 1.0
 
 
 def test_multi_view_rejects_flat_views():
     pair = tiny_pair(seed=92)
     with pytest.raises(ShapeMismatch):
-        model.multi_view_forward(pair, np.zeros((2, 8, 5)),
-                                 np.zeros((2, 2, 5, 5)),
-                                 student_temp=0.1, teacher_temp=0.04)
+        multi_view(pair, np.zeros((2, 8, 5)), np.zeros((2, 2, 5, 5)))
 
 
 def test_identical_branches_equal_temps_ce_is_teacher_entropy():
     pair = tiny_pair(seed=93)
     rng = np.random.default_rng(94)
-    view = rng.standard_normal((1, 1, 9, 5))
-    out = model.multi_view_forward(pair, view, view, student_temp=0.1,
-                                   teacher_temp=0.1)
-    p = out.p_teacher[0, 0]
-    entropy = -float(p @ np.log(p))
-    from sdpn import losses
-    ce = losses.cross_entropy_loss(out.p_teacher[0], out.p_student[0])
-    assert ce.value == pytest.approx(entropy, abs=1e-9)
+    # two utterances: the diversity term needs at least two global rows
+    view = rng.standard_normal((2, 1, 9, 5))
+    terms, _, aux = multi_view(pair, view, view, student_temp=0.1,
+                               teacher_temp=0.1)
+    p = aux["teacher_distributions"][:, 0]
+    entropy = -float((p * np.log(p)).sum(axis=1).mean())
+    assert terms["loss_ce"] == pytest.approx(entropy, abs=1e-9)
 
 
 # ----------------------------------------------------------------------

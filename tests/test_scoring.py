@@ -297,4 +297,4 @@ def test_normalize_trials_missing_embedding():
     store, cohort, _ = make_scorer_setup(75)
     bad = [Trial("1", "u000", "ghost")]
     with pytest.raises(MissingEmbedding):
-        scoring.normalize_trials(bad, store, cohort, method="s")
+        TrialScorer(store, cohort, method="s").score_trials(bad)

@@ -267,6 +267,15 @@ def test_diagnostics_uniform_and_collapsed_distributions():
     assert trainer.diagnostics(z, one_hot).prototype_usage_entropy == 0.0
 
 
+def test_diagnostics_single_distribution_entropy():
+    z = np.random.default_rng(33).standard_normal((10, 3))
+    p = np.array([0.7, 0.1, 0.1, 0.1])
+    entropy = -float(p @ np.log(p))
+    assert entropy == pytest.approx(0.940, abs=1e-3)
+    assert trainer.diagnostics(z, p).prototype_usage_entropy \
+        == pytest.approx(entropy, abs=1e-12)
+
+
 def test_diagnostics_flag_decorrelated_vs_duplicated_dimensions():
     rng = np.random.default_rng(32)
     base = rng.standard_normal((60, 1))
