@@ -93,7 +93,8 @@ def build_parser() -> _Parser:
         p.add_argument("--sample-stddev", action="store_true")
         p.add_argument("--cohort-overlap", choices=("error", "drop"),
                        default="error")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="has no effect (scoring is one array pass)")
         p.set_defaults(func=cmd_score, is_normalize=(name == "normalize"))
 
     p = subs.add_parser("eval", help="EER / minDCF report from a scores file")
@@ -243,11 +244,11 @@ def cmd_score(args) -> int:
     scorer = scoring.TrialScorer(store, cohort, method=args.method,
                                  top_k=args.top_k,
                                  sample_stddev=args.sample_stddev)
-    results = scorer.score_trials(trials, threads=args.threads)
+    raw, normalized = scorer.score_trials(trials)
     header = f"method={args.method}"
     if args.method == "as":
         header += f" top_k={scorer.top_k}"
-    scoring.write_scores(results, args.out, header)
+    scoring.write_scores(trials, raw, normalized, args.out, header)
     print(args.out)
     return 0
 
@@ -272,7 +273,7 @@ def cmd_eval(args) -> int:
                                        args.c_miss, args.c_fa)
     text = json.dumps(report, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        data_mod.atomic_write(args.out, (text + "\n").encode("utf-8"))
     print(text)
     return 0
 

@@ -13,6 +13,7 @@ trainer (crop sets) carries the opaque utterance id alone.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -171,6 +172,14 @@ class BinaryReader:
         self.off += n
         return chunk
 
+    def text(self, n: int, what: str) -> str:
+        raw = self.take(n, what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise MalformedFile(self.path, self.off - n,
+                                f"{what} is not valid UTF-8") from None
+
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
@@ -190,6 +199,15 @@ class BinaryReader:
         if not self.at_end():
             raise MalformedFile(self.path, self.off,
                                 f"trailing bytes after {what}")
+
+
+def atomic_write(path, payload: bytes):
+    """Write to a ``.tmp`` sibling and rename it over ``path``, so a crash
+    never leaves a half-written file behind."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(payload)
+    os.replace(tmp, path)
 
 
 def write_feature_file(utt: Utterance, path):
@@ -218,11 +236,11 @@ def read_feature_file(path, include_speaker: bool = True) -> Utterance:
         raise MalformedFile(path, 4, f"unsupported feature version {version}")
     frames = r.float64s(t * f, "frames").reshape(t, f)
     (ulen,) = r.unpack("<H", "utterance id length")
-    uid = r.take(ulen, "utterance id").decode("utf-8")
+    uid = r.text(ulen, "utterance id")
     speaker = None
     if not r.at_end():
         (slen,) = r.unpack("<H", "speaker id length")
-        speaker = r.take(slen, "speaker id").decode("utf-8")
+        speaker = r.text(slen, "speaker id")
     r.expect_end("trailers")
     return Utterance(uid, speaker if include_speaker else None, frames)
 

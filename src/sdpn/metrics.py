@@ -10,18 +10,9 @@ point with naive counting loops and must agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidConfig, SingleClassInput
-
-
-@dataclass(frozen=True)
-class DetPoint:
-    threshold: float
-    p_miss: float
-    p_fa: float
 
 
 def _split_scores(scores, labels):
@@ -40,11 +31,12 @@ def _split_scores(scores, labels):
     return np.sort(tar), np.sort(non)
 
 
-def det_sweep(scores, labels) -> list[DetPoint]:
-    """Operating points at every distinct score plus both boundaries.
+def det_sweep(scores, labels):
+    """Operating points at every distinct score plus both boundaries, as
+    ``(thresholds, p_miss, p_fa)`` arrays.
 
     p_miss is nondecreasing and p_fa nonincreasing in the threshold, so the
-    returned list is ordered along the DET curve.
+    points are ordered along the DET curve.
     """
     tar, non = _split_scores(scores, labels)
     distinct = np.unique(np.concatenate([tar, non]))
@@ -53,32 +45,25 @@ def det_sweep(scores, labels) -> list[DetPoint]:
     # count of targets strictly below t / nontargets strictly above t
     p_miss = np.searchsorted(tar, thresholds, side="left") / tar.size
     p_fa = (non.size - np.searchsorted(non, thresholds, side="right")) / non.size
-    return [DetPoint(float(t), float(pm), float(pf))
-            for t, pm, pf in zip(thresholds, p_miss, p_fa)]
+    return thresholds, p_miss, p_fa
 
 
 def eer(scores, labels) -> tuple[float, float]:
     """Equal error rate and its threshold, linearly interpolated.
 
-    Scans the sweep for the first point where p_miss >= p_fa; if the
-    difference is exactly zero there, that point is the EER, otherwise the
-    crossing is interpolated between it and its predecessor.
+    Takes the first point of the sweep where p_miss >= p_fa (the reject-all
+    point, p_miss=1 and p_fa=0, always qualifies); if the difference is
+    exactly zero there, that point is the EER, otherwise the crossing is
+    interpolated between it and its predecessor.
     """
-    points = det_sweep(scores, labels)
-    for i, pt in enumerate(points):
-        diff = pt.p_miss - pt.p_fa
-        if diff < 0:
-            continue
-        if diff == 0.0 or i == 0:
-            return pt.p_miss, pt.threshold
-        prev = points[i - 1]
-        rise = (pt.p_miss - prev.p_miss) + (prev.p_fa - pt.p_fa)
-        t = (prev.p_fa - prev.p_miss) / rise
-        value = prev.p_miss + t * (pt.p_miss - prev.p_miss)
-        threshold = prev.threshold + t * (pt.threshold - prev.threshold)
-        return value, threshold
-    # unreachable: the reject-all point has p_miss=1 >= p_fa=0
-    raise AssertionError("DET sweep had no crossing")
+    thresholds, p_miss, p_fa = det_sweep(scores, labels)
+    i = int(np.argmax(p_miss - p_fa >= 0))
+    if p_miss[i] - p_fa[i] == 0.0 or i == 0:
+        return float(p_miss[i]), float(thresholds[i])
+    (t0, t1), (pm0, pm1), (pf0, pf1) = (
+        a[i - 1:i + 1].tolist() for a in (thresholds, p_miss, p_fa))
+    frac = (pf0 - pm0) / ((pm1 - pm0) + (pf0 - pf1))
+    return pm0 + frac * (pm1 - pm0), t0 + frac * (t1 - t0)
 
 
 def min_dcf(scores, labels, p_target: float = 0.05, c_miss: float = 1.0,
@@ -95,15 +80,12 @@ def min_dcf(scores, labels, p_target: float = 0.05, c_miss: float = 1.0,
     if c_miss <= 0 or c_fa <= 0:
         raise InvalidConfig(
             f"costs must be positive, got c_miss={c_miss} c_fa={c_fa}")
-    points = det_sweep(scores, labels)
+    thresholds, p_miss, p_fa = det_sweep(scores, labels)
     denom = min(c_miss * p_target, c_fa * (1.0 - p_target))
-    costs = np.array([
-        (c_miss * pt.p_miss * p_target + c_fa * pt.p_fa * (1.0 - p_target))
-        / denom
-        for pt in points
-    ])
+    costs = (c_miss * p_miss * p_target
+             + c_fa * p_fa * (1.0 - p_target)) / denom
     best = int(np.argmin(costs))
-    return float(costs[best]), points[best].threshold
+    return float(costs[best]), float(thresholds[best])
 
 
 def evaluation_report(scores, labels, p_target: float = 0.05,

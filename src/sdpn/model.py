@@ -15,14 +15,13 @@ named float64 little-endian tensors sorted by name.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import numerics
-from .data import BinaryReader
+from .data import BinaryReader, atomic_write
 from .errors import InvalidConfig, MalformedFile, ShapeMismatch, ZeroVector
 
 # Keeps the std branch of the pooling differentiable at zero variance.
@@ -288,10 +287,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], fingerprint: str):
         for dim in arr.shape:
             payload += struct.pack("<I", dim)
         payload += arr.tobytes()
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    atomic_write(path, payload)
 
 
 def load_checkpoint(path):
@@ -301,12 +297,12 @@ def load_checkpoint(path):
     if version != CHECKPOINT_VERSION:
         raise MalformedFile(path, 4, f"unsupported checkpoint version {version}")
     (fp_len,) = r.unpack("<H", "fingerprint length")
-    fingerprint = r.take(fp_len, "fingerprint").decode("utf-8")
+    fingerprint = r.text(fp_len, "fingerprint")
     (count,) = r.unpack("<I", "tensor count")
     tensors = {}
     for _ in range(count):
         (nlen,) = r.unpack("<H", "name length")
-        name = r.take(nlen, "name").decode("utf-8")
+        name = r.text(nlen, "name")
         (ndim,) = r.unpack("<B", "rank")
         shape = tuple(r.unpack("<I", "dim")[0] for _ in range(ndim))
         size = int(np.prod(shape)) if shape else 1

@@ -8,12 +8,11 @@ values, and the binary embedding store.
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BinaryReader
+from .data import BinaryReader, atomic_write
 from .errors import (
     DegenerateCohort,
     InvalidConfig,
@@ -24,6 +23,9 @@ from .errors import (
 )
 
 EPS_SIGMA = 1e-9
+# Scoring works on blocks of rows holding about this many float64 values,
+# which bounds its working memory whatever the trial list or cohort size.
+BLOCK_ELEMENTS = 2 ** 18
 METHODS = ("cosine", "z", "t", "s", "as")
 
 STORE_MAGIC = b"SDES"
@@ -49,9 +51,6 @@ class EmbeddingStore:
     def __len__(self):
         return len(self.vectors)
 
-    def __contains__(self, key):
-        return key in self.vectors
-
     def ids(self) -> list[str]:
         return list(self.vectors)
 
@@ -62,15 +61,15 @@ class EmbeddingStore:
             raise MissingEmbedding(f"no embedding for utterance '{key}'") from None
 
     def save(self, path):
-        with open(path, "wb") as fh:
-            fh.write(STORE_MAGIC)
-            fh.write(struct.pack("<HI", STORE_VERSION, len(self.vectors)))
-            for key, vec in self.vectors.items():
-                raw = key.encode("utf-8")
-                fh.write(struct.pack("<H", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<I", vec.size))
-                fh.write(vec.astype("<f8").tobytes())
+        payload = bytearray(STORE_MAGIC)
+        payload += struct.pack("<HI", STORE_VERSION, len(self.vectors))
+        for key, vec in self.vectors.items():
+            raw = key.encode("utf-8")
+            payload += struct.pack("<H", len(raw))
+            payload += raw
+            payload += struct.pack("<I", vec.size)
+            payload += vec.astype("<f8").tobytes()
+        atomic_write(path, payload)
 
     @classmethod
     def load(cls, path) -> "EmbeddingStore":
@@ -82,7 +81,7 @@ class EmbeddingStore:
         vectors = {}
         for _ in range(count):
             (klen,) = r.unpack("<H", "id length")
-            key = r.take(klen, "id").decode("utf-8")
+            key = r.text(klen, "id")
             (dim,) = r.unpack("<I", "dim")
             vectors[key] = r.float64s(dim, f"vector '{key}'")
         r.expect_end("last record")
@@ -100,7 +99,6 @@ class Trial:
 class ScoredTrial:
     enroll: str
     test: str
-    label: str
     raw: float
     normalized: float
 
@@ -121,16 +119,17 @@ def read_trials(path) -> list[Trial]:
 
 
 def write_trials(trials, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in trials:
-            fh.write(f"{t.label} {t.enroll} {t.test}\n")
+    text = "".join(f"{t.label} {t.enroll} {t.test}\n" for t in trials)
+    atomic_write(path, text.encode("utf-8"))
 
 
-def write_scores(results, path, header: str):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {header}\n")
-        for r in results:
-            fh.write(f"{r.enroll}\t{r.test}\t{r.raw:.6f}\t{r.normalized:.6f}\n")
+def write_scores(trials, raw, normalized, path, header: str):
+    """One line per trial: enroll, test, raw and normalized to 6 decimals."""
+    lines = [f"# {header}\n"]
+    lines += [f"{t.enroll}\t{t.test}\t{r:.6f}\t{n:.6f}\n" for t, r, n
+              in zip(trials, np.asarray(raw).tolist(),
+                     np.asarray(normalized).tolist())]
+    atomic_write(path, "".join(lines).encode("utf-8"))
 
 
 def read_scores(path) -> list[ScoredTrial]:
@@ -144,19 +143,20 @@ def read_scores(path) -> list[ScoredTrial]:
             if len(parts) != 4:
                 raise MalformedFile(path, lineno,
                                     "expected enroll<TAB>test<TAB>raw<TAB>normalized")
-            out.append(ScoredTrial(parts[0], parts[1], "-",
-                                   float(parts[2]), float(parts[3])))
+            out.append(ScoredTrial(parts[0], parts[1], float(parts[2]),
+                                   float(parts[3])))
     return out
 
 
-def cosine_score(e, t) -> float:
+def cosine_score(e, t):
+    """Cosine along the last axis: one value per pair of rows."""
     a = np.asarray(e, dtype=np.float64)
     b = np.asarray(t, dtype=np.float64)
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na <= EPS_SIGMA or nb <= EPS_SIGMA:
+    na = np.linalg.norm(a, axis=-1)
+    nb = np.linalg.norm(b, axis=-1)
+    if min(na.min(), nb.min()) <= EPS_SIGMA:
         raise ZeroVector("cosine of a zero embedding is undefined")
-    return float(a @ b / (na * nb))
+    return (a * b).sum(axis=-1) / (na * nb)
 
 
 class Cohort:
@@ -199,78 +199,87 @@ class Cohort:
 
 
 def cohort_scores(x, cohort: Cohort) -> np.ndarray:
+    """Cosines of each row of ``x`` against the cohort, one per column."""
     v = np.asarray(x, dtype=np.float64)
-    n = np.linalg.norm(v)
-    if n <= EPS_SIGMA:
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    if n.min() <= EPS_SIGMA:
         raise ZeroVector("cosine of a zero embedding is undefined")
-    return cohort.unit @ (v / n)
+    return (v / n) @ cohort.unit.T
 
 
 @dataclass(frozen=True)
 class CohortStats:
-    mu: float
-    sigma: float
+    mu: float | np.ndarray
+    sigma: float | np.ndarray
     k_used: int
 
 
 def cohort_stats(scores, top_k: int | None = None,
                  sample_stddev: bool = False) -> CohortStats:
-    """Mean/stddev of cohort scores, optionally over the top-K largest.
+    """Mean/stddev of cohort scores along the last axis, optionally over the
+    top-K largest; floats for one score list, one value per row for a matrix.
 
-    Top-K selection uses a stable descending sort, so ties are broken by
-    cohort order. Population stddev by default.
+    The top K are taken from a descending sort, so they come in the same
+    order whatever the cohort order, and ties cannot change which values are
+    kept. Population stddev by default.
     """
     s = np.asarray(scores, dtype=np.float64)
-    n = s.size
+    n = s.shape[-1]
     if top_k is not None:
         if top_k > n:
             raise KTooLarge(f"top_k={top_k} exceeds cohort size {n}")
         if top_k < 2:
             raise InvalidConfig(f"top_k must be >= 2, got {top_k}")
-        order = np.argsort(-s, kind="stable")[:top_k]
-        s = s[order]
-    k = s.size
+        s = -np.sort(-s, axis=-1)[..., :top_k]
+    k = s.shape[-1]
     if k < 2:
         raise DegenerateCohort(f"need >= 2 cohort scores, got {k}")
-    mu = float(s.mean())
-    sigma = float(s.std(ddof=1 if sample_stddev else 0))
-    return CohortStats(mu, sigma, k)
+    return CohortStats(s.mean(axis=-1),
+                       s.std(axis=-1, ddof=1 if sample_stddev else 0), k)
 
 
-def _shift_scale(raw: float, stats: CohortStats) -> float:
-    if stats.sigma <= EPS_SIGMA:
+def _shift_scale(raw, stats: CohortStats):
+    if np.min(stats.sigma, initial=np.inf) <= EPS_SIGMA:
         raise DegenerateCohort(
-            f"cohort score spread {stats.sigma} too small to normalize"
+            f"cohort score spread {np.min(stats.sigma)} too small to normalize"
         )
     return (raw - stats.mu) / stats.sigma
 
 
-def znorm(raw: float, enroll_stats: CohortStats) -> float:
+def znorm(raw, enroll_stats: CohortStats):
     return _shift_scale(raw, enroll_stats)
 
 
-def tnorm(raw: float, test_stats: CohortStats) -> float:
+def tnorm(raw, test_stats: CohortStats):
     return _shift_scale(raw, test_stats)
 
 
-def snorm(raw: float, enroll_stats: CohortStats,
-          test_stats: CohortStats) -> float:
+def snorm(raw, enroll_stats: CohortStats, test_stats: CohortStats):
     return 0.5 * (_shift_scale(raw, enroll_stats)
                   + _shift_scale(raw, test_stats))
 
 
-def asnorm(raw: float, enroll_scores, test_scores, top_k: int,
-           sample_stddev: bool = False) -> float:
+def asnorm(raw, enroll_scores, test_scores, top_k: int,
+           sample_stddev: bool = False):
     """Adaptive S-norm: both sides standardized by their top-K cohort stats."""
     se = cohort_stats(enroll_scores, top_k=top_k, sample_stddev=sample_stddev)
     st = cohort_stats(test_scores, top_k=top_k, sample_stddev=sample_stddev)
     return snorm(raw, se, st)
 
 
+def _blocks(rows: int, width: int):
+    """Slices of ``rows`` rows of ``width`` values, ~BLOCK_ELEMENTS each."""
+    step = max(1, BLOCK_ELEMENTS // max(1, width))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
 class TrialScorer:
-    """Scores trials against a store, caching cohort statistics per
-    utterance. ``cohort_computes`` counts how many cohort score lists were
-    actually computed (ids repeated across trials hit the cache)."""
+    """Scores a trial list against a store as whole arrays.
+
+    Each distinct utterance id becomes one row; cohort statistics are
+    computed once per id that the method reads (enroll ids for z, test ids
+    for t, both for s and as). ``cohort_computes`` counts those ids.
+    """
 
     def __init__(self, store: EmbeddingStore, cohort: Cohort | None,
                  method: str = "cosine", top_k: int | None = None,
@@ -287,44 +296,36 @@ class TrialScorer:
         self.top_k = top_k
         self.sample_stddev = sample_stddev
         self.cohort_computes = 0
-        self._stats_cache: dict[str, CohortStats] = {}
 
-    def _stats_for(self, utt: str) -> CohortStats:
-        cached = self._stats_cache.get(utt)
-        if cached is None:
-            scores = cohort_scores(self.store.get(utt), self.cohort)
-            self.cohort_computes += 1
-            top_k = self.top_k if self.method == "as" else None
-            cached = cohort_stats(scores, top_k=top_k,
-                                  sample_stddev=self.sample_stddev)
-            self._stats_cache[utt] = cached
-        return cached
-
-    def score_one(self, trial: Trial) -> ScoredTrial:
-        raw = cosine_score(self.store.get(trial.enroll),
-                           self.store.get(trial.test))
+    def score_trials(self, trials) -> tuple[np.ndarray, np.ndarray]:
+        """(raw cosine, normalized) float64 arrays in trial order."""
+        rows: dict[str, int] = {}
+        pairs = np.array([(rows.setdefault(t.enroll, len(rows)),
+                           rows.setdefault(t.test, len(rows)))
+                          for t in trials], dtype=np.intp).reshape(-1, 2)
+        vectors = np.array([self.store.get(i) for i in rows])
+        raw = np.empty(len(pairs))
+        for b in _blocks(len(pairs), 2 * vectors.shape[-1]):
+            raw[b] = cosine_score(vectors[pairs[b, 0]], vectors[pairs[b, 1]])
         if self.method == "cosine":
-            normalized = raw
-        elif self.method == "z":
-            normalized = znorm(raw, self._stats_for(trial.enroll))
-        elif self.method == "t":
-            normalized = tnorm(raw, self._stats_for(trial.test))
-        else:  # "s" and "as" differ only in the top-K restriction
-            normalized = snorm(raw, self._stats_for(trial.enroll),
-                               self._stats_for(trial.test))
-        return ScoredTrial(trial.enroll, trial.test, trial.label,
-                           raw, normalized)
+            return raw, raw.copy()
 
-    def score_trials(self, trials, threads: int = 1) -> list[ScoredTrial]:
-        if self.method != "cosine":
-            # Single-writer phase: fill the cache serially so the threaded
-            # phase is read-only and the output order never depends on timing.
-            for t in trials:
-                if self.method in ("z", "s", "as"):
-                    self._stats_for(t.enroll)
-                if self.method in ("t", "s", "as"):
-                    self._stats_for(t.test)
-        if threads <= 1:
-            return [self.score_one(t) for t in trials]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(self.score_one, trials))
+        sides = {"z": [0], "t": [1]}.get(self.method, [0, 1])
+        ids = np.unique(pairs[:, sides])
+        self.cohort_computes += ids.size
+        mu, sigma = np.zeros((2, len(rows)))
+        top_k = self.top_k if self.method == "as" else None
+        for b in _blocks(ids.size, len(self.cohort)):
+            stats = cohort_stats(cohort_scores(vectors[ids[b]], self.cohort),
+                                 top_k=top_k, sample_stddev=self.sample_stddev)
+            mu[ids[b]] = stats.mu
+            sigma[ids[b]] = stats.sigma
+
+        k = top_k or len(self.cohort)
+        enroll, test = (CohortStats(mu[pairs[:, i]], sigma[pairs[:, i]], k)
+                        for i in (0, 1))
+        if self.method == "z":
+            return raw, znorm(raw, enroll)
+        if self.method == "t":
+            return raw, tnorm(raw, test)
+        return raw, snorm(raw, enroll, test)  # "as" differs only in top-K

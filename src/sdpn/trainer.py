@@ -261,10 +261,11 @@ def train(corpus, pair: model.TeacherStudentPair, cfg: TrainConfig,
                 last_lr = lr_at(state.global_step, total_steps, cfg)
                 terms, aux = train_step(pair, gv, lv, cfg, model_cfg,
                                         state, last_lr)
-                if not math.isfinite(terms["loss"]):
-                    raise DivergedLoss(
-                        f"non-finite loss {terms['loss']} at epoch {epoch} "
-                        f"step {step_in_epoch}", last_good=last_good)
+                for key in ("loss_ce", "loss_re", "loss_dr", "loss"):
+                    if not math.isfinite(terms[key]):
+                        raise DivergedLoss(
+                            f"non-finite {key} {terms[key]} at epoch {epoch} "
+                            f"step {step_in_epoch}", last_good=last_good)
                 momentum = model.ema_momentum_at(state.global_step, total_steps,
                                                  model_cfg.ema_momentum)
                 model.ema_update(pair, momentum)

@@ -190,16 +190,16 @@ def test_criterion_7_end_to_end():
     store = _embed_store(pair.teacher, held)
     trials = data.build_trial_list(held)
     labels = [t.label == "1" for t in trials]
-    cosine = scoring.TrialScorer(store, None).score_trials(trials)
-    eer_cos, _ = metrics.eer([s.normalized for s in cosine], labels)
+    _, cosine = scoring.TrialScorer(store, None).score_trials(trials)
+    eer_cos, _ = metrics.eer(cosine, labels)
 
     cohort_store = _embed_store(pair.teacher, cohort_corpus, prefix="c_")
     cohort = scoring.Cohort.from_store(
         cohort_store, {t.enroll for t in trials} | {t.test for t in trials})
-    adaptive = scoring.TrialScorer(
+    _, adaptive = scoring.TrialScorer(
         store, cohort, method="as",
         top_k=len(cohort_store) // 2).score_trials(trials)
-    eer_as, _ = metrics.eer([s.normalized for s in adaptive], labels)
+    eer_as, _ = metrics.eer(adaptive, labels)
 
     ok = eer_cos <= 0.10 and eer_as <= eer_cos + 0.005
     verdict(7, "end-to-end synthetic verification", ok,

@@ -288,6 +288,16 @@ def test_malformed_store_exits_2(world, tmp_path):
                      "--out", str(tmp_path / "x.tsv")]) == 2
 
 
+def test_non_utf8_store_id_exits_2(world, tmp_path):
+    raw = bytearray(world["store"].read_bytes())
+    raw[12] = 0xFF  # first byte of the first id, after magic, header, length
+    broken = tmp_path / "non_utf8.emb"
+    broken.write_bytes(bytes(raw))
+    assert cli.main(["score", "--store", str(broken),
+                     "--trials", str(world["trials"]),
+                     "--out", str(tmp_path / "x.tsv")]) == 2
+
+
 def test_single_class_eval_exits_2(world, tmp_path):
     targets_only = [t for t in scoring.read_trials(world["trials"])
                     if t.label == "1"]

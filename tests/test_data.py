@@ -1,5 +1,6 @@
 """Synthetic corpus, cropping, masking, and the feature-file format."""
 
+import os
 import pickle
 import struct
 
@@ -7,7 +8,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sdpn import data, model, scoring
+from sdpn import cli, data, model, scoring
 from sdpn.config import CropConfig, MaskConfig
 from sdpn.errors import InvalidConfig, MalformedFile, UtteranceTooShort
 
@@ -233,16 +234,17 @@ def _write_checkpoint(path):
 
 
 BINARY_FORMATS = {
-    "feature": (_write_feature, data.read_feature_file),
-    "store": (_write_store, scoring.EmbeddingStore.load),
-    "checkpoint": (_write_checkpoint, model.load_checkpoint),
+    "feature": (_write_feature, data.read_feature_file, (b"abc", b"spk")),
+    "store": (_write_store, scoring.EmbeddingStore.load, (b"a", b"bc")),
+    "checkpoint": (_write_checkpoint, model.load_checkpoint,
+                   (b"fp", b"s", b"w")),
 }
 
 
 @pytest.mark.parametrize("fmt", sorted(BINARY_FORMATS))
 def test_binary_readers_reject_prefixes_bad_magic_and_trailing_bytes(
         tmp_path, fmt):
-    write, read = BINARY_FORMATS[fmt]
+    write, read, text_fields = BINARY_FORMATS[fmt]
     path = tmp_path / fmt
     write(path)
     raw = path.read_bytes()
@@ -265,6 +267,49 @@ def test_binary_readers_reject_prefixes_bad_magic_and_trailing_bytes(
     with pytest.raises(MalformedFile) as err:
         read(path)
     assert err.value.offset == len(raw)
+    # non-UTF-8 id: 0xff over the first byte of each id, name or fingerprint
+    for field in text_fields:
+        at = raw.index(field)
+        path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+        with pytest.raises(MalformedFile) as err:
+            read(path)
+        assert err.value.offset == at
+
+
+def _write_eval_report(path):
+    trials = path.with_name("trials.txt")
+    trials.write_text("1 a b\n0 a c\n", encoding="utf-8")
+    scores = path.with_name("scores.tsv")
+    scores.write_text("# method=cosine\na\tb\t0.9\t0.9\na\tc\t0.1\t0.1\n",
+                      encoding="utf-8")
+    cli.main(["eval", "--scores", str(scores), "--trials", str(trials),
+              "--out", str(path)])
+
+
+ATOMIC_WRITERS = {
+    "checkpoint": _write_checkpoint,
+    "store": _write_store,
+    "scores": lambda path: scoring.write_scores(
+        [scoring.Trial("1", "a", "b")], [0.5], [0.5], path, "method=cosine"),
+    "trials": lambda path: scoring.write_trials(
+        [scoring.Trial("1", "a", "b")], path),
+    "eval_report": _write_eval_report,
+}
+
+
+@pytest.mark.parametrize("writer", sorted(ATOMIC_WRITERS))
+def test_failed_rename_leaves_existing_artifact_intact(tmp_path, monkeypatch,
+                                                       writer):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"the previous artifact")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        ATOMIC_WRITERS[writer](path)
+    assert path.read_bytes() == b"the previous artifact"
 
 
 # ----------------------------------------------------------------------

@@ -14,15 +14,16 @@ LABELS = [1, 1, 1, 0, 0, 0]
 
 
 def test_det_sweep_point_count():
-    pts = metrics.det_sweep(SCORES, LABELS)
+    thresholds, p_miss, p_fa = metrics.det_sweep(SCORES, LABELS)
     # one point per distinct score plus the two boundary corners
-    assert len(pts) == len(set(SCORES)) + 2
+    assert thresholds.shape == p_miss.shape == p_fa.shape \
+        == (len(set(SCORES)) + 2,)
 
 
 def test_det_sweep_endpoints():
-    pts = metrics.det_sweep(SCORES, LABELS)
-    assert (pts[0].p_miss, pts[0].p_fa) == (0.0, 1.0)
-    assert (pts[-1].p_miss, pts[-1].p_fa) == (1.0, 0.0)
+    _, p_miss, p_fa = metrics.det_sweep(SCORES, LABELS)
+    assert (p_miss[0], p_fa[0]) == (0.0, 1.0)
+    assert (p_miss[-1], p_fa[-1]) == (1.0, 0.0)
 
 
 def test_det_sweep_monotone():
@@ -31,9 +32,7 @@ def test_det_sweep_monotone():
     labels = (rng.random(40) < 0.5).astype(int)
     if labels.min() == labels.max():  # pragma: no cover - seed is fixed
         labels[0] = 1 - labels[0]
-    pts = metrics.det_sweep(scores, labels)
-    p_miss = [p.p_miss for p in pts]
-    p_fa = [p.p_fa for p in pts]
+    _, p_miss, p_fa = metrics.det_sweep(scores, labels)
     assert all(a <= b + 1e-15 for a, b in zip(p_miss, p_miss[1:]))
     assert all(a >= b - 1e-15 for a, b in zip(p_fa, p_fa[1:]))
 
@@ -81,9 +80,8 @@ def test_min_dcf_reject_all_bound():
 
 def test_min_dcf_accept_all_cost():
     # normalized cost of always accepting: 0.95/0.05 = 19 at p_target 0.05
-    pts = metrics.det_sweep(SCORES, LABELS)
-    accept_all = pts[0]
-    cost = (accept_all.p_miss * 0.05 + accept_all.p_fa * 0.95) / 0.05
+    _, p_miss, p_fa = metrics.det_sweep(SCORES, LABELS)
+    cost = (p_miss[0] * 0.05 + p_fa[0] * 0.95) / 0.05
     assert cost == pytest.approx(19.0)
 
 
@@ -108,8 +106,8 @@ def test_sweep_matches_oracle_points():
     scores = np.round(rng.standard_normal(25), 1)
     labels = (rng.random(25) < 0.5).astype(int)
     labels[0], labels[1] = 1, 0
-    fast = [(p.threshold, p.p_miss, p.p_fa)
-            for p in metrics.det_sweep(scores, labels)]
+    fast = list(zip(*(a.tolist()
+                      for a in metrics.det_sweep(scores, labels))))
     slow = oracle_det_points(scores, labels)
     assert fast == slow
 

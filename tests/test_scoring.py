@@ -197,9 +197,9 @@ def test_trials_bad_label(tmp_path):
 
 
 def test_scores_file_format(tmp_path):
-    scored = [scoring.ScoredTrial("e", "t", "1", 0.123456789, 1.5)]
     path = tmp_path / "scores.txt"
-    scoring.write_scores(scored, path, header="method=s")
+    scoring.write_scores([Trial("1", "e", "t")], np.array([0.123456789]),
+                         np.array([1.5]), path, header="method=s")
     text = path.read_text().splitlines()
     assert text[0] == "# method=s"
     assert text[1] == "e\tt\t0.123457\t1.500000"
@@ -247,26 +247,65 @@ def make_scorer_setup(seed, n_utts=10, n_cohort=8, dim=6):
 def test_scorer_cosine_raw_equals_normalized():
     store, cohort, trials = make_scorer_setup(69)
     scorer = TrialScorer(store, None, method="cosine")
-    for st in scorer.score_trials(trials):
-        assert st.normalized == st.raw
+    raw, normalized = scorer.score_trials(trials)
+    assert raw.shape == normalized.shape == (len(trials),)
+    npt.assert_array_equal(normalized, raw)
 
 
 def test_scorer_cohort_cache_computes_each_utterance_once():
     store, cohort, trials = make_scorer_setup(70)
-    scorer = TrialScorer(store, cohort, method="s")
-    scorer.score_trials(trials)
-    distinct = {t.enroll for t in trials} | {t.test for t in trials}
-    assert scorer.cohort_computes == len(distinct)
+    enroll = {t.enroll for t in trials}
+    test = {t.test for t in trials}
+    for method, read in (("s", enroll | test), ("z", enroll), ("t", test)):
+        scorer = TrialScorer(store, cohort, method=method)
+        scorer.score_trials(trials)
+        assert scorer.cohort_computes == len(read), method
 
 
-def test_scorer_threaded_matches_serial():
-    store, cohort, trials = make_scorer_setup(71)
-    serial = TrialScorer(store, cohort, method="as", top_k=4)
-    threaded = TrialScorer(store, cohort, method="as", top_k=4)
-    a = serial.score_trials(trials)
-    b = threaded.score_trials(trials, threads=4)
-    assert [(s.raw, s.normalized) for s in a] \
-        == [(s.raw, s.normalized) for s in b]
+def naive_scores(store, cohort, trials, method, top_k, sample_stddev):
+    """One trial at a time: np.dot cosines, a descending np.sort for top-K,
+    mean/std of each side's cohort scores."""
+    def cos(a, b):
+        return np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+
+    def stats(utt):
+        v = store.get(utt)
+        s = np.array([cos(v, c) for c in cohort.unit])
+        if method == "as":
+            s = np.sort(s)[::-1][:top_k]
+        return s.mean(), s.std(ddof=1 if sample_stddev else 0)
+
+    raw, normalized = [], []
+    for t in trials:
+        r = cos(store.get(t.enroll), store.get(t.test))
+        z = (r - stats(t.enroll)[0]) / stats(t.enroll)[1]
+        tt = (r - stats(t.test)[0]) / stats(t.test)[1]
+        raw.append(r)
+        normalized.append({"cosine": r, "z": z, "t": tt}.get(
+            method, 0.5 * (z + tt)))
+    return np.array(raw), np.array(normalized)
+
+
+@pytest.mark.parametrize("block", [scoring.BLOCK_ELEMENTS, 7 * 6])
+@pytest.mark.parametrize("sample_stddev", [False, True])
+@pytest.mark.parametrize("method", scoring.METHODS)
+def test_scorer_matches_naive_loop(monkeypatch, method, sample_stddev, block):
+    # 42 values: cosine blocks of 3 trials (two 6-d rows each) and cohort
+    # blocks of 4 ids (10 cohort scores each)
+    monkeypatch.setattr(scoring, "BLOCK_ELEMENTS", block)
+    store, cohort, _ = make_scorer_setup(76, n_utts=12, n_cohort=3)
+    # three distinct rows repeated 4/3/3 times: every top-5 cuts a tie
+    cohort = Cohort([f"c{i}" for i in range(10)],
+                    cohort.unit[[0, 0, 0, 0, 1, 1, 1, 2, 2, 2]])
+    ids = store.ids()
+    trials = [Trial("1", ids[i % 12], ids[(3 * i + 1) % 12])
+              for i in range(20)]
+    top_k = 5 if method == "as" else None
+    got = TrialScorer(store, cohort, method=method, top_k=top_k,
+                      sample_stddev=sample_stddev).score_trials(trials)
+    want = naive_scores(store, cohort, trials, method, top_k, sample_stddev)
+    for g, w in zip(got, want):
+        npt.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
 def test_scorer_as_defaults_top_k_to_cohort_cap():
@@ -285,12 +324,9 @@ def test_scorer_method_validation():
 
 def test_scorer_z_t_s_relationship():
     store, cohort, trials = make_scorer_setup(74)
-    z = TrialScorer(store, cohort, method="z").score_trials(trials)
-    t = TrialScorer(store, cohort, method="t").score_trials(trials)
-    s = TrialScorer(store, cohort, method="s").score_trials(trials)
-    for zi, ti, si in zip(z, t, s):
-        assert si.normalized == pytest.approx(
-            0.5 * (zi.normalized + ti.normalized), abs=1e-12)
+    z, t, s = (TrialScorer(store, cohort, method=m).score_trials(trials)[1]
+               for m in ("z", "t", "s"))
+    npt.assert_allclose(s, 0.5 * (z + t), rtol=0, atol=1e-12)
 
 
 def test_normalize_trials_missing_embedding():

@@ -173,6 +173,8 @@ def test_resume_replays_the_uninterrupted_run(tmp_path):
 
     with pytest.raises(DivergedLoss) as exc_info:
         trainer.train(corpus, pair_b, cfg, mc, crops, on_step=poison)
+    # the student forward goes NaN, and the cross-entropy is the first term
+    assert str(exc_info.value).startswith("non-finite loss_ce nan ")
     good_pair, good_state = exc_info.value.last_good
     assert good_state.epoch == 2
     assert np.isfinite(good_pair.prototypes).all()
