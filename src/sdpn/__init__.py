@@ -8,7 +8,6 @@ finite-difference-verified gradients.
 from .losses import (
     DimRegLoss,
     LossValue,
-    LossWeights,
     cross_entropy_loss,
     diversity_regularization,
     frobenius_reg_covariance_grad,
@@ -20,9 +19,7 @@ from .metrics import det_sweep, eer, evaluation_report, min_dcf
 from .numerics import (
     finite_diff_gradient,
     frobenius_norm,
-    l2_normalize,
     normalized_covariance,
-    pairwise_min_distance,
     softmax,
 )
 from .scoring import asnorm, cohort_stats, cosine_score, snorm, tnorm, znorm
@@ -30,12 +27,12 @@ from .scoring import asnorm, cohort_stats, cosine_score, snorm, tnorm, znorm
 __version__ = "0.1.0"
 
 __all__ = [
-    "DimRegLoss", "LossValue", "LossWeights", "cross_entropy_loss",
+    "DimRegLoss", "LossValue", "cross_entropy_loss",
     "diversity_regularization", "frobenius_reg_covariance_grad",
     "frobenius_regularization", "off_diagonal_regularization",
     "sdpn_objective", "det_sweep", "eer", "evaluation_report", "min_dcf",
-    "finite_diff_gradient", "frobenius_norm", "l2_normalize",
-    "normalized_covariance", "pairwise_min_distance", "softmax",
+    "finite_diff_gradient", "frobenius_norm", "normalized_covariance",
+    "softmax",
     "asnorm", "cohort_stats", "cosine_score", "snorm", "tnorm", "znorm",
     "__version__",
 ]

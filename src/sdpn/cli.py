@@ -25,7 +25,6 @@ from .errors import (
     MissingLabels,
     SdpnError,
 )
-from .losses import LossWeights
 
 
 class _UsageError(Exception):
@@ -150,16 +149,6 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _train_config(cfg: RunConfig) -> trainer.TrainConfig:
-    t = cfg.train
-    return trainer.TrainConfig(
-        epochs=t.epochs, batch_size=t.batch_size, lr_peak=t.lr_peak,
-        lr_final=t.lr_final, warmup_epochs=t.warmup_epochs,
-        momentum=t.momentum, weights=LossWeights(mu=t.mu, lam=t.lam),
-        regularizer_kind=t.regularizer, seed=cfg.seed,
-        diversity_summed=t.diversity_summed, centered_covariance=t.centered_covariance)
-
-
 def cmd_train(args) -> int:
     cfg = _effective_config(args, {
         "train.epochs": args.epochs,
@@ -173,7 +162,6 @@ def cmd_train(args) -> int:
     fingerprint = cfg.fingerprint()
 
     corpus = data_mod.load_corpus(args.manifest, include_speaker=False)
-    train_cfg = _train_config(cfg)
 
     if args.resume:
         tensors, stored_fp = model.load_checkpoint(args.resume)
@@ -181,7 +169,7 @@ def cmd_train(args) -> int:
             raise InvalidConfig(
                 "resume checkpoint was written under a different config "
                 f"(fingerprint {stored_fp[:12]}.. != {fingerprint[:12]}..)")
-        pair = model.pair_from_tensors(tensors, cfg.model.ema_momentum)
+        pair = model.pair_from_tensors(tensors)
         state = trainer.state_from_tensors(tensors, pair)
     else:
         rng = np.random.default_rng(cfg.seed)
@@ -190,14 +178,13 @@ def cmd_train(args) -> int:
             encoder_hidden=cfg.model.encoder_hidden,
             embed_dim=cfg.model.embed_dim,
             proj_hidden=cfg.model.proj_hidden, proj_dim=cfg.model.proj_dim,
-            num_prototypes=cfg.model.num_prototypes,
-            ema_momentum=cfg.model.ema_momentum)
+            num_prototypes=cfg.model.num_prototypes)
         state = trainer.init_state(pair)
 
     try:
         pair, records, state = trainer.train(
-            corpus, pair, train_cfg, cfg.model, cfg.crops, cfg.augment,
-            resume=state, log_path=out_dir / "metrics.jsonl")
+            corpus, pair, cfg, resume=state,
+            log_path=out_dir / "metrics.jsonl")
     except DivergedLoss as exc:
         if exc.last_good is not None:
             good_pair, good_state = exc.last_good

@@ -70,8 +70,6 @@ class TrainSection:
     mu: float = 0.1
     lam: float = 0.05
     regularizer: str = "frobenius"
-    diversity_summed: bool = False
-    centered_covariance: bool = False
 
 
 @dataclass

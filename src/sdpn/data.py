@@ -202,12 +202,22 @@ class BinaryReader:
 
 
 def atomic_write(path, payload: bytes):
-    """Write to a ``.tmp`` sibling and rename it over ``path``, so a crash
-    never leaves a half-written file behind."""
+    """Write to a ``.tmp`` sibling, fsync it and rename it over ``path``, so
+    a crash never leaves a half-written file behind. If the write, fsync or
+    rename fails, the ``.tmp`` sibling is removed and the error re-raised."""
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        raise
 
 
 def write_feature_file(utt: Utterance, path):

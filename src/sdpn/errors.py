@@ -79,14 +79,6 @@ class NumericalError(SdpnError):
     exit_code = 3
 
 
-class ZeroVarianceColumn(NumericalError):
-    pass
-
-
-class DuplicateEmbedding(NumericalError):
-    pass
-
-
 class DivergedLoss(NumericalError):
     """Training hit a non-finite loss.
 

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import (
-    BatchTooSmall,
-    DistributionLengthMismatch,
-    InvalidConfig,
-    ShapeMismatch,
-)
+from .errors import BatchTooSmall, DistributionLengthMismatch, ShapeMismatch
 
 # Probabilities are floored before the log so sharpened teacher targets with
 # exact zeros cannot produce -inf.
@@ -40,20 +35,6 @@ class DimRegLoss:
     value: float
     teacher_gradient: np.ndarray
     student_gradient: np.ndarray
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """mu scales the diversity term, lam the dimension regularizer."""
-
-    mu: float = 0.1
-    lam: float = 0.05
-
-    def __post_init__(self):
-        if self.mu < 0 or self.lam < 0:
-            raise InvalidConfig(
-                f"loss weights must be >= 0, got mu={self.mu} lam={self.lam}"
-            )
 
 
 def cross_entropy_loss(p_teacher, p_student) -> LossValue:
@@ -78,13 +59,11 @@ def cross_entropy_loss(p_teacher, p_student) -> LossValue:
     return LossValue(value, grad)
 
 
-def diversity_regularization(batch, *, summed: bool = False) -> LossValue:
+def diversity_regularization(batch) -> LossValue:
     """Push every embedding away from its nearest neighbour in the batch.
 
     value = -(1/n) sum_u log(min_{v != u} ||x_u - x_v||), distances floored
-    at the duplicate epsilon (floored terms contribute zero gradient). With
-    ``summed`` the value and gradient are scaled by n — a batch sum instead
-    of a batch mean, so the term's weight grows with batch size.
+    at the duplicate epsilon (floored terms contribute zero gradient).
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2:
@@ -107,37 +86,27 @@ def diversity_regularization(batch, *, summed: bool = False) -> LossValue:
         pull = (x[u] - x[v]) / (d_min[u] * d_min[u] * n)
         grad[u] -= pull
         grad[v] += pull
-
-    if summed:
-        return LossValue(value * n, grad * n)
     return LossValue(value, grad)
 
 
-def _covariance_pair(teacher_batch, student_batch, floor_columns, centered):
-    c_t = numerics.normalized_covariance(
-        teacher_batch, floor_columns=floor_columns, centered=centered)
-    c_s = numerics.normalized_covariance(
-        student_batch, floor_columns=floor_columns, centered=centered)
-    return c_t, c_s
+def _covariance_pair(teacher_batch, student_batch):
+    return (numerics.normalized_covariance(teacher_batch),
+            numerics.normalized_covariance(student_batch))
 
 
 def _offdiag_square_sum(c: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", c, c) - np.einsum("ii,ii->", c, c))
 
 
-def off_diagonal_regularization(teacher_batch, student_batch, *,
-                                floor_columns: bool = False,
-                                centered: bool = False) -> DimRegLoss:
+def off_diagonal_regularization(teacher_batch, student_batch) -> DimRegLoss:
     """Sum of squared off-diagonal covariance entries for both batches."""
-    c_t, c_s = _covariance_pair(teacher_batch, student_batch,
-                                floor_columns, centered)
+    c_t, c_s = _covariance_pair(teacher_batch, student_batch)
     value = _offdiag_square_sum(c_t) + _offdiag_square_sum(c_s)
 
     def grad_for(batch, c):
         g = 2.0 * c
         np.fill_diagonal(g, 0.0)
-        return numerics.normalized_covariance_vjp(
-            batch, g, floor_columns=floor_columns, centered=centered)
+        return numerics.normalized_covariance_vjp(batch, g)
 
     return DimRegLoss(value, grad_for(teacher_batch, c_t),
                       grad_for(student_batch, c_s))
@@ -159,38 +128,35 @@ def frobenius_reg_covariance_grad(c) -> np.ndarray:
     return g
 
 
-def frobenius_regularization(teacher_batch, student_batch, *,
-                             floor_columns: bool = False,
-                             centered: bool = False) -> DimRegLoss:
+def frobenius_regularization(teacher_batch, student_batch) -> DimRegLoss:
     """log Frobenius norm of both covariance matrices, diagonal included.
 
     Because every live diagonal entry is exactly 1, the entry gradient
     C_ij / (D + sum_offdiag C^2) coincides with the true derivative of
     log ||C||_F, so the analytic and finite-difference routes agree.
     """
-    c_t, c_s = _covariance_pair(teacher_batch, student_batch,
-                                floor_columns, centered)
+    c_t, c_s = _covariance_pair(teacher_batch, student_batch)
     value = float(np.log(numerics.frobenius_norm(c_t))
                   + np.log(numerics.frobenius_norm(c_s)))
 
     def grad_for(batch, c):
         return numerics.normalized_covariance_vjp(
-            batch, frobenius_reg_covariance_grad(c),
-            floor_columns=floor_columns, centered=centered)
+            batch, frobenius_reg_covariance_grad(c))
 
     return DimRegLoss(value, grad_for(teacher_batch, c_t),
                       grad_for(student_batch, c_s))
 
 
 def sdpn_objective(ce_value: float, re: LossValue, dr: DimRegLoss | None,
-                   weights: LossWeights) -> LossValue:
+                   mu: float, lam: float) -> LossValue:
     """Total ``ce + mu*re + lam*dr`` with its gradient w.r.t. the student
     global projections, ``mu*re.gradient + lam*dr.student_gradient`` (the
-    distillation gradient flows through the local views instead). ``dr`` is
+    distillation gradient flows through the local views instead). ``mu``
+    weights the diversity term, ``lam`` the dimension regularizer; ``dr`` is
     None when no dimension regularizer runs."""
     dr_value = 0.0 if dr is None else dr.value
-    value = ce_value + weights.mu * re.value + weights.lam * dr_value
-    gradient = weights.mu * re.gradient
+    value = ce_value + mu * re.value + lam * dr_value
+    gradient = mu * re.gradient
     if dr is not None:
-        gradient = gradient + weights.lam * dr.student_gradient
+        gradient = gradient + lam * dr.student_gradient
     return LossValue(value, gradient)

@@ -103,16 +103,15 @@ class TeacherStudentPair:
     student: Network
     teacher: Network
     prototypes: np.ndarray  # (K, proj_dim), rows unit-norm, shared by both
-    ema_momentum: float = 0.996
 
     @classmethod
     def create(cls, rng, *, feature_dim, encoder_hidden, embed_dim,
-               proj_hidden, proj_dim, num_prototypes, ema_momentum=0.996):
+               proj_hidden, proj_dim, num_prototypes):
         student = Network.create(rng, feature_dim, encoder_hidden, embed_dim,
                                  proj_hidden, proj_dim)
         protos = rng.standard_normal((num_prototypes, proj_dim))
         protos /= np.linalg.norm(protos, axis=1, keepdims=True)
-        return cls(student, student.copy(), protos, ema_momentum)
+        return cls(student, student.copy(), protos)
 
     def named_arrays(self):
         yield from self.student.named_arrays("student")
@@ -121,7 +120,7 @@ class TeacherStudentPair:
 
     def copy(self):
         return TeacherStudentPair(self.student.copy(), self.teacher.copy(),
-                                  self.prototypes.copy(), self.ema_momentum)
+                                  self.prototypes.copy())
 
 
 # ----------------------------------------------------------------------
@@ -325,8 +324,7 @@ def _params_from(tensors, prefix, cls):
     return cls(**kwargs)
 
 
-def pair_from_tensors(tensors: dict[str, np.ndarray],
-                      ema_momentum: float = 0.996) -> TeacherStudentPair:
+def pair_from_tensors(tensors: dict[str, np.ndarray]) -> TeacherStudentPair:
     def network(prefix):
         return Network(
             _params_from(tensors, f"{prefix}.encoder", EncoderParams),
@@ -336,4 +334,4 @@ def pair_from_tensors(tensors: dict[str, np.ndarray],
     if "prototypes" not in tensors:
         raise MalformedFile("<checkpoint>", 0, "missing tensor 'prototypes'")
     return TeacherStudentPair(network("student"), network("teacher"),
-                              tensors["prototypes"].copy(), ema_momentum)
+                              tensors["prototypes"].copy())

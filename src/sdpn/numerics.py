@@ -14,16 +14,13 @@ import numpy as np
 
 from .errors import (
     BatchTooSmall,
-    DuplicateEmbedding,
     InvalidConfig,
     NonPositiveTemperature,
     ShapeMismatch,
-    ZeroVarianceColumn,
-    ZeroVector,
 )
 
 # Floor under which a column norm counts as collapsed / two embeddings count
-# as duplicates. Training paths substitute the floor; strict paths raise.
+# as duplicates; the floor is substituted for the norm or distance.
 EPS_COLUMN = 1e-12
 EPS_DUPLICATE = 1e-12
 
@@ -37,35 +34,25 @@ def _as_batch(batch, min_rows: int = 2) -> np.ndarray:
     return z
 
 
-def _column_scales(z: np.ndarray, floor_columns: bool):
-    """Column norms plus the denominators actually used (floored or strict)."""
+def _column_scales(z: np.ndarray):
+    """Column norms plus the denominators used: the norms floored at
+    EPS_COLUMN (a norm at or above the floor is used unchanged)."""
     norms = np.sqrt(np.einsum("bi,bi->i", z, z))
-    if floor_columns:
-        denom = np.maximum(norms, EPS_COLUMN)
-    else:
-        bad = np.flatnonzero(norms < EPS_COLUMN)
-        if bad.size:
-            raise ZeroVarianceColumn(
-                f"column(s) {bad.tolist()} have vanishing norm"
-            )
-        denom = norms
-    return norms, denom
+    return norms, np.maximum(norms, EPS_COLUMN)
 
 
-def normalized_covariance(batch, *, floor_columns: bool = False,
-                          centered: bool = False) -> np.ndarray:
+def normalized_covariance(batch) -> np.ndarray:
     """Cross-dimension covariance with per-column norm normalization.
 
     Entry (i, j) is sum_b z[b,i] z[b,j] / (||z[:,i]|| * ||z[:,j]||) — the raw
-    second moment of the columns, not mean-centered unless ``centered`` is
-    set. The result is exactly symmetric (upper triangle mirrored) and has
-    unit diagonal for every column with nonzero norm, so all entries live in
-    [-1, 1] up to roundoff.
+    second moment of the columns, not mean-centered. The result is exactly
+    symmetric (upper triangle mirrored) and has unit diagonal for every
+    column with nonzero norm, so all entries live in [-1, 1] up to roundoff.
+    A column whose norm sits under EPS_COLUMN is divided by the floor
+    instead, so its entries stay finite and its diagonal is not 1.
     """
     z = _as_batch(batch)
-    if centered:
-        z = z - z.mean(axis=0)
-    norms, denom = _column_scales(z, floor_columns)
+    norms, denom = _column_scales(z)
     c = (z.T @ z) / np.outer(denom, denom)
     upper = np.triu(c, 1)
     sym = upper + upper.T
@@ -75,8 +62,7 @@ def normalized_covariance(batch, *, floor_columns: bool = False,
     return sym
 
 
-def normalized_covariance_vjp(batch, cotangent, *, floor_columns: bool = False,
-                              centered: bool = False) -> np.ndarray:
+def normalized_covariance_vjp(batch, cotangent) -> np.ndarray:
     """Backpropagate a covariance-level gradient to the batch.
 
     Given dL/dC for the matrix produced by :func:`normalized_covariance`,
@@ -85,13 +71,12 @@ def normalized_covariance_vjp(batch, cotangent, *, floor_columns: bool = False,
     sits under the floor contribute no norm-derivative term (the floor is a
     constant there).
     """
-    z0 = _as_batch(batch)
-    d = z0.shape[1]
+    z = _as_batch(batch)
+    d = z.shape[1]
     g = np.asarray(cotangent, dtype=np.float64)
     if g.shape != (d, d):
         raise ShapeMismatch(f"cotangent shape {g.shape} != ({d}, {d})")
-    z = z0 - z0.mean(axis=0) if centered else z0
-    norms, denom = _column_scales(z, floor_columns)
+    norms, denom = _column_scales(z)
     live = (norms >= EPS_COLUMN).astype(np.float64)
 
     h = g + g.T
@@ -99,10 +84,7 @@ def normalized_covariance_vjp(batch, cotangent, *, floor_columns: bool = False,
     u = z / denom
     c = (z.T @ z) / np.outer(denom, denom)
     r = np.einsum("kj,kj->k", h, c)
-    grad = (u @ h - u * (r * live)[None, :]) / denom[None, :]
-    if centered:
-        grad = grad - grad.mean(axis=0)
-    return grad
+    return (u @ h - u * (r * live)[None, :]) / denom[None, :]
 
 
 def frobenius_norm(m) -> float:
@@ -123,25 +105,6 @@ def pairwise_distances(batch) -> np.ndarray:
     return np.sqrt(np.einsum("uvd,uvd->uv", diff, diff))
 
 
-def pairwise_min_distance(batch, u: int, *, floor: bool = False) -> float:
-    """Distance from row ``u`` to its nearest other row."""
-    x = _as_batch(batch)
-    n = x.shape[0]
-    if not 0 <= u < n:
-        raise IndexError(f"row index {u} out of range for batch of {n}")
-    diff = x - x[u]
-    dist = np.sqrt(np.einsum("vd,vd->v", diff, diff))
-    dist[u] = np.inf
-    m = float(dist.min())
-    if m < EPS_DUPLICATE:
-        if floor:
-            return EPS_DUPLICATE
-        raise DuplicateEmbedding(
-            f"row {u} has a duplicate within {EPS_DUPLICATE}"
-        )
-    return m
-
-
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     """Temperature softmax over the last axis, max-subtracted for stability."""
     if not temperature > 0:
@@ -152,14 +115,6 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     x = x - x.max(axis=-1, keepdims=True)
     e = np.exp(x)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def l2_normalize(v) -> np.ndarray:
-    x = np.asarray(v, dtype=np.float64)
-    nrm = float(np.linalg.norm(x))
-    if nrm <= EPS_COLUMN:
-        raise ZeroVector("cannot normalize a (near-)zero vector")
-    return x / nrm
 
 
 def finite_diff_gradient(f: Callable[[np.ndarray], float], at,

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import data as data_mod
 from . import losses, metrics, model, numerics, scoring, trainer
-from .config import CropConfig, ModelConfig
+from .config import (CropConfig, MaskConfig, ModelConfig, RunConfig,
+                     TrainSection)
 
 FD_STEP = 1e-5
 
@@ -151,7 +152,7 @@ def _fd_composite(seed, instances, tolerance):
     """Full objective through a prototype-scoring forward: one input batch
     feeds the distillation softmax, the diversity term, and the dimension
     regularizer, so the chain rule across all three must agree with FD."""
-    weights = losses.LossWeights(mu=0.1, lam=0.05)
+    mu, lam = 0.1, 0.05
     temp = 0.1
     worst = 0.0
     for i in range(instances):
@@ -171,7 +172,7 @@ def _fd_composite(seed, instances, tolerance):
                 p_tea, numerics.softmax(z @ protos.T, temp))
             total = losses.sdpn_objective(
                 ce.value, losses.diversity_regularization(z), reg(z_tea, z),
-                weights)
+                mu, lam)
             return ce, total
 
         ce, total = objective(x)
@@ -376,7 +377,7 @@ def paired_regularizer_runs(seed, *, num_speakers, utts_per_speaker,
                             kinds=("off_diagonal", "frobenius"),
                             feature_dim=24, proj_dim=6, lam=0.05,
                             mu=0.0, lr_peak=0.12, lr_final=None):
-    """Train identical models differing only in regularizer_kind; returns
+    """Train identical models differing only in the regularizer; returns
     {kind: final mean_abs_offdiag} including the 'none' baseline.
 
     Defaults isolate the regularizer's effect: mu=0 switches the diversity
@@ -395,21 +396,22 @@ def paired_regularizer_runs(seed, *, num_speakers, utts_per_speaker,
                             ema_momentum=0.99)
     out = {}
     for kind in ("none", *kinds):
-        cfg = trainer.TrainConfig(
-            epochs=epochs, batch_size=batch_size, lr_peak=lr_peak,
-            lr_final=lr_peak if lr_final is None else lr_final,
-            warmup_epochs=max(1, epochs // 20),
-            weights=losses.LossWeights(mu=mu, lam=lam),
-            regularizer_kind=kind, seed=seed)
+        cfg = RunConfig(
+            seed=seed, crops=crops, augment=MaskConfig(enabled=False),
+            model=model_cfg,
+            train=TrainSection(
+                epochs=epochs, batch_size=batch_size, lr_peak=lr_peak,
+                lr_final=lr_peak if lr_final is None else lr_final,
+                warmup_epochs=max(1, epochs // 20), mu=mu, lam=lam,
+                regularizer=kind))
         rng = np.random.default_rng(seed)
         pair = model.TeacherStudentPair.create(
             rng, feature_dim=feature_dim,
             encoder_hidden=model_cfg.encoder_hidden,
             embed_dim=model_cfg.embed_dim, proj_hidden=model_cfg.proj_hidden,
             proj_dim=model_cfg.proj_dim,
-            num_prototypes=model_cfg.num_prototypes,
-            ema_momentum=model_cfg.ema_momentum)
-        _, records, _ = trainer.train(corpus, pair, cfg, model_cfg, crops)
+            num_prototypes=model_cfg.num_prototypes)
+        _, records, _ = trainer.train(corpus, pair, cfg)
         out[kind] = records[-1]["mean_abs_offdiag"]
     return out
 

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import data as data_mod
 from . import losses, model, numerics
-from .config import CropConfig, MaskConfig, ModelConfig
+from .config import RunConfig
 from .errors import DivergedLoss, InvalidConfig
-from .losses import LossWeights
 
 REGULARIZERS = {
     "none": None,
@@ -32,52 +31,46 @@ REGULARIZERS = {
 }
 
 
-@dataclass
-class TrainConfig:
-    epochs: int = 60
-    batch_size: int = 32
-    lr_peak: float = 0.05
-    lr_final: float = 1e-5
-    warmup_epochs: int = 6
-    momentum: float = 0.9
-    weights: LossWeights = field(default_factory=LossWeights)
-    regularizer_kind: str = "frobenius"
-    seed: int = 1234
-    diversity_summed: bool = False
-    centered_covariance: bool = False
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise InvalidConfig(f"epochs must be >= 0, got {self.epochs}")
-        if self.epochs > 0 and not 0 <= self.warmup_epochs < self.epochs:
-            raise InvalidConfig(
-                f"need 0 <= warmup_epochs < epochs, got "
-                f"{self.warmup_epochs}/{self.epochs}")
-        if self.batch_size < 2:
-            raise InvalidConfig(f"batch_size must be >= 2, got {self.batch_size}")
-        if not 0 <= self.momentum < 1:
-            raise InvalidConfig(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.lr_peak <= 0 or self.lr_final < 0 or self.lr_final > self.lr_peak:
-            raise InvalidConfig(
-                f"need lr_peak > 0 and 0 <= lr_final <= lr_peak, got "
-                f"{self.lr_peak}/{self.lr_final}")
-        if self.regularizer_kind not in REGULARIZERS:
-            raise InvalidConfig(
-                f"regularizer_kind must be one of {sorted(REGULARIZERS)}, "
-                f"got '{self.regularizer_kind}'")
+def validate_config(cfg: RunConfig):
+    """Reject a ``train`` section the loop cannot run. Called by ``train``
+    itself, because CLI flag overrides are set on the loaded config after
+    its sections were built."""
+    t = cfg.train
+    if t.epochs < 0:
+        raise InvalidConfig(f"epochs must be >= 0, got {t.epochs}")
+    if t.epochs > 0 and not 0 <= t.warmup_epochs < t.epochs:
+        raise InvalidConfig(
+            f"need 0 <= warmup_epochs < epochs, got "
+            f"{t.warmup_epochs}/{t.epochs}")
+    if t.batch_size < 2:
+        raise InvalidConfig(f"batch_size must be >= 2, got {t.batch_size}")
+    if not 0 <= t.momentum < 1:
+        raise InvalidConfig(f"momentum must be in [0, 1), got {t.momentum}")
+    if t.lr_peak <= 0 or t.lr_final < 0 or t.lr_final > t.lr_peak:
+        raise InvalidConfig(
+            f"need lr_peak > 0 and 0 <= lr_final <= lr_peak, got "
+            f"{t.lr_peak}/{t.lr_final}")
+    if t.mu < 0 or t.lam < 0:
+        raise InvalidConfig(
+            f"loss weights must be >= 0, got mu={t.mu} lam={t.lam}")
+    if t.regularizer not in REGULARIZERS:
+        raise InvalidConfig(
+            f"regularizer must be one of {sorted(REGULARIZERS)}, "
+            f"got '{t.regularizer}'")
 
 
-def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
+def lr_at(step: int, total_steps: int, cfg: RunConfig) -> float:
     """Linear warmup to lr_peak, then cosine decay to lr_final."""
     if not 0 <= step <= total_steps:
         raise InvalidConfig(f"step {step} outside [0, {total_steps}]")
-    warmup_steps = (total_steps * cfg.warmup_epochs) // max(cfg.epochs, 1)
+    t = cfg.train
+    warmup_steps = (total_steps * t.warmup_epochs) // max(t.epochs, 1)
     if step < warmup_steps:
-        return cfg.lr_peak * step / warmup_steps
+        return t.lr_peak * step / warmup_steps
     if total_steps == warmup_steps:
-        return cfg.lr_peak
+        return t.lr_peak
     progress = (step - warmup_steps) / (total_steps - warmup_steps)
-    return cfg.lr_final + 0.5 * (cfg.lr_peak - cfg.lr_final) * (
+    return t.lr_final + 0.5 * (t.lr_peak - t.lr_final) * (
         1.0 + math.cos(math.pi * progress))
 
 
@@ -94,7 +87,7 @@ def diagnostics(student_global_embeddings, teacher_distributions
     mean per-dimension embedding spread, and the entropy of the average
     teacher distribution (0 = one prototype eats everything)."""
     z = np.asarray(student_global_embeddings, dtype=np.float64)
-    c = numerics.normalized_covariance(z, floor_columns=True)
+    c = numerics.normalized_covariance(z)
     d = c.shape[0]
     mean_abs = float((np.abs(c).sum() - np.trace(np.abs(c))) / (d * (d - 1)))
     emb_std = float(z.std(axis=0).mean())
@@ -130,13 +123,15 @@ def init_state(pair: model.TeacherStudentPair) -> TrainerState:
 
 
 def batch_loss_and_grads(pair: model.TeacherStudentPair, global_views,
-                         local_views, cfg: TrainConfig,
-                         model_cfg: ModelConfig, center):
+                         local_views, cfg: RunConfig, center):
     """Multi-view forward and backward of one batch: the teacher sees the
     global views only, the student the local views (distillation) and the
-    global views (diversity, covariance). Returns (terms, grads, aux), grads
-    keyed like _student_param_arrays; aux's teacher outputs are read-only.
+    global views (diversity, covariance). Reads the temperatures from
+    ``cfg.model`` and the loss weights and regularizer from ``cfg.train``.
+    Returns (terms, grads, aux), grads keyed like _student_param_arrays;
+    aux's teacher outputs are read-only.
     """
+    model_cfg = cfg.model
     gv = np.asarray(global_views, dtype=np.float64)
     lv = np.asarray(local_views, dtype=np.float64)
     b, g = gv.shape[:2]
@@ -172,11 +167,11 @@ def batch_loss_and_grads(pair: model.TeacherStudentPair, global_views,
     # student covariance/diversity path over global views
     _, s_proj_g, caches_g = model.network_forward(
         pair.student, gv.reshape(-1, *gv.shape[2:]))
-    re = losses.diversity_regularization(s_proj_g, summed=cfg.diversity_summed)
-    kind = REGULARIZERS[cfg.regularizer_kind]
-    dr = None if kind is None else kind(
-        t_proj, s_proj_g, floor_columns=True, centered=cfg.centered_covariance)
-    total = losses.sdpn_objective(ce_value, re, dr, cfg.weights)
+    re = losses.diversity_regularization(s_proj_g)
+    kind = REGULARIZERS[cfg.train.regularizer]
+    dr = None if kind is None else kind(t_proj, s_proj_g)
+    total = losses.sdpn_objective(ce_value, re, dr, cfg.train.mu,
+                                  cfg.train.lam)
 
     grads = {f"student.{k}": v for k, v in
              model.network_backward(pair.student, caches_l, g_proj_l).items()}
@@ -201,16 +196,15 @@ def batch_loss_and_grads(pair: model.TeacherStudentPair, global_views,
 
 
 def train_step(pair: model.TeacherStudentPair, global_views, local_views,
-               cfg: TrainConfig, model_cfg: ModelConfig,
-               state: TrainerState, lr: float):
+               cfg: RunConfig, state: TrainerState, lr: float):
     """One SGD+momentum update of the student and prototypes. The teacher is
     untouched here; the loop moves it via ema_update afterwards."""
     terms, grads, aux = batch_loss_and_grads(pair, global_views, local_views,
-                                             cfg, model_cfg, state.center)
+                                             cfg, state.center)
     params = _student_param_arrays(pair)
     for name, arr in params.items():
         vel = state.velocities[name]
-        vel *= cfg.momentum
+        vel *= cfg.train.momentum
         vel += grads[name]
         arr -= lr * vel
     model.normalize_prototypes(pair.prototypes)
@@ -223,29 +217,31 @@ def _assemble_batch(crop_sets):
     return gv, lv
 
 
-def train(corpus, pair: model.TeacherStudentPair, cfg: TrainConfig,
-          model_cfg: ModelConfig, crops: CropConfig,
-          mask: MaskConfig | None = None, *, resume: TrainerState | None = None,
-          on_step=None, log_path=None):
-    """Run the loop; returns (pair, epoch_records, state).
+def train(corpus, pair: model.TeacherStudentPair, cfg: RunConfig, *,
+          resume: TrainerState | None = None, on_step=None, log_path=None):
+    """Run the loop under ``cfg`` (its ``train``, ``model``, ``crops``,
+    ``augment`` and ``seed``); returns (pair, epoch_records, state).
 
     ``on_step`` (if given) receives a dict per step with the raw batch, the
     loss terms, and the projected globals — the verification suite uses it to
-    recompute losses independently. Raises DivergedLoss (carrying the last
-    finite state) if the loss leaves the reals.
+    recompute losses independently. Raises InvalidConfig before the first
+    step if ``validate_config`` rejects ``cfg``, and DivergedLoss (carrying
+    the last finite state) if the loss leaves the reals.
     """
-    steps_per_epoch = len(corpus) // cfg.batch_size
-    if cfg.epochs > 0 and steps_per_epoch < 1:
+    validate_config(cfg)
+    batch_size, epochs = cfg.train.batch_size, cfg.train.epochs
+    steps_per_epoch = len(corpus) // batch_size
+    if epochs > 0 and steps_per_epoch < 1:
         raise InvalidConfig(
-            f"corpus of {len(corpus)} cannot fill a batch of {cfg.batch_size}")
-    total_steps = steps_per_epoch * cfg.epochs
+            f"corpus of {len(corpus)} cannot fill a batch of {batch_size}")
+    total_steps = steps_per_epoch * epochs
 
     state = resume.copy() if resume is not None else init_state(pair)
     last_good = (pair.copy(), state.copy())
     records = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
-        for epoch in range(state.epoch, cfg.epochs):
+        for epoch in range(state.epoch, epochs):
             rng = np.random.default_rng([cfg.seed, epoch])
             order = rng.permutation(len(corpus))
             sums = {"loss": 0.0, "loss_ce": 0.0, "loss_re": 0.0, "loss_dr": 0.0}
@@ -253,23 +249,22 @@ def train(corpus, pair: model.TeacherStudentPair, cfg: TrainConfig,
             epoch_teacher_p = []
             last_lr = 0.0
             for step_in_epoch in range(steps_per_epoch):
-                chosen = order[step_in_epoch * cfg.batch_size:
-                               (step_in_epoch + 1) * cfg.batch_size]
+                chosen = order[step_in_epoch * batch_size:
+                               (step_in_epoch + 1) * batch_size]
                 crop_sets = list(data_mod.iter_crop_sets(
-                    [corpus[i] for i in chosen], crops, rng, mask))
+                    [corpus[i] for i in chosen], cfg.crops, rng, cfg.augment))
                 gv, lv = _assemble_batch(crop_sets)
                 last_lr = lr_at(state.global_step, total_steps, cfg)
-                terms, aux = train_step(pair, gv, lv, cfg, model_cfg,
-                                        state, last_lr)
+                terms, aux = train_step(pair, gv, lv, cfg, state, last_lr)
                 for key in ("loss_ce", "loss_re", "loss_dr", "loss"):
                     if not math.isfinite(terms[key]):
                         raise DivergedLoss(
                             f"non-finite {key} {terms[key]} at epoch {epoch} "
                             f"step {step_in_epoch}", last_good=last_good)
                 momentum = model.ema_momentum_at(state.global_step, total_steps,
-                                                 model_cfg.ema_momentum)
+                                                 cfg.model.ema_momentum)
                 model.ema_update(pair, momentum)
-                cm = model_cfg.center_momentum
+                cm = cfg.model.center_momentum
                 state.center = cm * state.center + \
                     (1.0 - cm) * aux["teacher_scores"].mean(axis=0)
                 state.global_step += 1

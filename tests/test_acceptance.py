@@ -11,8 +11,8 @@ import pytest
 
 from sdpn import cli, data, metrics, model, numerics, proptests, scoring, \
     trainer
-from sdpn.config import CropConfig, ModelConfig
-from sdpn.losses import LossWeights
+from sdpn.config import (CropConfig, MaskConfig, ModelConfig, RunConfig,
+                         TrainSection)
 
 
 def verdict(num, name, ok, detail):
@@ -174,18 +174,18 @@ def test_criterion_7_end_to_end():
     cohort_corpus = data.generate_synthetic_corpus(200, 1, 160, 24, 0.5,
                                                    E2E_SEED + 2)
 
-    mc = ModelConfig(encoder_hidden=48, embed_dim=48, proj_hidden=64,
-                     proj_dim=16, num_prototypes=32, ema_momentum=0.99)
-    cfg = trainer.TrainConfig(epochs=120, batch_size=32, lr_peak=0.05,
-                              lr_final=1e-5, warmup_epochs=6,
-                              weights=LossWeights(mu=0.1, lam=0.05),
-                              regularizer_kind="frobenius", seed=E2E_SEED)
+    cfg = RunConfig(
+        seed=E2E_SEED, crops=CropConfig(1, 4, 120, 60),
+        augment=MaskConfig(enabled=False),
+        model=ModelConfig(encoder_hidden=48, embed_dim=48, proj_hidden=64,
+                          proj_dim=16, num_prototypes=32, ema_momentum=0.99),
+        train=TrainSection(epochs=120, batch_size=32, lr_peak=0.05,
+                           lr_final=1e-5, warmup_epochs=6, mu=0.1, lam=0.05,
+                           regularizer="frobenius"))
     pair = model.TeacherStudentPair.create(
         np.random.default_rng(E2E_SEED), feature_dim=24, encoder_hidden=48,
-        embed_dim=48, proj_hidden=64, proj_dim=16, num_prototypes=32,
-        ema_momentum=0.99)
-    pair, _, _ = trainer.train(train_corpus, pair, cfg, mc,
-                               CropConfig(1, 4, 120, 60))
+        embed_dim=48, proj_hidden=64, proj_dim=16, num_prototypes=32)
+    pair, _, _ = trainer.train(train_corpus, pair, cfg)
 
     store = _embed_store(pair.teacher, held)
     trials = data.build_trial_list(held)

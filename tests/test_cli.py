@@ -237,6 +237,31 @@ def test_unknown_config_key_exits_1(world, tmp_path, capsys):
     assert "sed" in capsys.readouterr().err
 
 
+def test_train_batch_size_flag_is_validated(world, tmp_path, capsys):
+    # flag overrides are set on the loaded config, after its sections were
+    # built, so the trainer has to check them
+    assert cli.main(["train", "--config", str(world["config"]),
+                     "--manifest", str(world["manifest"]),
+                     "--out", str(tmp_path / "run"),
+                     "--batch-size", "1"]) == 1
+    assert "batch_size must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "checkpoint.sdck").exists()
+
+
+@pytest.mark.parametrize("train_section, named", [
+    ({"warmup_epochs": 60}, "warmup_epochs"),
+    ({"diversity_summed": False}, "diversity_summed"),
+])
+def test_bad_train_section_exits_1(world, tmp_path, capsys, train_section,
+                                   named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"train": train_section}), encoding="utf-8")
+    assert cli.main(["train", "--config", str(bad),
+                     "--manifest", str(world["manifest"]),
+                     "--out", str(tmp_path / "run")]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_normalize_rejects_cosine_exits_1(world):
     assert cli.main(["normalize", "--store", str(world["store"]),
                      "--trials", str(world["trials"]),

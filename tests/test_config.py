@@ -1,6 +1,9 @@
 """Run-config loading: strict keys, env/flag precedence, fingerprints."""
 
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -114,3 +117,30 @@ def test_fingerprint_matches_manual_recipe():
     canonical = json.dumps(trained, sort_keys=True,
                            separators=(",", ":")).encode()
     assert cfg.fingerprint() == hashlib.sha256(canonical).hexdigest()
+
+
+def test_readme_config_table_matches_config_fields():
+    """Each row of the README's configuration table lists exactly the
+    fields of its section's dataclass; the top-level row lists the scalar
+    fields of RunConfig."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    table = {}
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            if table:
+                break
+            continue
+        name, keys = (cell.strip() for cell in line.strip("|").split("|"))
+        if name == "section" or set(name) <= {"-"}:
+            continue
+        table[name.strip("`")] = set(re.findall(r"`(\w+)`", keys))
+
+    expected = {"—": set()}
+    for f in dataclasses.fields(RunConfig):
+        if f.default_factory is dataclasses.MISSING:
+            expected["—"].add(f.name)
+        else:
+            expected[f.name] = {g.name for g in
+                                dataclasses.fields(f.default_factory)}
+    assert table == expected

@@ -310,6 +310,7 @@ def test_failed_rename_leaves_existing_artifact_intact(tmp_path, monkeypatch,
     with pytest.raises(OSError, match="rename failed"):
         ATOMIC_WRITERS[writer](path)
     assert path.read_bytes() == b"the previous artifact"
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 # ----------------------------------------------------------------------

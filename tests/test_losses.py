@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from sdpn import losses, numerics
-from sdpn.errors import BatchTooSmall, DistributionLengthMismatch, InvalidConfig
+from sdpn.errors import BatchTooSmall, DistributionLengthMismatch
 
 
 def fd(f, x, h=1e-5):
@@ -84,14 +84,6 @@ def test_diversity_hand_value():
     out = losses.diversity_regularization(batch)
     assert out.value == pytest.approx(expected, abs=1e-14)
     assert out.value == pytest.approx(-1.7686898, abs=5e-8)
-
-
-def test_diversity_summed_scaling_flag():
-    batch = np.array([[0.0, 0.0], [3.0, 4.0], [10.0, 0.0]])
-    base = losses.diversity_regularization(batch)
-    summed = losses.diversity_regularization(batch, summed=True)
-    assert summed.value == pytest.approx(3.0 * base.value, abs=1e-12)
-    npt.assert_allclose(summed.gradient, 3.0 * base.gradient, atol=1e-12)
 
 
 def test_diversity_gradient_touches_nearest_pair_only():
@@ -230,22 +222,13 @@ def test_dimreg_row_permutation_invariance():
 # composition
 
 
-def test_weights_validation():
-    losses.LossWeights(mu=0.0, lam=0.0)  # boundary allowed
-    with pytest.raises(InvalidConfig):
-        losses.LossWeights(mu=-0.1)
-    with pytest.raises(InvalidConfig):
-        losses.LossWeights(lam=-1.0)
-
-
 def test_sdpn_loss_arithmetic():
     grad = np.ones((3, 2))
-    w = losses.LossWeights(mu=0.5, lam=0.0)
     combined = losses.sdpn_objective(1.0, losses.LossValue(-1.0, grad),
-                                     None, w)
+                                     None, 0.5, 0.0)
     assert combined.value == pytest.approx(0.5)
     unweighted = losses.sdpn_objective(1.0, losses.LossValue(-1.0, grad),
-                                       None, losses.LossWeights(mu=0.0))
+                                       None, 0.0, 0.05)
     assert unweighted.value == pytest.approx(1.0)
 
 
@@ -253,10 +236,9 @@ def test_total_loss_arithmetic():
     zero = np.zeros((3, 2))
     re = losses.LossValue(0.0, zero)
     dr = losses.DimRegLoss(1.0, zero, zero)
-    w = losses.LossWeights(mu=0.0, lam=0.1)
-    total = losses.sdpn_objective(2.0, re, dr, w)
+    total = losses.sdpn_objective(2.0, re, dr, 0.0, 0.1)
     assert total.value == pytest.approx(2.1)
-    frozen = losses.sdpn_objective(2.0, re, dr, losses.LossWeights(lam=0.0))
+    frozen = losses.sdpn_objective(2.0, re, dr, 0.1, 0.0)
     assert frozen.value == pytest.approx(2.0)
 
 
@@ -265,9 +247,8 @@ def test_combined_gradient_linearity():
     g1, g2, g_tea = (rng.standard_normal((3, 2)) for _ in range(3))
     re = losses.LossValue(1.0, g1)
     dr = losses.DimRegLoss(2.0, g_tea, g2)
-    w = losses.LossWeights(mu=0.25, lam=0.5)
-    out = losses.sdpn_objective(3.0, re, dr, w)
+    out = losses.sdpn_objective(3.0, re, dr, 0.25, 0.5)
     npt.assert_allclose(out.gradient, 0.25 * g1 + 0.5 * g2, atol=1e-15)
-    no_reg = losses.sdpn_objective(3.0, re, None, w)
+    no_reg = losses.sdpn_objective(3.0, re, None, 0.25, 0.5)
     npt.assert_allclose(no_reg.gradient, 0.25 * g1, atol=1e-15)
     assert no_reg.value == pytest.approx(3.25)

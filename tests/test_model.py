@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from sdpn import losses, model, numerics, trainer
-from sdpn.config import ModelConfig
+from sdpn.config import ModelConfig, RunConfig
 from sdpn.errors import InvalidConfig, MalformedFile, ShapeMismatch
 from sdpn.model import Network, TeacherStudentPair
 
@@ -164,11 +164,10 @@ def test_ema_momentum_schedule_endpoints():
 
 def multi_view(pair, gv, lv, student_temp=0.1, teacher_temp=0.04):
     """The trainer's multi-view forward at a zero teacher center."""
-    model_cfg = ModelConfig(student_temp=student_temp,
-                            teacher_temp=teacher_temp)
+    cfg = RunConfig(model=ModelConfig(student_temp=student_temp,
+                                      teacher_temp=teacher_temp))
     return trainer.batch_loss_and_grads(
-        pair, gv, lv, trainer.TrainConfig(), model_cfg,
-        np.zeros(pair.prototypes.shape[0]))
+        pair, gv, lv, cfg, np.zeros(pair.prototypes.shape[0]))
 
 
 def test_multi_view_shapes_and_distributions():

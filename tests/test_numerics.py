@@ -6,14 +6,7 @@ import numpy.testing as npt
 import pytest
 
 from sdpn import numerics
-from sdpn.errors import (
-    BatchTooSmall,
-    DuplicateEmbedding,
-    NonPositiveTemperature,
-    ShapeMismatch,
-    ZeroVarianceColumn,
-    ZeroVector,
-)
+from sdpn.errors import BatchTooSmall, NonPositiveTemperature, ShapeMismatch
 
 
 # ----------------------------------------------------------------------
@@ -64,9 +57,7 @@ def test_covariance_column_scale_invariance():
 
 def test_covariance_zero_column_raises_and_floor_survives():
     batch = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-    with pytest.raises(ZeroVarianceColumn):
-        numerics.normalized_covariance(batch)
-    c = numerics.normalized_covariance(batch, floor_columns=True)
+    c = numerics.normalized_covariance(batch)
     assert np.all(np.isfinite(c))
     assert c[1, 1] != 1.0  # dead column is not reported as unit variance
 
@@ -78,31 +69,17 @@ def test_covariance_needs_two_rows():
         numerics.normalized_covariance(np.ones(3))
 
 
-def test_covariance_centered_mode_removes_mean_structure():
-    rng = np.random.default_rng(13)
-    batch = rng.standard_normal((200, 4)) + 10.0  # large common offset
-    plain = numerics.normalized_covariance(batch)
-    centered = numerics.normalized_covariance(batch, centered=True)
-    off = ~np.eye(4, dtype=bool)
-    # the offset dominates the uncentered form, not the centered one
-    assert np.abs(plain[off]).mean() > 0.9
-    assert np.abs(centered[off]).mean() < 0.2
-
-
 def test_covariance_vjp_matches_fd():
     rng = np.random.default_rng(17)
-    for centered in (False, True):
-        batch = rng.standard_normal((7, 4))
-        cot = rng.standard_normal((4, 4))
+    batch = rng.standard_normal((7, 4))
+    cot = rng.standard_normal((4, 4))
 
-        def scalar(z):
-            c = numerics.normalized_covariance(z, centered=centered)
-            return float((c * cot).sum())
+    def scalar(z):
+        return float((numerics.normalized_covariance(z) * cot).sum())
 
-        grad = numerics.normalized_covariance_vjp(batch, cot,
-                                                  centered=centered)
-        fd = numerics.finite_diff_gradient(scalar, batch, 1e-5)
-        npt.assert_allclose(grad, fd, rtol=0, atol=1e-7)
+    grad = numerics.normalized_covariance_vjp(batch, cot)
+    fd = numerics.finite_diff_gradient(scalar, batch, 1e-5)
+    npt.assert_allclose(grad, fd, rtol=0, atol=1e-7)
 
 
 # ----------------------------------------------------------------------
@@ -129,25 +106,6 @@ def test_frobenius_hand_value():
 # pairwise distances
 
 
-def test_min_distance_345_triangle():
-    batch = np.array([[0.0, 0.0], [3.0, 4.0], [10.0, 0.0]])
-    assert numerics.pairwise_min_distance(batch, 0) == pytest.approx(5.0)
-
-
-def test_min_distance_brute_force_row():
-    batch = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]])
-    assert numerics.pairwise_min_distance(batch, 2) == pytest.approx(4.0)
-
-
-def test_min_distance_duplicate_raises():
-    batch = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
-    with pytest.raises(DuplicateEmbedding):
-        numerics.pairwise_min_distance(batch, 0)
-    # the training-path variant floors instead of raising
-    assert numerics.pairwise_min_distance(batch, 0, floor=True) \
-        == pytest.approx(numerics.EPS_DUPLICATE)
-
-
 def test_pairwise_distances_match_norm():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((6, 3))
@@ -159,7 +117,7 @@ def test_pairwise_distances_match_norm():
 
 
 # ----------------------------------------------------------------------
-# softmax / l2
+# softmax
 
 
 def test_softmax_uniform():
@@ -190,17 +148,6 @@ def test_softmax_sums_to_one_and_rejects_bad_temperature():
     for bad in (0.0, -1.0, float("nan")):
         with pytest.raises(NonPositiveTemperature):
             numerics.softmax(np.zeros(2), bad)
-
-
-def test_l2_normalize():
-    npt.assert_allclose(numerics.l2_normalize(np.array([3.0, 4.0])),
-                        [0.6, 0.8], atol=1e-15)
-    npt.assert_allclose(numerics.l2_normalize(np.ones(4)), np.full(4, 0.5),
-                        atol=1e-15)
-    unit = np.array([0.0, 1.0])
-    npt.assert_allclose(numerics.l2_normalize(unit), unit, atol=1e-15)
-    with pytest.raises(ZeroVector):
-        numerics.l2_normalize(np.zeros(3))
 
 
 # ----------------------------------------------------------------------

@@ -8,25 +8,36 @@ import numpy.testing as npt
 import pytest
 
 from sdpn import data, losses, model, trainer
-from sdpn.config import CropConfig, ModelConfig
+from sdpn.config import (CropConfig, MaskConfig, ModelConfig, RunConfig,
+                         TrainSection)
 from sdpn.errors import DivergedLoss, InvalidConfig
 
 FEATURE_DIM = 6
 DIMS = dict(encoder_hidden=8, embed_dim=8, proj_hidden=10, proj_dim=4,
-            num_prototypes=6, ema_momentum=0.98)
+            num_prototypes=6)
 
 
-def tiny_world(seed=21, epochs=4, batch_size=4, **cfg_kw):
+def train_run_config(seed=1234, **train_kw):
+    """The run config of the tiny world: small crops, no masking, and the
+    ``train`` section built from ``train_kw``."""
+    return RunConfig(
+        seed=seed,
+        crops=CropConfig(num_global=1, num_local=2, len_global=24,
+                         len_local=10),
+        augment=MaskConfig(enabled=False),
+        model=ModelConfig(ema_momentum=0.98, **DIMS),
+        train=TrainSection(**train_kw))
+
+
+def tiny_world(seed=21, epochs=4, batch_size=4, **train_kw):
     corpus = data.generate_synthetic_corpus(4, 4, 40, FEATURE_DIM, 0.5, seed)
-    crops = CropConfig(num_global=1, num_local=2, len_global=24, len_local=10)
-    model_cfg = ModelConfig(**DIMS)
     kw = dict(epochs=epochs, batch_size=batch_size, lr_peak=0.08,
-              lr_final=0.0, warmup_epochs=1, seed=seed)
-    kw.update(cfg_kw)
-    cfg = trainer.TrainConfig(**kw)
+              lr_final=0.0, warmup_epochs=1)
+    kw.update(train_kw)
+    cfg = train_run_config(seed, **kw)
     pair = model.TeacherStudentPair.create(
         np.random.default_rng(seed), feature_dim=FEATURE_DIM, **DIMS)
-    return corpus, pair, cfg, model_cfg, crops
+    return corpus, pair, cfg
 
 
 def tiny_batch(corpus, crops, seed=3):
@@ -42,8 +53,8 @@ def tiny_batch(corpus, crops, seed=3):
 
 
 def test_lr_warmup_peak_and_floor():
-    cfg = trainer.TrainConfig(epochs=10, warmup_epochs=2, lr_peak=0.1,
-                              lr_final=0.01)
+    cfg = train_run_config(epochs=10, warmup_epochs=2, lr_peak=0.1,
+                           lr_final=0.01)
     total = 100  # 10 steps/epoch -> warmup ends at step 20
     assert trainer.lr_at(0, total, cfg) == 0.0
     assert trainer.lr_at(10, total, cfg) == pytest.approx(0.05)
@@ -56,25 +67,28 @@ def test_lr_warmup_peak_and_floor():
 
 
 def test_lr_halfway_down_the_cosine():
-    cfg = trainer.TrainConfig(epochs=10, warmup_epochs=0, lr_peak=0.1,
-                              lr_final=0.0)
+    cfg = train_run_config(epochs=10, warmup_epochs=0, lr_peak=0.1,
+                           lr_final=0.0)
     assert trainer.lr_at(50, 100, cfg) == pytest.approx(0.05)
 
 
 def test_lr_flat_when_final_equals_peak():
-    cfg = trainer.TrainConfig(epochs=5, warmup_epochs=0, lr_peak=0.12,
-                              lr_final=0.12)
+    cfg = train_run_config(epochs=5, warmup_epochs=0, lr_peak=0.12,
+                           lr_final=0.12)
     for total in (1, 7, 40):
         for step in range(total + 1):
             assert trainer.lr_at(step, total, cfg) == 0.12
 
 
 def test_lr_rejects_out_of_range_step():
-    cfg = trainer.TrainConfig(epochs=2, warmup_epochs=0)
+    cfg = train_run_config(epochs=2, warmup_epochs=0)
     with pytest.raises(InvalidConfig):
         trainer.lr_at(-1, 10, cfg)
     with pytest.raises(InvalidConfig):
         trainer.lr_at(11, 10, cfg)
+
+
+WEIGHTS_AT_ZERO = dict(mu=0.0, lam=0.0)  # the boundary is allowed
 
 
 @pytest.mark.parametrize("bad", [
@@ -83,12 +97,22 @@ def test_lr_rejects_out_of_range_step():
     dict(batch_size=1),
     dict(momentum=1.0),
     dict(lr_peak=0.0),
-    dict(lr_final=0.2),  # above the default peak
-    dict(regularizer_kind="ridge"),
+    dict(lr_final=0.2),  # above the peak
+    dict(regularizer="ridge"),
+    dict(mu=-0.1),
+    dict(lam=-1.0),
+    WEIGHTS_AT_ZERO,
 ])
 def test_train_config_validation(bad):
+    corpus, pair, cfg = tiny_world(**bad)
+    if bad is WEIGHTS_AT_ZERO:
+        trainer.train(corpus, pair, cfg)
+        return
+    before = {k: v.copy() for k, v in pair.named_arrays()}
     with pytest.raises(InvalidConfig):
-        trainer.TrainConfig(**bad)
+        trainer.train(corpus, pair, cfg)
+    for name, arr in pair.named_arrays():
+        npt.assert_array_equal(arr, before[name])
 
 
 # ----------------------------------------------------------------------
@@ -100,28 +124,28 @@ RECORD_KEYS = {"epoch", "loss", "loss_ce", "loss_re", "loss_dr", "lr",
 
 
 def test_loss_falls_and_records_are_sane():
-    corpus, pair, cfg, mc, crops = tiny_world(epochs=6)
-    pair, records, state = trainer.train(corpus, pair, cfg, mc, crops)
+    corpus, pair, cfg = tiny_world(epochs=6)
+    pair, records, state = trainer.train(corpus, pair, cfg)
     assert len(records) == 6
     assert records[-1]["loss"] < records[0]["loss"]
     for r in records:
         assert set(r) == RECORD_KEYS
-        assert 0.0 <= r["lr"] <= cfg.lr_peak
+        assert 0.0 <= r["lr"] <= cfg.train.lr_peak
         assert r["mean_abs_offdiag"] >= 0.0
         assert 0.0 <= r["prototype_usage_entropy"] <= math.log(
-            mc.num_prototypes) + 1e-12
+            cfg.model.num_prototypes) + 1e-12
     npt.assert_allclose(np.linalg.norm(pair.prototypes, axis=1), 1.0,
                         atol=1e-12)
     assert state.epoch == 6
-    assert state.global_step == 6 * (len(corpus) // cfg.batch_size)
+    assert state.global_step == 6 * (len(corpus) // cfg.train.batch_size)
 
 
 def test_zero_lr_step_changes_nothing():
-    corpus, pair, cfg, mc, crops = tiny_world()
-    gv, lv = tiny_batch(corpus, crops)
+    corpus, pair, cfg = tiny_world()
+    gv, lv = tiny_batch(corpus, cfg.crops)
     before = {k: v.copy() for k, v in pair.named_arrays()}
     state = trainer.init_state(pair)
-    trainer.train_step(pair, gv, lv, cfg, mc, state, lr=0.0)
+    trainer.train_step(pair, gv, lv, cfg, state, lr=0.0)
     for name, arr in pair.named_arrays():
         if name == "prototypes":
             npt.assert_allclose(arr, before[name], rtol=0, atol=1e-14)
@@ -130,9 +154,9 @@ def test_zero_lr_step_changes_nothing():
 
 
 def test_zero_epochs_is_a_noop():
-    corpus, pair, cfg, mc, crops = tiny_world(epochs=0, warmup_epochs=0)
+    corpus, pair, cfg = tiny_world(epochs=0, warmup_epochs=0)
     before = {k: v.copy() for k, v in pair.named_arrays()}
-    pair, records, state = trainer.train(corpus, pair, cfg, mc, crops)
+    pair, records, state = trainer.train(corpus, pair, cfg)
     assert records == []
     assert state.global_step == 0
     for name, arr in pair.named_arrays():
@@ -140,16 +164,16 @@ def test_zero_epochs_is_a_noop():
 
 
 def test_corpus_smaller_than_batch_rejected():
-    corpus, pair, cfg, mc, crops = tiny_world(batch_size=32)
+    corpus, pair, cfg = tiny_world(batch_size=32)
     with pytest.raises(InvalidConfig):
-        trainer.train(corpus, pair, cfg, mc, crops)
+        trainer.train(corpus, pair, cfg)
 
 
 def test_two_runs_are_bit_identical(tmp_path):
     blobs = []
     for run in range(2):
-        corpus, pair, cfg, mc, crops = tiny_world(epochs=3)
-        pair, _, state = trainer.train(corpus, pair, cfg, mc, crops)
+        corpus, pair, cfg = tiny_world(epochs=3)
+        pair, _, state = trainer.train(corpus, pair, cfg)
         path = tmp_path / f"run{run}.sdck"
         model.save_checkpoint(path, trainer.state_tensors(pair, state), "fp")
         blobs.append(path.read_bytes())
@@ -158,13 +182,13 @@ def test_two_runs_are_bit_identical(tmp_path):
 
 def test_resume_replays_the_uninterrupted_run(tmp_path):
     # reference: a clean 5-epoch run
-    corpus, pair_a, cfg, mc, crops = tiny_world(epochs=5)
-    pair_a, records_a, state_a = trainer.train(corpus, pair_a, cfg, mc, crops)
+    corpus, pair_a, cfg = tiny_world(epochs=5)
+    pair_a, records_a, state_a = trainer.train(corpus, pair_a, cfg)
 
     # doomed twin: poison a student weight right after epoch 2 begins, so
     # the next step goes non-finite and training aborts with the end-of-
     # epoch-1 snapshot as last_good
-    corpus, pair_b, cfg, mc, crops = tiny_world(epochs=5)
+    corpus, pair_b, cfg = tiny_world(epochs=5)
 
     def poison(rec):
         if rec["epoch"] == 2 and rec["step"] == 0:
@@ -172,7 +196,7 @@ def test_resume_replays_the_uninterrupted_run(tmp_path):
                 = np.nan
 
     with pytest.raises(DivergedLoss) as exc_info:
-        trainer.train(corpus, pair_b, cfg, mc, crops, on_step=poison)
+        trainer.train(corpus, pair_b, cfg, on_step=poison)
     # the student forward goes NaN, and the cross-entropy is the first term
     assert str(exc_info.value).startswith("non-finite loss_ce nan ")
     good_pair, good_state = exc_info.value.last_good
@@ -184,9 +208,9 @@ def test_resume_replays_the_uninterrupted_run(tmp_path):
     model.save_checkpoint(path, trainer.state_tensors(good_pair, good_state),
                           "fp")
     tensors, _ = model.load_checkpoint(path)
-    pair_c = model.pair_from_tensors(tensors, DIMS["ema_momentum"])
+    pair_c = model.pair_from_tensors(tensors)
     state_c = trainer.state_from_tensors(tensors, pair_c)
-    pair_c, records_c, state_c = trainer.train(corpus, pair_c, cfg, mc, crops,
+    pair_c, records_c, state_c = trainer.train(corpus, pair_c, cfg,
                                                resume=state_c)
 
     assert [r["epoch"] for r in records_c] == [2, 3, 4]
@@ -199,32 +223,33 @@ def test_resume_replays_the_uninterrupted_run(tmp_path):
 
 
 def test_on_step_terms_are_recomputable():
-    corpus, pair, cfg, mc, crops = tiny_world(epochs=1, warmup_epochs=0)
+    corpus, pair, cfg = tiny_world(epochs=1, warmup_epochs=0)
     seen = []
-    trainer.train(corpus, pair, cfg, mc, crops,
+    trainer.train(corpus, pair, cfg,
                   on_step=lambda rec: seen.append(rec))
-    assert len(seen) == len(corpus) // cfg.batch_size
-    total = len(seen) * cfg.epochs
+    assert len(seen) == len(corpus) // cfg.train.batch_size
+    total = len(seen) * cfg.train.epochs
     for rec in seen:
         aux, terms = rec["aux"], rec["terms"]
         re = losses.diversity_regularization(aux["student_global"])
         dr = losses.frobenius_regularization(
-            aux["teacher_global"], aux["student_global"], floor_columns=True)
+            aux["teacher_global"], aux["student_global"])
         assert terms["loss_re"] == pytest.approx(re.value, rel=1e-12)
         assert terms["loss_dr"] == pytest.approx(dr.value, rel=1e-12)
         assert terms["loss"] == pytest.approx(
-            terms["loss_ce"] + cfg.weights.mu * re.value
-            + cfg.weights.lam * dr.value, rel=1e-12)
+            terms["loss_ce"] + cfg.train.mu * re.value
+            + cfg.train.lam * dr.value, rel=1e-12)
         assert rec["lr"] == trainer.lr_at(rec["global_step"], total, cfg)
 
 
 def test_center_is_ema_of_teacher_score_means():
-    corpus, pair, cfg, mc, crops = tiny_world(epochs=2)
+    corpus, pair, cfg = tiny_world(epochs=2)
     means = []
     _, _, state = trainer.train(
-        corpus, pair, cfg, mc, crops,
+        corpus, pair, cfg,
         on_step=lambda rec: means.append(
             rec["aux"]["teacher_scores"].mean(axis=0)))
+    mc = cfg.model
     expect = np.zeros(mc.num_prototypes)
     for m in means:
         expect = mc.center_momentum * expect + (1 - mc.center_momentum) * m
@@ -232,16 +257,16 @@ def test_center_is_ema_of_teacher_score_means():
 
 
 def test_log_file_mirrors_records(tmp_path):
-    corpus, pair, cfg, mc, crops = tiny_world(epochs=3)
+    corpus, pair, cfg = tiny_world(epochs=3)
     log = tmp_path / "metrics.jsonl"
-    _, records, _ = trainer.train(corpus, pair, cfg, mc, crops, log_path=log)
+    _, records, _ = trainer.train(corpus, pair, cfg, log_path=log)
     lines = log.read_text().splitlines()
     assert [json.loads(line) for line in lines] == records
 
 
 def test_state_tensor_roundtrip():
-    corpus, pair, cfg, mc, crops = tiny_world(epochs=2)
-    pair, _, state = trainer.train(corpus, pair, cfg, mc, crops)
+    corpus, pair, cfg = tiny_world(epochs=2)
+    pair, _, state = trainer.train(corpus, pair, cfg)
     back = trainer.state_from_tensors(trainer.state_tensors(pair, state), pair)
     assert back.epoch == state.epoch
     assert back.global_step == state.global_step
