@@ -9,7 +9,6 @@ explicit flags override both.
 from __future__ import annotations
 
 import argparse
-import fnmatch
 import json
 import sys
 from pathlib import Path
@@ -92,8 +91,6 @@ def build_parser() -> _Parser:
         p.add_argument("--sample-stddev", action="store_true")
         p.add_argument("--cohort-overlap", choices=("error", "drop"),
                        default="error")
-        p.add_argument("--threads", type=int, default=1,
-                       help="has no effect (scoring is one array pass)")
         p.set_defaults(func=cmd_score, is_normalize=(name == "normalize"))
 
     p = subs.add_parser("eval", help="EER / minDCF report from a scores file")
@@ -108,8 +105,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("grad-check",
                         help="finite-difference verification of every loss")
     p.add_argument("--loss", default="all",
-                   choices=("all", "ce", "re", "odr", "fdr", "composite",
-                            "covariance"))
+                   choices=("all", *proptests.GRAD_CHECKS))
     p.add_argument("--instances", type=int, default=50)
     p.add_argument("--seed", type=int, default=0,
                    help="offset added to the per-case seeds")
@@ -265,36 +261,19 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_GRAD_CHECK_PATTERNS = {
-    "all": "fd_*",
-    "ce": "fd_ce_gradient",
-    "re": "fd_re_gradient",
-    "odr": "fd_odr_gradient",
-    "fdr": "fd_fdr_gradient",
-    "composite": "fd_composite_gradient",
-    "covariance": "fd_frobenius_covariance_grad",
-}
-
-
 def cmd_grad_check(args) -> int:
-    pattern = _GRAD_CHECK_PATTERNS[args.loss]
-    results = []
-    for case in proptests.build_cases():
-        if not fnmatch.fnmatch(case.name, pattern):
-            continue
-        shifted = proptests.OracleCase(
-            case.name, case.kind, case.seed + args.seed, case.tolerance,
-            case.runner, case.instances)
-        results.append(proptests.run_case(shifted, args.instances))
-    if not results:
-        raise InvalidConfig(f"no gradient cases match --loss {args.loss}")
+    if args.instances < 1:
+        raise InvalidConfig(f"--instances must be >= 1, got {args.instances}")
+    checks = proptests.GRAD_CHECKS if args.loss == "all" else (args.loss,)
+    results = [proptests.run_check(loss, args.instances, args.seed)
+               for loss in checks]
     for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"{r.name:34s} max_dev={r.max_deviation:.3e} "
-              f"tol={r.tolerance:.1e} [{status}]")
+        status = "PASS" if r["passed"] else "FAIL"
+        print(f"{r['name']:34s} max_dev={r['max_deviation']:.3e} "
+              f"tol={r['tolerance']:.1e} [{status}]")
     if args.report:
         proptests.write_report(results, args.report)
-    return 0 if all(r.passed for r in results) else 3
+    return 0 if all(r["passed"] for r in results) else 3
 
 
 def main(argv=None) -> int:

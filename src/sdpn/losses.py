@@ -2,8 +2,8 @@
 two covariance-based dimension regularizers.
 
 Every loss returns its value together with a hand-derived analytic gradient;
-the verification suite holds each of those gradients against central finite
-differences. No autodiff framework is involved.
+``grad-check`` (``proptests``) holds each of those gradients against central
+finite differences. No autodiff framework is involved.
 """
 
 from __future__ import annotations

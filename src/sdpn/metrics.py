@@ -4,8 +4,8 @@ Convention: the sweep places one operating point at every distinct score plus
 an accept-all and a reject-all boundary. At threshold t a point counts misses
 strictly below t and false alarms strictly above t — the corner of the DET
 staircase at that score. Between corners the error rates are treated as
-linear for the EER interpolation. The verification suite re-derives every
-point with naive counting loops and must agree exactly.
+linear for the EER interpolation. The oracles in ``tests/oracles.py``
+re-derive every point with naive counting loops and must agree exactly.
 """
 
 from __future__ import annotations
@@ -48,15 +48,16 @@ def det_sweep(scores, labels):
     return thresholds, p_miss, p_fa
 
 
-def eer(scores, labels) -> tuple[float, float]:
-    """Equal error rate and its threshold, linearly interpolated.
+def eer(sweep) -> tuple[float, float]:
+    """Equal error rate and its threshold, linearly interpolated, from a
+    ``det_sweep`` result.
 
     Takes the first point of the sweep where p_miss >= p_fa (the reject-all
     point, p_miss=1 and p_fa=0, always qualifies); if the difference is
     exactly zero there, that point is the EER, otherwise the crossing is
     interpolated between it and its predecessor.
     """
-    thresholds, p_miss, p_fa = det_sweep(scores, labels)
+    thresholds, p_miss, p_fa = sweep
     i = int(np.argmax(p_miss - p_fa >= 0))
     if p_miss[i] - p_fa[i] == 0.0 or i == 0:
         return float(p_miss[i]), float(thresholds[i])
@@ -66,9 +67,10 @@ def eer(scores, labels) -> tuple[float, float]:
     return pm0 + frac * (pm1 - pm0), t0 + frac * (t1 - t0)
 
 
-def min_dcf(scores, labels, p_target: float = 0.05, c_miss: float = 1.0,
+def min_dcf(sweep, p_target: float = 0.05, c_miss: float = 1.0,
             c_fa: float = 1.0) -> tuple[float, float]:
-    """Minimum normalized detection cost over the sweep, with its threshold.
+    """Minimum normalized detection cost over a ``det_sweep`` result, with
+    its threshold.
 
     cost(t) = [c_miss * p_miss * p_target + c_fa * p_fa * (1 - p_target)]
               / min(c_miss * p_target, c_fa * (1 - p_target)).
@@ -80,7 +82,7 @@ def min_dcf(scores, labels, p_target: float = 0.05, c_miss: float = 1.0,
     if c_miss <= 0 or c_fa <= 0:
         raise InvalidConfig(
             f"costs must be positive, got c_miss={c_miss} c_fa={c_fa}")
-    thresholds, p_miss, p_fa = det_sweep(scores, labels)
+    thresholds, p_miss, p_fa = sweep
     denom = min(c_miss * p_target, c_fa * (1.0 - p_target))
     costs = (c_miss * p_miss * p_target
              + c_fa * p_fa * (1.0 - p_target)) / denom
@@ -92,8 +94,9 @@ def evaluation_report(scores, labels, p_target: float = 0.05,
                       c_miss: float = 1.0, c_fa: float = 1.0) -> dict:
     """All evaluation numbers in the report layout the CLI writes."""
     lab = np.asarray(labels, dtype=bool)
-    eer_value, eer_thr = eer(scores, lab)
-    dcf_value, dcf_thr = min_dcf(scores, lab, p_target, c_miss, c_fa)
+    sweep = det_sweep(scores, lab)
+    eer_value, eer_thr = eer(sweep)
+    dcf_value, dcf_thr = min_dcf(sweep, p_target, c_miss, c_fa)
     return {
         "trials": int(lab.size),
         "targets": int(lab.sum()),

@@ -314,14 +314,16 @@ def pair_tensors(pair: TeacherStudentPair) -> dict[str, np.ndarray]:
     return {name: arr for name, arr in pair.named_arrays()}
 
 
+def checkpoint_tensor(tensors: dict[str, np.ndarray], key: str) -> np.ndarray:
+    """A copy of ``tensors[key]``; MalformedFile names a missing tensor."""
+    if key not in tensors:
+        raise MalformedFile("<checkpoint>", 0, f"missing tensor '{key}'")
+    return tensors[key].copy()
+
+
 def _params_from(tensors, prefix, cls):
-    kwargs = {}
-    for f in fields(cls):
-        key = f"{prefix}.{f.name}"
-        if key not in tensors:
-            raise MalformedFile("<checkpoint>", 0, f"missing tensor '{key}'")
-        kwargs[f.name] = tensors[key].copy()
-    return cls(**kwargs)
+    return cls(**{f.name: checkpoint_tensor(tensors, f"{prefix}.{f.name}")
+                  for f in fields(cls)})
 
 
 def pair_from_tensors(tensors: dict[str, np.ndarray]) -> TeacherStudentPair:
@@ -331,7 +333,6 @@ def pair_from_tensors(tensors: dict[str, np.ndarray]) -> TeacherStudentPair:
             _params_from(tensors, f"{prefix}.projection", ProjectionParams),
         )
 
-    if "prototypes" not in tensors:
-        raise MalformedFile("<checkpoint>", 0, "missing tensor 'prototypes'")
+    prototypes = checkpoint_tensor(tensors, "prototypes")
     return TeacherStudentPair(network("student"), network("teacher"),
-                              tensors["prototypes"].copy())
+                              prototypes)

@@ -3,7 +3,7 @@
 Everything here operates on plain numpy arrays in double precision: the
 normalized cross-dimension covariance and its vector-Jacobian product,
 nearest-neighbour distances, a temperature softmax, and a central
-finite-difference gradient checker used by the verification suite.
+finite-difference gradient checker used by ``grad-check`` and the tests.
 """
 
 from __future__ import annotations

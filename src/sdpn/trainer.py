@@ -223,8 +223,8 @@ def train(corpus, pair: model.TeacherStudentPair, cfg: RunConfig, *,
     ``augment`` and ``seed``); returns (pair, epoch_records, state).
 
     ``on_step`` (if given) receives a dict per step with the raw batch, the
-    loss terms, and the projected globals — the verification suite uses it to
-    recompute losses independently. Raises InvalidConfig before the first
+    loss terms, and the projected globals — the tests use it to recompute
+    losses independently. Raises InvalidConfig before the first
     step if ``validate_config`` rejects ``cfg``, and DivergedLoss (carrying
     the last finite state) if the loss leaves the reals.
     """
@@ -320,14 +320,13 @@ def state_tensors(pair: model.TeacherStudentPair, state: TrainerState) -> dict:
 
 def state_from_tensors(tensors: dict, pair: model.TeacherStudentPair
                        ) -> TrainerState:
-    velocities = {}
-    for name in _student_param_arrays(pair):
-        key = f"optimizer.velocity.{name}"
-        velocities[name] = tensors[key].copy() if key in tensors \
-            else np.zeros_like(_student_param_arrays(pair)[name])
-    center = tensors.get("optimizer.center",
-                         np.zeros(pair.prototypes.shape[0])).copy()
+    def tensor(key):
+        return model.checkpoint_tensor(tensors, f"optimizer.{key}")
+
+    velocities = {name: tensor(f"velocity.{name}")
+                  for name in _student_param_arrays(pair)}
+    center = tensor("center")
     # scalars come back from checkpoints as shape-(1,) arrays
-    epoch = int(np.ravel(tensors.get("optimizer.epoch", 0.0))[0])
-    global_step = int(np.ravel(tensors.get("optimizer.global_step", 0.0))[0])
+    epoch = int(np.ravel(tensor("epoch"))[0])
+    global_step = int(np.ravel(tensor("global_step"))[0])
     return TrainerState(velocities, center, epoch, global_step)

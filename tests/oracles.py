@@ -1,0 +1,242 @@
+"""Independent checks the tests call directly: brute-force metric oracles,
+algebraic identities of the normalizations and the covariance, and a
+miniature paired anti-collapse run.
+
+The oracles are naive counting loops that share no code with
+``sdpn.metrics``. Each case draws instance ``i`` from
+``default_rng([seed, i])`` with its own fixed seed and returns the largest
+deviation it saw; the calling test holds the tolerance.
+"""
+
+import numpy as np
+
+from sdpn import data, metrics, model, numerics, proptests, scoring, trainer
+from sdpn.config import (CropConfig, MaskConfig, ModelConfig, RunConfig,
+                         TrainSection)
+
+# ----------------------------------------------------------------------
+# metric oracles: naive counting loops, no shared code with metrics.py
+
+
+def oracle_det_points(scores, labels):
+    pairs = list(zip([float(s) for s in scores], [bool(b) for b in labels]))
+    tar = [s for s, is_t in pairs if is_t]
+    non = [s for s, is_t in pairs if not is_t]
+    thresholds = sorted(set(s for s, _ in pairs))
+    thresholds = [thresholds[0] - 1.0] + thresholds + [thresholds[-1] + 1.0]
+    points = []
+    for t in thresholds:
+        p_miss = sum(1 for s in tar if s < t) / len(tar)
+        p_fa = sum(1 for s in non if s > t) / len(non)
+        points.append((t, p_miss, p_fa))
+    return points
+
+
+def oracle_eer(scores, labels):
+    points = oracle_det_points(scores, labels)
+    for i in range(len(points)):
+        t, pm, pf = points[i]
+        if pm - pf < 0:
+            continue
+        if pm - pf == 0.0:
+            return pm, t
+        t0, pm0, pf0 = points[i - 1]
+        frac = (pf0 - pm0) / ((pm - pm0) + (pf0 - pf))
+        return pm0 + frac * (pm - pm0), t0 + frac * (t - t0)
+    raise AssertionError("no crossing")
+
+
+def oracle_min_dcf(scores, labels, p_target=0.05, c_miss=1.0, c_fa=1.0):
+    denom = min(c_miss * p_target, c_fa * (1.0 - p_target))
+    best = None
+    best_t = None
+    for t, pm, pf in oracle_det_points(scores, labels):
+        cost = (c_miss * pm * p_target + c_fa * pf * (1.0 - p_target)) / denom
+        if best is None or cost < best:
+            best, best_t = cost, t
+    return best, best_t
+
+
+def _random_score_set(rng, max_trials=60):
+    while True:
+        m = int(rng.integers(2, max_trials + 1))
+        labels = rng.random(m) < rng.uniform(0.2, 0.8)
+        if labels.any() and not labels.all():
+            break
+    scores = rng.standard_normal(m)
+    if rng.random() < 0.3:
+        scores = np.round(scores, 1)  # force ties across and within classes
+    return scores, labels
+
+
+def eer_vs_oracle(instances):
+    """Largest |metrics.eer - oracle_eer| over random score sets (seed 201)."""
+    worst = 0.0
+    for i in range(instances):
+        rng = np.random.default_rng([201, i])
+        scores, labels = _random_score_set(rng)
+        got, _ = metrics.eer(metrics.det_sweep(scores, labels))
+        want, _ = oracle_eer(scores, labels)
+        worst = max(worst, abs(got - want))
+    return worst
+
+
+def min_dcf_vs_oracle(instances):
+    """Largest |metrics.min_dcf - oracle_min_dcf| over random score sets,
+    by exhaustive enumeration (seed 202)."""
+    worst = 0.0
+    for i in range(instances):
+        rng = np.random.default_rng([202, i])
+        scores, labels = _random_score_set(rng)
+        got, _ = metrics.min_dcf(metrics.det_sweep(scores, labels))
+        want, _ = oracle_min_dcf(scores, labels)
+        worst = max(worst, abs(got - want))
+    return worst
+
+
+def identity_metric_monotone(instances):
+    """EER and minDCF under exp and affine score transforms (seed 203)."""
+    worst = 0.0
+    for i in range(instances):
+        rng = np.random.default_rng([203, i])
+        scores, labels = _random_score_set(rng)
+        base = metrics.det_sweep(scores, labels)
+        base_eer, _ = metrics.eer(base)
+        base_dcf, _ = metrics.min_dcf(base)
+        for transformed in (np.exp(scores), 2.0 * scores + 3.0):
+            sweep = metrics.det_sweep(transformed, labels)
+            e, _ = metrics.eer(sweep)
+            d, _ = metrics.min_dcf(sweep)
+            worst = max(worst, abs(e - base_eer), abs(d - base_dcf))
+    return worst
+
+
+# ----------------------------------------------------------------------
+# normalization and covariance identities
+
+
+def identity_asnorm_snorm(instances):
+    """Adaptive normalization with top-K equal to the cohort size against
+    the symmetric norm (seed 301)."""
+    worst = 0.0
+    for i in range(instances):
+        rng = np.random.default_rng([301, i])
+        n = int(rng.integers(5, 40))
+        e_scores = rng.standard_normal(n)
+        t_scores = rng.standard_normal(n)
+        raw = float(rng.standard_normal())
+        full = scoring.snorm(raw, scoring.cohort_stats(e_scores),
+                             scoring.cohort_stats(t_scores))
+        adaptive = scoring.asnorm(raw, e_scores, t_scores, top_k=n)
+        worst = max(worst, abs(full - adaptive))
+    return worst
+
+
+def identity_affine_invariance(instances):
+    """z/t/s/as outputs under global affine maps a in {0.5, 3},
+    b in {-1, 2} of every score (seed 302)."""
+    worst = 0.0
+    for i in range(instances):
+        rng = np.random.default_rng([302, i])
+        n = int(rng.integers(6, 40))
+        k = int(rng.integers(2, n + 1))
+        e_scores = rng.standard_normal(n)
+        t_scores = rng.standard_normal(n)
+        raw = float(rng.standard_normal())
+        base = {
+            "z": scoring.znorm(raw, scoring.cohort_stats(e_scores)),
+            "t": scoring.tnorm(raw, scoring.cohort_stats(t_scores)),
+            "s": scoring.snorm(raw, scoring.cohort_stats(e_scores),
+                               scoring.cohort_stats(t_scores)),
+            "as": scoring.asnorm(raw, e_scores, t_scores, top_k=k),
+        }
+        for a in (0.5, 3.0):
+            for b in (-1.0, 2.0):
+                te, tt, tr = a * e_scores + b, a * t_scores + b, a * raw + b
+                got = {
+                    "z": scoring.znorm(tr, scoring.cohort_stats(te)),
+                    "t": scoring.tnorm(tr, scoring.cohort_stats(tt)),
+                    "s": scoring.snorm(tr, scoring.cohort_stats(te),
+                                       scoring.cohort_stats(tt)),
+                    "as": scoring.asnorm(tr, te, tt, top_k=k),
+                }
+                worst = max(worst, max(abs(got[m] - base[m]) for m in base))
+    return worst
+
+
+def identity_covariance_scale(instances):
+    """Normalized covariance under positive per-column rescaling
+    (seed 303)."""
+    worst = 0.0
+    for i in range(instances):
+        rng = np.random.default_rng([303, i])
+        n, d = proptests._dims(rng)
+        z = rng.standard_normal((n, d))
+        scales = rng.uniform(0.1, 10.0, size=d)
+        base = numerics.normalized_covariance(z)
+        scaled = numerics.normalized_covariance(z * scales)
+        worst = max(worst, float(np.abs(base - scaled).max()))
+    return worst
+
+
+# ----------------------------------------------------------------------
+# miniature paired anti-collapse run (directional check; the full-size
+# experiment is acceptance criterion 6)
+
+
+def paired_regularizer_runs(seed, *, num_speakers, utts_per_speaker,
+                            frames_per_utt, epochs, batch_size,
+                            kinds=("off_diagonal", "frobenius"),
+                            feature_dim=24, proj_dim=6, lam=0.05,
+                            mu=0.0, lr_peak=0.12, lr_final=None):
+    """Train identical models differing only in the regularizer; returns
+    {kind: final mean_abs_offdiag} including the 'none' baseline.
+
+    Defaults isolate the regularizer's effect: mu=0 switches the diversity
+    term off so the unregularized baseline has no decorrelating pressure of
+    its own, and the learning rate stays flat (lr_final defaults to lr_peak)
+    because the frobenius penalty's gradient is small and needs the late
+    epochs at full strength.
+    """
+    corpus = data.generate_synthetic_corpus(
+        num_speakers, utts_per_speaker, frames_per_utt, feature_dim,
+        intra_speaker_spread=0.5, seed=seed)
+    crops = CropConfig(num_global=1, num_local=4,
+                       len_global=min(120, frames_per_utt), len_local=60)
+    model_cfg = ModelConfig(encoder_hidden=48, embed_dim=48, proj_hidden=64,
+                            proj_dim=proj_dim, num_prototypes=32,
+                            ema_momentum=0.99)
+    out = {}
+    for kind in ("none", *kinds):
+        cfg = RunConfig(
+            seed=seed, crops=crops, augment=MaskConfig(enabled=False),
+            model=model_cfg,
+            train=TrainSection(
+                epochs=epochs, batch_size=batch_size, lr_peak=lr_peak,
+                lr_final=lr_peak if lr_final is None else lr_final,
+                warmup_epochs=max(1, epochs // 20), mu=mu, lam=lam,
+                regularizer=kind))
+        rng = np.random.default_rng(seed)
+        pair = model.TeacherStudentPair.create(
+            rng, feature_dim=feature_dim,
+            encoder_hidden=model_cfg.encoder_hidden,
+            embed_dim=model_cfg.embed_dim, proj_hidden=model_cfg.proj_hidden,
+            proj_dim=model_cfg.proj_dim,
+            num_prototypes=model_cfg.num_prototypes)
+        _, records, _ = trainer.train(corpus, pair, cfg)
+        out[kind] = records[-1]["mean_abs_offdiag"]
+    return out
+
+
+def paired_run_mini():
+    """off_diagonal / none ratio of final mean |off-diagonal| at smoke scale
+    (seed 401), with the run's values.
+
+    Only the strong (off-diagonal) penalty runs: the frobenius penalty is
+    too weak to separate reliably at 8 speakers and is exercised at full
+    scale by the acceptance experiment.
+    """
+    result = paired_regularizer_runs(
+        401, num_speakers=8, utts_per_speaker=6, frames_per_utt=160,
+        epochs=100, batch_size=16, kinds=("off_diagonal",))
+    return result["off_diagonal"] / result["none"], result

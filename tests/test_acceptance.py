@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from sdpn import cli, data, metrics, model, numerics, proptests, scoring, \
     trainer
 from sdpn.config import (CropConfig, MaskConfig, ModelConfig, RunConfig,
@@ -20,11 +21,6 @@ def verdict(num, name, ok, detail):
     assert ok, f"criterion {num} {name}: {detail}"
 
 
-def run_registered(name, instances=None):
-    case = next(c for c in proptests.build_cases() if c.name == name)
-    return proptests.run_case(case, instances)
-
-
 # ----------------------------------------------------------------------
 # 1. analytic gradients of every loss term and the composite match central
 #    finite differences (h=1e-5) within 1e-4 relative error, >= 50 random
@@ -32,12 +28,11 @@ def run_registered(name, instances=None):
 
 
 def test_criterion_1_gradient_oracle():
-    names = ("fd_ce_gradient", "fd_re_gradient", "fd_odr_gradient",
-             "fd_fdr_gradient", "fd_composite_gradient")
-    results = [run_registered(n, instances=50) for n in names]
-    total = sum(r.elapsed for r in results)
-    worst = max(r.max_deviation for r in results)
-    ok = all(r.passed for r in results) and total < 30.0
+    results = [proptests.run_check(loss, 50)
+               for loss in ("ce", "re", "odr", "fdr", "composite")]
+    total = sum(r["elapsed_sec"] for r in results)
+    worst = max(r["max_deviation"] for r in results)
+    ok = all(r["passed"] for r in results) and total < 30.0
     verdict(1, "gradient oracle", ok,
             f"worst_rel_dev={worst:.2e} (tol 1e-4), "
             f"5x50 instances in {total:.1f}s (budget 30s)")
@@ -50,9 +45,9 @@ def test_criterion_1_gradient_oracle():
 
 
 def test_criterion_2_frobenius_covariance_gradient():
-    r = run_registered("fd_frobenius_covariance_grad", instances=100)
-    verdict(2, "log-Frobenius gradient w.r.t. covariance", r.passed,
-            f"max_dev={r.max_deviation:.2e} (tol 1e-6), 100 matrices")
+    r = proptests.run_check("covariance", 100)
+    verdict(2, "log-Frobenius gradient w.r.t. covariance", r["passed"],
+            f"max_dev={r['max_deviation']:.2e} (tol 1e-6), 100 matrices")
 
 
 # ----------------------------------------------------------------------
@@ -71,14 +66,14 @@ HAND_WANT = 1.75
 
 
 def test_criterion_3_normalization_identities():
-    full_k = run_registered("identity_asnorm_snorm", instances=100)
-    affine = run_registered("identity_affine_invariance", instances=50)
+    full_k = oracles.identity_asnorm_snorm(100)
+    affine = oracles.identity_affine_invariance(50)
     hand = scoring.asnorm(HAND_RAW, HAND_ENROLL, HAND_TEST, top_k=2)
     hand_ok = abs(hand - HAND_WANT) <= 1e-14
-    ok = full_k.passed and affine.passed and hand_ok
+    ok = full_k <= 1e-12 and affine <= 1e-10 and hand_ok
     verdict(3, "score-normalization identities", ok,
-            f"asnorm(K=N)-snorm dev={full_k.max_deviation:.2e} (tol 1e-12), "
-            f"affine dev={affine.max_deviation:.2e} (tol 1e-10), "
+            f"asnorm(K=N)-snorm dev={full_k:.2e} (tol 1e-12), "
+            f"affine dev={affine:.2e} (tol 1e-10), "
             f"hand case dev={abs(hand - HAND_WANT):.2e} (tol 1e-14)")
 
 
@@ -90,14 +85,14 @@ def test_criterion_3_normalization_identities():
 
 
 def test_criterion_4_metric_oracle():
-    eer = run_registered("oracle_eer", instances=200)
-    dcf = run_registered("oracle_min_dcf", instances=200)
-    mono = run_registered("identity_metric_monotone", instances=50)
-    ok = eer.passed and dcf.passed and mono.passed
+    eer = oracles.eer_vs_oracle(200)
+    dcf = oracles.min_dcf_vs_oracle(200)
+    mono = oracles.identity_metric_monotone(50)
+    ok = eer <= 1e-12 and dcf == 0.0 and mono <= 1e-12
     verdict(4, "metric oracle", ok,
-            f"eer dev={eer.max_deviation:.2e} (tol 1e-12), "
-            f"min_dcf dev={dcf.max_deviation:.2e} (exact), "
-            f"monotone dev={mono.max_deviation:.2e} (tol 1e-12); "
+            f"eer dev={eer:.2e} (tol 1e-12), "
+            f"min_dcf dev={dcf:.2e} (exact), "
+            f"monotone dev={mono:.2e} (tol 1e-12); "
             f"200 sets each")
 
 
@@ -138,7 +133,7 @@ def test_criterion_5_covariance_properties():
 
 def test_criterion_6_anti_collapse_experiment():
     start = time.perf_counter()
-    out = proptests.paired_regularizer_runs(
+    out = oracles.paired_regularizer_runs(
         7, num_speakers=20, utts_per_speaker=10, frames_per_utt=160,
         epochs=300, batch_size=32)
     elapsed = time.perf_counter() - start
@@ -191,7 +186,7 @@ def test_criterion_7_end_to_end():
     trials = data.build_trial_list(held)
     labels = [t.label == "1" for t in trials]
     _, cosine = scoring.TrialScorer(store, None).score_trials(trials)
-    eer_cos, _ = metrics.eer(cosine, labels)
+    eer_cos, _ = metrics.eer(metrics.det_sweep(cosine, labels))
 
     cohort_store = _embed_store(pair.teacher, cohort_corpus, prefix="c_")
     cohort = scoring.Cohort.from_store(
@@ -199,7 +194,7 @@ def test_criterion_7_end_to_end():
     _, adaptive = scoring.TrialScorer(
         store, cohort, method="as",
         top_k=len(cohort_store) // 2).score_trials(trials)
-    eer_as, _ = metrics.eer(adaptive, labels)
+    eer_as, _ = metrics.eer(metrics.det_sweep(adaptive, labels))
 
     ok = eer_cos <= 0.10 and eer_as <= eer_cos + 0.005
     verdict(7, "end-to-end synthetic verification", ok,

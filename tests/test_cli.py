@@ -136,17 +136,6 @@ def test_normalize_default_top_k_in_header(world, tmp_path):
     assert out.read_text().splitlines()[0] == "# method=as top_k=6"
 
 
-def test_threaded_scoring_matches_serial(world, tmp_path):
-    single = tmp_path / "t1.tsv"
-    multi = tmp_path / "t2.tsv"
-    for path, threads in ((single, "1"), (multi, "3")):
-        assert cli.main(["normalize", "--store", str(world["store"]),
-                         "--trials", str(world["trials"]),
-                         "--cohort", str(world["cohort"]),
-                         "--threads", threads, "--out", str(path)]) == 0
-    assert single.read_bytes() == multi.read_bytes()
-
-
 # ----------------------------------------------------------------------
 # determinism
 
@@ -344,6 +333,25 @@ def test_eval_with_unlabeled_trial_exits_2(world, tmp_path):
                      "--trials", str(trials)]) == 2
 
 
+@pytest.mark.parametrize("dropped", ["optimizer.", "optimizer.center",
+                                     "optimizer.global_step"])
+def test_resume_without_optimizer_state_exits_2(world, tmp_path, capsys,
+                                                dropped):
+    # a checkpoint holding the weights alone must not restart at epoch 0
+    # with zero velocity and a zero center
+    tensors, fp = model.load_checkpoint(world["ckpt"])
+    weights_only = tmp_path / "weights.sdck"
+    model.save_checkpoint(
+        weights_only,
+        {k: v for k, v in tensors.items() if not k.startswith(dropped)}, fp)
+    out = tmp_path / "resumed"
+    assert cli.main(["train", "--config", str(world["config"]),
+                     "--manifest", str(world["manifest"]),
+                     "--resume", str(weights_only), "--out", str(out)]) == 2
+    assert f"missing tensor '{dropped}" in capsys.readouterr().err
+    assert not (out / "checkpoint.sdck").exists()
+
+
 def test_nan_checkpoint_resume_exits_3(world, tmp_path, capsys):
     tensors, fp = model.load_checkpoint(world["ckpt"])
     victim = next(k for k in sorted(tensors) if k.startswith("student."))
@@ -378,3 +386,12 @@ def test_grad_check_single_loss_with_report(tmp_path, capsys):
 
 def test_grad_check_rejects_unknown_loss():
     assert cli.main(["grad-check", "--loss", "hinge"]) == 1
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_grad_check_instances_below_one_exits_1(instances, capsys):
+    assert cli.main(["grad-check", "--loss", "ce",
+                     "--instances", instances]) == 1
+    captured = capsys.readouterr()
+    assert "--instances must be >= 1" in captured.err
+    assert "PASS" not in captured.out

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import oracle_det_points, oracle_eer, oracle_min_dcf
 from sdpn import metrics
 from sdpn.errors import SingleClassInput
-from sdpn.proptests import oracle_det_points, oracle_eer, oracle_min_dcf
 
 TARGETS = [0.9, 0.8, 0.4]
 NONTARGETS = [0.7, 0.3, 0.2]
@@ -39,19 +39,21 @@ def test_det_sweep_monotone():
 
 def test_eer_hand_bracket():
     # miss/fa cross between (0, 1/3) and (1/3, 0): interpolate to 1/6
-    eer, threshold = metrics.eer(SCORES, LABELS)
+    eer, threshold = metrics.eer(metrics.det_sweep(SCORES, LABELS))
     assert eer == pytest.approx(1.0 / 6.0, abs=1e-15)
     assert threshold == pytest.approx(0.55, abs=1e-12)
 
 
 def test_eer_perfect_separation():
-    eer, _ = metrics.eer([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
+    eer, _ = metrics.eer(metrics.det_sweep([0.9, 0.8, 0.2, 0.1],
+                                           [1, 1, 0, 0]))
     assert eer == 0.0
 
 
 def test_eer_exact_crossing_no_interpolation():
     # symmetric overlap: at the right threshold both rates are exactly 1/2
-    eer, _ = metrics.eer([0.1, 0.9, 0.0, 1.0], [1, 1, 0, 0])
+    eer, _ = metrics.eer(metrics.det_sweep([0.1, 0.9, 0.0, 1.0],
+                                           [1, 1, 0, 0]))
     assert eer == pytest.approx(0.5, abs=1e-15)
 
 
@@ -62,7 +64,7 @@ def test_eer_matches_oracle_on_randoms():
         scores = np.round(rng.standard_normal(n), 1)  # induces ties
         labels = (rng.random(n) < 0.5).astype(int)
         labels[0], labels[1] = 1, 0
-        got, _ = metrics.eer(scores, labels)
+        got, _ = metrics.eer(metrics.det_sweep(scores, labels))
         want, _ = oracle_eer(scores, labels)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -74,7 +76,7 @@ def test_min_dcf_reject_all_bound():
         scores = rng.standard_normal(n)
         labels = (rng.random(n) < 0.4).astype(int)
         labels[0], labels[1] = 1, 0
-        value, _ = metrics.min_dcf(scores, labels)
+        value, _ = metrics.min_dcf(metrics.det_sweep(scores, labels))
         assert value <= 1.0 + 1e-15
 
 
@@ -86,7 +88,8 @@ def test_min_dcf_accept_all_cost():
 
 
 def test_min_dcf_hand_case_perfect():
-    value, _ = metrics.min_dcf([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
+    value, _ = metrics.min_dcf(metrics.det_sweep([0.9, 0.8, 0.2, 0.1],
+                                                 [1, 1, 0, 0]))
     assert value == 0.0
 
 
@@ -97,7 +100,7 @@ def test_min_dcf_matches_oracle():
         scores = np.round(rng.standard_normal(n), 1)
         labels = (rng.random(n) < 0.5).astype(int)
         labels[0], labels[1] = 1, 0
-        got, _ = metrics.min_dcf(scores, labels)
+        got, _ = metrics.min_dcf(metrics.det_sweep(scores, labels))
         assert got == oracle_min_dcf(scores, labels, 0.05, 1.0, 1.0)[0]
 
 
@@ -117,11 +120,12 @@ def test_metrics_invariant_under_monotone_transform():
     scores = rng.standard_normal(30)
     labels = (rng.random(30) < 0.5).astype(int)
     labels[0], labels[1] = 1, 0
-    base_eer, _ = metrics.eer(scores, labels)
-    base_dcf, _ = metrics.min_dcf(scores, labels)
-    warped = np.tanh(scores) * 3.0 + 1.0
-    warp_eer, _ = metrics.eer(warped, labels)
-    warp_dcf, _ = metrics.min_dcf(warped, labels)
+    base = metrics.det_sweep(scores, labels)
+    base_eer, _ = metrics.eer(base)
+    base_dcf, _ = metrics.min_dcf(base)
+    warp = metrics.det_sweep(np.tanh(scores) * 3.0 + 1.0, labels)
+    warp_eer, _ = metrics.eer(warp)
+    warp_dcf, _ = metrics.min_dcf(warp)
     assert warp_eer == pytest.approx(base_eer, abs=1e-12)
     assert warp_dcf == pytest.approx(base_dcf, abs=1e-12)
 
@@ -131,16 +135,17 @@ def test_negating_scores_and_labels_swaps_error_types():
     scores = rng.standard_normal(20)
     labels = (rng.random(20) < 0.5).astype(int)
     labels[0], labels[1] = 1, 0
-    eer_fwd, _ = metrics.eer(scores, labels)
-    eer_rev, _ = metrics.eer(-scores, 1 - np.asarray(labels))
+    eer_fwd, _ = metrics.eer(metrics.det_sweep(scores, labels))
+    eer_rev, _ = metrics.eer(metrics.det_sweep(-scores,
+                                               1 - np.asarray(labels)))
     assert eer_fwd == pytest.approx(eer_rev, abs=1e-12)
 
 
 def test_single_class_raises():
     with pytest.raises(SingleClassInput):
-        metrics.eer([0.1, 0.2], [1, 1])
+        metrics.det_sweep([0.1, 0.2], [1, 1])
     with pytest.raises(SingleClassInput):
-        metrics.min_dcf([0.1, 0.2], [0, 0])
+        metrics.evaluation_report([0.1, 0.2], [0, 0])
 
 
 def test_evaluation_report_shape():
