@@ -265,6 +265,12 @@ def cmd_grad_check(args) -> int:
     if args.instances < 1:
         raise InvalidConfig(f"--instances must be >= 1, got {args.instances}")
     checks = proptests.GRAD_CHECKS if args.loss == "all" else (args.loss,)
+    for loss in checks:
+        name, _, seed, _ = proptests.GRAD_CHECKS[loss]
+        if seed + args.seed < 0:
+            raise InvalidConfig(
+                f"--seed {args.seed} gives {name} the negative seed "
+                f"{seed + args.seed}; its base seed is {seed}")
     results = [proptests.run_check(loss, args.instances, args.seed)
                for loss in checks]
     for r in results:

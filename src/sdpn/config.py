@@ -186,4 +186,7 @@ def load_config(path=None, overrides: dict | None = None,
         if not hasattr(target, leaf):
             raise InvalidConfig(f"unknown config override '{dotted}'")
         setattr(target, leaf, value)
+    if type(cfg.seed) is not int or cfg.seed < 0:
+        raise InvalidConfig(
+            f"seed must be a non-negative integer, got {cfg.seed!r}")
     return cfg

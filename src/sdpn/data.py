@@ -81,25 +81,31 @@ def generate_synthetic_corpus(num_speakers: int, utts_per_speaker: int,
 
 
 def sample_crops(utt: Utterance, num_global: int, num_local: int,
-                 len_global: int, len_local: int, rng) -> CropSet:
-    """Uniform random contiguous crops; global crops must be the longer kind."""
+                 len_global: int, len_local: int, rng, out=None) -> CropSet:
+    """Uniform random contiguous crops; global crops must be the longer kind.
+
+    The views are written into ``out``, a pair of (num_global, len_global,
+    F) and (num_local, len_local, F) float64 arrays, or into a fresh pair;
+    the CropSet's views are the rows of that pair.
+    """
     if not 0 < len_local < len_global:
         raise InvalidConfig(
             f"need 0 < len_local < len_global, got {len_local}/{len_global}")
     if num_global < 1 or num_local < 1:
         raise InvalidConfig("need at least one global and one local view")
-    t = utt.frames.shape[0]
+    t, f = utt.frames.shape
     if t < len_global:
         raise UtteranceTooShort(
             f"utterance '{utt.utterance_id}' has {t} frames < {len_global}")
-
-    def crop(length):
-        start = int(rng.integers(0, t - length + 1))
-        return utt.frames[start:start + length].copy()
-
-    return CropSet([crop(len_global) for _ in range(num_global)],
-                   [crop(len_local) for _ in range(num_local)],
-                   utt.utterance_id)
+    if out is None:
+        out = (np.empty((num_global, len_global, f)),
+               np.empty((num_local, len_local, f)))
+    for views in out:
+        length = views.shape[1]
+        for view in views:
+            start = int(rng.integers(0, t - length + 1))
+            view[...] = utt.frames[start:start + length]
+    return CropSet(list(out[0]), list(out[1]), utt.utterance_id)
 
 
 def spec_mask(frames, num_time_masks: int, num_freq_masks: int,
@@ -109,14 +115,20 @@ def spec_mask(frames, num_time_masks: int, num_freq_masks: int,
     drawn (they may overlap); widths are uniform in 1..max_width. Zero masks
     requested returns the input unchanged (as a copy).
     """
-    x = np.asarray(frames, dtype=np.float64)
+    x = np.array(frames, dtype=np.float64)
     if x.ndim != 2:
         raise InvalidConfig(f"expected a (T, F) matrix, got shape {x.shape}")
+    return mask_in_place(x, num_time_masks, num_freq_masks, max_width, rng)
+
+
+def mask_in_place(x: np.ndarray, num_time_masks: int, num_freq_masks: int,
+                  max_width: int, rng) -> np.ndarray:
+    """``spec_mask`` writing into the (T, F) float64 array ``x`` itself;
+    the fill is the mean of ``x`` before any region is set."""
     if num_time_masks < 0 or num_freq_masks < 0:
         raise InvalidConfig("mask counts must be >= 0")
-    out = x.copy()
     if num_time_masks == 0 and num_freq_masks == 0:
-        return out
+        return x
     t, f = x.shape
     if not 1 <= max_width < min(t, f):
         raise InvalidConfig(
@@ -125,28 +137,30 @@ def spec_mask(frames, num_time_masks: int, num_freq_masks: int,
     for _ in range(num_time_masks):
         width = int(rng.integers(1, max_width + 1))
         start = int(rng.integers(0, t - width + 1))
-        out[start:start + width, :] = fill
+        x[start:start + width, :] = fill
     for _ in range(num_freq_masks):
         width = int(rng.integers(1, max_width + 1))
         start = int(rng.integers(0, f - width + 1))
-        out[:, start:start + width] = fill
-    return out
+        x[:, start:start + width] = fill
+    return x
 
 
-def iter_crop_sets(utterances, crops, rng, mask=None):
+def iter_crop_sets(utterances, crops, rng, mask=None, out=None):
     """Trainer-facing view sampler. ``crops`` is a CropConfig, ``mask`` an
-    optional MaskConfig; yielded CropSets never see speaker labels."""
-    for utt in utterances:
+    optional MaskConfig; yielded CropSets never see speaker labels.
+
+    With ``out``, a pair of (B, G, Tg, F) and (B, L, Tl, F) float64 arrays,
+    utterance i's views are cropped and masked in place into ``out[0][i]``
+    and ``out[1][i]``.
+    """
+    for i, utt in enumerate(utterances):
         cs = sample_crops(utt, crops.num_global, crops.num_local,
-                          crops.len_global, crops.len_local, rng)
+                          crops.len_global, crops.len_local, rng,
+                          None if out is None else (out[0][i], out[1][i]))
         if mask is not None and mask.enabled:
-            cs = CropSet(
-                [spec_mask(v, mask.num_time_masks, mask.num_freq_masks,
-                           mask.max_width, rng) for v in cs.global_views],
-                [spec_mask(v, mask.num_time_masks, mask.num_freq_masks,
-                           mask.max_width, rng) for v in cs.local_views],
-                cs.source,
-            )
+            for view in cs.global_views + cs.local_views:
+                mask_in_place(view, mask.num_time_masks, mask.num_freq_masks,
+                              mask.max_width, rng)
         yield cs
 
 

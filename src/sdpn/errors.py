@@ -80,7 +80,7 @@ class NumericalError(SdpnError):
 
 
 class DivergedLoss(NumericalError):
-    """Training hit a non-finite loss.
+    """Training hit a non-finite loss term or gradient.
 
     Carries the last state that was still finite so the caller can persist
     it before aborting.

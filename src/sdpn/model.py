@@ -5,7 +5,10 @@ embedding. Projection head: two tanh layers plus a linear output, L2
 normalized per row. Prototype scores are dot products against unit-norm
 prototype rows; the teacher path subtracts a running center before its
 softmax. Forward passes cache what the hand-written backward passes need;
-there is no autodiff anywhere.
+there is no autodiff anywhere. The encoder backward consumes its cache: it
+builds the frame-level gradient in place inside the forward's (B, T, H)
+buffers, so one training step allocates no new array of that size in the
+backward, and each forward cache serves exactly one backward.
 
 Checkpoints are a single self-describing binary container (see
 docs/formats.md): magic ``SDCK``, version, a config fingerprint string, then
@@ -135,28 +138,41 @@ def encoder_forward(p: EncoderParams, frames: np.ndarray):
     if x.shape[-1] != p.w1.shape[0]:
         raise ShapeMismatch(
             f"feature dim {x.shape[-1]} != encoder input dim {p.w1.shape[0]}")
-    h1 = np.tanh(x @ p.w1 + p.b1)
+    t = x.shape[1]
+    h1 = x @ p.w1
+    h1 += p.b1
+    np.tanh(h1, out=h1)
     mu = h1.mean(axis=1)
-    var = h1.var(axis=1)
+    centered = h1 - mu[:, None, :]
+    var = np.einsum("bth,bth->bh", centered, centered) / t
     sd = np.sqrt(var + EPS_POOL_VAR)
     pooled = np.concatenate([mu, sd], axis=1)
     emb = pooled @ p.w2 + p.b2
-    return emb, (x, h1, mu, sd, pooled)
+    return emb, (x, h1, centered, sd, pooled)
 
 
 def encoder_backward(p: EncoderParams, cache, g_emb: np.ndarray) -> dict:
-    x, h1, mu, sd, pooled = cache
-    t = h1.shape[1]
-    hidden = mu.shape[1]
+    """Gradients of the encoder parameters given d loss / d embeddings.
+
+    Consumes ``cache``: the frame-level gradient is built in place inside
+    the forward's ``h1`` and ``centered`` buffers, so each forward cache
+    serves exactly one backward.
+    """
+    x, h1, centered, sd, pooled = cache
+    t, hidden = h1.shape[1:]
     g_pooled = g_emb @ p.w2.T
     g_w2 = pooled.T @ g_emb
     g_b2 = g_emb.sum(axis=0)
     g_mu = g_pooled[:, :hidden]
     g_sd = g_pooled[:, hidden:]
-    centered = h1 - mu[:, None, :]
-    g_h1 = g_mu[:, None, :] / t + g_sd[:, None, :] * centered / (t * sd[:, None, :])
-    g_a1 = g_h1 * (1.0 - h1 * h1)
-    g_w1 = np.einsum("btf,bth->fh", x, g_a1)
+    # g_a1 = (g_mu / t + g_sd * centered / (t * sd)) * (1 - h1 * h1)
+    g_a1 = centered
+    g_a1 *= (g_sd / (t * sd))[:, None, :]
+    g_a1 += (g_mu / t)[:, None, :]
+    np.multiply(h1, h1, out=h1)
+    np.subtract(1.0, h1, out=h1)
+    g_a1 *= h1
+    g_w1 = x.reshape(-1, x.shape[2]).T @ g_a1.reshape(-1, hidden)
     g_b1 = g_a1.sum(axis=(0, 1))
     return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
 
@@ -198,7 +214,8 @@ def network_forward(net: Network, frames: np.ndarray):
 
 
 def network_backward(net: Network, caches, g_proj: np.ndarray) -> dict:
-    """Gradients for every parameter, keyed encoder.* / projection.*."""
+    """Gradients for every parameter, keyed encoder.* / projection.*.
+    Consumes ``caches`` (see ``encoder_backward``)."""
     enc_cache, proj_cache = caches
     proj_grads, g_emb = projection_backward(net.projection, proj_cache, g_proj)
     enc_grads = encoder_backward(net.encoder, enc_cache, g_emb)

@@ -198,10 +198,20 @@ def batch_loss_and_grads(pair: model.TeacherStudentPair, global_views,
 def train_step(pair: model.TeacherStudentPair, global_views, local_views,
                cfg: RunConfig, state: TrainerState, lr: float):
     """One SGD+momentum update of the student and prototypes. The teacher is
-    untouched here; the loop moves it via ema_update afterwards."""
+    untouched here; the loop moves it via ema_update afterwards.
+
+    Raises DivergedLoss, naming the first non-finite loss term or else
+    gradient group, before anything is updated.
+    """
     terms, grads, aux = batch_loss_and_grads(pair, global_views, local_views,
                                              cfg, state.center)
+    for key in ("loss_ce", "loss_re", "loss_dr", "loss"):
+        if not math.isfinite(terms[key]):
+            raise DivergedLoss(f"non-finite {key} {terms[key]}")
     params = _student_param_arrays(pair)
+    for name in params:
+        if not np.isfinite(grads[name]).all():
+            raise DivergedLoss(f"non-finite gradient {name}")
     for name, arr in params.items():
         vel = state.velocities[name]
         vel *= cfg.train.momentum
@@ -211,10 +221,18 @@ def train_step(pair: model.TeacherStudentPair, global_views, local_views,
     return terms, aux
 
 
-def _assemble_batch(crop_sets):
-    gv = np.stack([np.stack(cs.global_views) for cs in crop_sets])
-    lv = np.stack([np.stack(cs.local_views) for cs in crop_sets])
-    return gv, lv
+def assemble_batch(utterances, crops, rng, mask=None, out=None):
+    """Crop (and, with an enabled ``mask``, mask) every utterance's views
+    straight into one (B, G, Tg, F) and one (B, L, Tl, F) float64 array,
+    drawing from ``rng`` in ``iter_crop_sets`` order. ``out`` is such a
+    pair to overwrite, else a fresh pair is made; returns the pair."""
+    if out is None:
+        b, f = len(utterances), utterances[0].frames.shape[1]
+        out = (np.empty((b, crops.num_global, crops.len_global, f)),
+               np.empty((b, crops.num_local, crops.len_local, f)))
+    for _ in data_mod.iter_crop_sets(utterances, crops, rng, mask, out):
+        pass
+    return out
 
 
 def train(corpus, pair: model.TeacherStudentPair, cfg: RunConfig, *,
@@ -224,9 +242,10 @@ def train(corpus, pair: model.TeacherStudentPair, cfg: RunConfig, *,
 
     ``on_step`` (if given) receives a dict per step with the raw batch, the
     loss terms, and the projected globals — the tests use it to recompute
-    losses independently. Raises InvalidConfig before the first
+    losses independently. The batch arrays are overwritten by the next
+    step; copy them to keep them. Raises InvalidConfig before the first
     step if ``validate_config`` rejects ``cfg``, and DivergedLoss (carrying
-    the last finite state) if the loss leaves the reals.
+    the last finite state) if a loss term or a gradient leaves the reals.
     """
     validate_config(cfg)
     batch_size, epochs = cfg.train.batch_size, cfg.train.epochs
@@ -238,6 +257,7 @@ def train(corpus, pair: model.TeacherStudentPair, cfg: RunConfig, *,
 
     state = resume.copy() if resume is not None else init_state(pair)
     last_good = (pair.copy(), state.copy())
+    batch = None  # reused by every step: see assemble_batch
     records = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
@@ -251,16 +271,16 @@ def train(corpus, pair: model.TeacherStudentPair, cfg: RunConfig, *,
             for step_in_epoch in range(steps_per_epoch):
                 chosen = order[step_in_epoch * batch_size:
                                (step_in_epoch + 1) * batch_size]
-                crop_sets = list(data_mod.iter_crop_sets(
-                    [corpus[i] for i in chosen], cfg.crops, rng, cfg.augment))
-                gv, lv = _assemble_batch(crop_sets)
+                batch = assemble_batch([corpus[i] for i in chosen],
+                                       cfg.crops, rng, cfg.augment, batch)
+                gv, lv = batch
                 last_lr = lr_at(state.global_step, total_steps, cfg)
-                terms, aux = train_step(pair, gv, lv, cfg, state, last_lr)
-                for key in ("loss_ce", "loss_re", "loss_dr", "loss"):
-                    if not math.isfinite(terms[key]):
-                        raise DivergedLoss(
-                            f"non-finite {key} {terms[key]} at epoch {epoch} "
-                            f"step {step_in_epoch}", last_good=last_good)
+                try:
+                    terms, aux = train_step(pair, gv, lv, cfg, state, last_lr)
+                except DivergedLoss as exc:
+                    raise DivergedLoss(
+                        f"{exc} at epoch {epoch} step {step_in_epoch}",
+                        last_good=last_good) from None
                 momentum = model.ema_momentum_at(state.global_step, total_steps,
                                                  cfg.model.ema_momentum)
                 model.ema_update(pair, momentum)

@@ -1,6 +1,7 @@
 """Independent checks the tests call directly: brute-force metric oracles,
-algebraic identities of the normalizations and the covariance, and a
-miniature paired anti-collapse run.
+algebraic identities of the normalizations and the covariance, a plain
+reference of the encoder's forward and backward, and a miniature paired
+anti-collapse run.
 
 The oracles are naive counting loops that share no code with
 ``sdpn.metrics``. Each case draws instance ``i`` from
@@ -177,6 +178,36 @@ def identity_covariance_scale(instances):
         scaled = numerics.normalized_covariance(z * scales)
         worst = max(worst, float(np.abs(base - scaled).max()))
     return worst
+
+
+# ----------------------------------------------------------------------
+# encoder reference: fresh temporaries and an einsum weight gradient
+
+
+def encoder_reference(p, frames, g_emb):
+    """Embeddings of ``frames`` (B, T, F) under encoder params ``p`` and the
+    parameter gradients for d loss / d embeddings ``g_emb``, written out
+    term by term with a new array per step and ``np.einsum`` for the
+    frame-layer weights."""
+    x = np.asarray(frames, dtype=np.float64)
+    h1 = np.tanh(x @ p.w1 + p.b1)
+    t, hidden = h1.shape[1:]
+    mu = h1.mean(axis=1)
+    sd = np.sqrt(h1.var(axis=1) + model.EPS_POOL_VAR)
+    pooled = np.concatenate([mu, sd], axis=1)
+    emb = pooled @ p.w2 + p.b2
+    g_pooled = g_emb @ p.w2.T
+    g_mu = g_pooled[:, :hidden]
+    g_sd = g_pooled[:, hidden:]
+    centered = h1 - mu[:, None, :]
+    g_h1 = g_mu[:, None, :] / t \
+        + g_sd[:, None, :] * centered / (t * sd[:, None, :])
+    g_a1 = g_h1 * (1.0 - h1 * h1)
+    grads = {"w1": np.einsum("btf,bth->fh", x, g_a1),
+             "b1": g_a1.sum(axis=(0, 1)),
+             "w2": pooled.T @ g_emb,
+             "b2": g_emb.sum(axis=0)}
+    return emb, grads
 
 
 # ----------------------------------------------------------------------

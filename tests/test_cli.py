@@ -251,6 +251,22 @@ def test_bad_train_section_exits_1(world, tmp_path, capsys, train_section,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "file"])
+def test_negative_seed_exits_1(tmp_path, monkeypatch, capsys, source):
+    doc = dict(CONFIG_DOC, seed=-1 if source == "file" else 11)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["gen-data", "--config", str(config), "--out", str(tmp_path / "x")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "env":
+        monkeypatch.setenv("SDPN_SEED", "-1")
+    assert cli.main(argv) == 1
+    assert "seed must be a non-negative integer, got -1" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_normalize_rejects_cosine_exits_1(world):
     assert cli.main(["normalize", "--store", str(world["store"]),
                      "--trials", str(world["trials"]),
@@ -394,4 +410,16 @@ def test_grad_check_instances_below_one_exits_1(instances, capsys):
                      "--instances", instances]) == 1
     captured = capsys.readouterr()
     assert "--instances must be >= 1" in captured.err
+    assert "PASS" not in captured.out
+
+
+@pytest.mark.parametrize("loss, offset, named", [
+    ("ce", "-200", "fd_ce_gradient the negative seed -99"),
+    ("all", "-102", "fd_ce_gradient the negative seed -1"),
+])
+def test_grad_check_negative_seed_exits_1(loss, offset, named, capsys):
+    assert cli.main(["grad-check", "--loss", loss, "--instances", "1",
+                     "--seed", offset]) == 1
+    captured = capsys.readouterr()
+    assert f"--seed {offset} gives {named}" in captured.err
     assert "PASS" not in captured.out

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
 from sdpn import losses, model, numerics, trainer
 from sdpn.config import ModelConfig, RunConfig
 from sdpn.errors import InvalidConfig, MalformedFile, ShapeMismatch
@@ -253,6 +254,24 @@ def test_network_backward_matches_fd():
         fd = numerics.finite_diff_gradient(scalar, param.copy(), 1e-6)
         npt.assert_allclose(grads[short], fd, rtol=0, atol=2e-6,
                             err_msg=short)
+
+
+@pytest.mark.parametrize("shape", [(128, 60, 24), (32, 120, 24)])
+def test_encoder_matches_einsum_reference(shape):
+    # the training shapes: local views (B*L, Tl, F) and global (B*G, Tg, F)
+    rng = np.random.default_rng(97)
+    p = model.EncoderParams.create(rng, 24, 48, 48)
+    p.b1 += 0.3 * rng.standard_normal(48)
+    frames = rng.standard_normal(shape)
+    g_emb = rng.standard_normal((shape[0], 48))
+    ref_emb, ref_grads = oracles.encoder_reference(p, frames, g_emb)
+    emb, cache = model.encoder_forward(p, frames)
+    grads = model.encoder_backward(p, cache, g_emb)
+    npt.assert_allclose(emb, ref_emb, rtol=1e-12, atol=0)
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        npt.assert_allclose(grads[name], ref, rtol=1e-12,
+                            atol=1e-12 * np.abs(ref).max(), err_msg=name)
 
 
 # ----------------------------------------------------------------------

@@ -41,11 +41,35 @@ def tiny_world(seed=21, epochs=4, batch_size=4, **train_kw):
 
 
 def tiny_batch(corpus, crops, seed=3):
-    rng = np.random.default_rng(seed)
-    crop_sets = list(data.iter_crop_sets(corpus[:4], crops, rng))
-    gv = np.stack([np.stack(cs.global_views) for cs in crop_sets])
-    lv = np.stack([np.stack(cs.local_views) for cs in crop_sets])
-    return gv, lv
+    return trainer.assemble_batch(corpus[:4], crops,
+                                  np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("masked", [True, False])
+def test_assembled_batch_is_byte_identical_to_stacked_crop_sets(masked):
+    corpus = data.generate_synthetic_corpus(4, 4, 40, FEATURE_DIM, 0.5, 22)
+    crops = CropConfig(num_global=2, num_local=3, len_global=24,
+                       len_local=10)
+    mask = MaskConfig(enabled=masked, num_time_masks=2, num_freq_masks=1,
+                      max_width=3)
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    batch = None
+    for step in range(2):  # the second step overwrites the first's arrays
+        utts = corpus[4 * step:4 * step + 4]
+        batch = trainer.assemble_batch(utts, crops, rng, mask, batch)
+        ref = ([], [])
+        for utt in utts:
+            cs = data.sample_crops(utt, 2, 3, 24, 10, ref_rng)
+            for views, stacked in zip((cs.global_views, cs.local_views),
+                                      ref):
+                if masked:
+                    views = [data.spec_mask(v, 2, 1, 3, ref_rng)
+                             for v in views]
+                stacked.append(np.stack(views))
+        for got, want in zip(batch, ref):
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.stack(want).tobytes()
+    assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
 
 
 # ----------------------------------------------------------------------
@@ -220,6 +244,32 @@ def test_resume_replays_the_uninterrupted_run(tmp_path):
     assert final_a.keys() == final_c.keys()
     for name in final_a:
         npt.assert_array_equal(final_a[name], final_c[name], err_msg=name)
+
+
+def test_non_finite_gradient_names_its_group(monkeypatch):
+    corpus, pair, cfg = tiny_world(epochs=3)
+    real = trainer.batch_loss_and_grads
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        terms, grads, aux = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 5:  # epoch 1 step 0: four steps per epoch
+            grads["student.encoder.w1"].flat[0] = np.nan
+        return terms, grads, aux
+
+    monkeypatch.setattr(trainer, "batch_loss_and_grads", poisoned)
+    with pytest.raises(DivergedLoss) as exc_info:
+        trainer.train(corpus, pair, cfg)
+    assert str(exc_info.value) \
+        == "non-finite gradient student.encoder.w1 at epoch 1 step 0"
+    good_pair, good_state = exc_info.value.last_good
+    assert good_state.epoch == 1
+    # the NaN was never applied: the pair is still the end-of-epoch-0 one
+    for (name, arr), (_, good) in zip(pair.named_arrays(),
+                                      good_pair.named_arrays()):
+        npt.assert_array_equal(arr, good, err_msg=name)
+        assert np.isfinite(arr).all()
 
 
 def test_on_step_terms_are_recomputable():
