@@ -1,5 +1,5 @@
-"""Synthetic corpus generation, multi-crop sampling, masking augmentation,
-and the on-disk feature format.
+"""Synthetic corpus generation, the multi-crop batch sampler with its
+masking augmentation, and the on-disk feature format.
 
 Feature files (see docs/formats.md): magic ``SDFK``, version u16, T u32,
 F u32, then T*F little-endian float64 row-major, then a length-prefixed
@@ -7,8 +7,9 @@ UTF-8 utterance id and an optional length-prefixed speaker id. The corpus
 manifest is ``utterance_id<TAB>path[<TAB>speaker_id]`` with paths relative
 to the manifest's directory.
 
-Speaker labels exist only for evaluation plumbing: everything handed to the
-trainer (crop sets) carries the opaque utterance id alone.
+Speaker labels exist only for evaluation plumbing: the trainer gets its
+views from ``iter_crop_sets`` as two float64 arrays of frames, with no
+speaker label or utterance id attached.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidConfig, MalformedFile, UtteranceTooShort
+from .errors import (DataError, InvalidConfig, MalformedFile,
+                     UtteranceTooShort)
 
 FEATURE_MAGIC = b"SDFK"
 FEATURE_VERSION = 1
@@ -31,15 +33,6 @@ class Utterance:
     utterance_id: str
     speaker_id: str | None
     frames: np.ndarray  # (T, F) float64
-
-
-@dataclass
-class CropSet:
-    """Training views for one utterance; deliberately label-free."""
-
-    global_views: list
-    local_views: list
-    source: str
 
 
 def generate_synthetic_corpus(num_speakers: int, utts_per_speaker: int,
@@ -80,51 +73,11 @@ def generate_synthetic_corpus(num_speakers: int, utts_per_speaker: int,
     return corpus
 
 
-def sample_crops(utt: Utterance, num_global: int, num_local: int,
-                 len_global: int, len_local: int, rng, out=None) -> CropSet:
-    """Uniform random contiguous crops; global crops must be the longer kind.
-
-    The views are written into ``out``, a pair of (num_global, len_global,
-    F) and (num_local, len_local, F) float64 arrays, or into a fresh pair;
-    the CropSet's views are the rows of that pair.
-    """
-    if not 0 < len_local < len_global:
-        raise InvalidConfig(
-            f"need 0 < len_local < len_global, got {len_local}/{len_global}")
-    if num_global < 1 or num_local < 1:
-        raise InvalidConfig("need at least one global and one local view")
-    t, f = utt.frames.shape
-    if t < len_global:
-        raise UtteranceTooShort(
-            f"utterance '{utt.utterance_id}' has {t} frames < {len_global}")
-    if out is None:
-        out = (np.empty((num_global, len_global, f)),
-               np.empty((num_local, len_local, f)))
-    for views in out:
-        length = views.shape[1]
-        for view in views:
-            start = int(rng.integers(0, t - length + 1))
-            view[...] = utt.frames[start:start + length]
-    return CropSet(list(out[0]), list(out[1]), utt.utterance_id)
-
-
-def spec_mask(frames, num_time_masks: int, num_freq_masks: int,
-              max_width: int, rng) -> np.ndarray:
-    """Set randomly placed contiguous frame rows / feature columns to the
-    matrix mean. Exactly ``num_time_masks + num_freq_masks`` regions are
-    drawn (they may overlap); widths are uniform in 1..max_width. Zero masks
-    requested returns the input unchanged (as a copy).
-    """
-    x = np.array(frames, dtype=np.float64)
-    if x.ndim != 2:
-        raise InvalidConfig(f"expected a (T, F) matrix, got shape {x.shape}")
-    return mask_in_place(x, num_time_masks, num_freq_masks, max_width, rng)
-
-
 def mask_in_place(x: np.ndarray, num_time_masks: int, num_freq_masks: int,
                   max_width: int, rng) -> np.ndarray:
-    """``spec_mask`` writing into the (T, F) float64 array ``x`` itself;
-    the fill is the mean of ``x`` before any region is set."""
+    """Set ``num_time_masks`` runs of frames and ``num_freq_masks`` runs of
+    features of the (T, F) float64 array ``x`` to its mean, in place, and
+    return ``x``. Runs may overlap; widths are uniform in 1..max_width."""
     if num_time_masks < 0 or num_freq_masks < 0:
         raise InvalidConfig("mask counts must be >= 0")
     if num_time_masks == 0 and num_freq_masks == 0:
@@ -146,26 +99,70 @@ def mask_in_place(x: np.ndarray, num_time_masks: int, num_freq_masks: int,
 
 
 def iter_crop_sets(utterances, crops, rng, mask=None, out=None):
-    """Trainer-facing view sampler. ``crops`` is a CropConfig, ``mask`` an
-    optional MaskConfig; yielded CropSets never see speaker labels.
-
-    With ``out``, a pair of (B, G, Tg, F) and (B, L, Tl, F) float64 arrays,
-    utterance i's views are cropped and masked in place into ``out[0][i]``
-    and ``out[1][i]``.
+    """Crop the CropConfig ``crops`` views of every utterance into a
+    (B, G, Tg, F) and a (B, L, Tl, F) float64 array: ``out`` if given, else
+    a fresh pair. Returns the pair. Each view is a uniform random contiguous
+    slice, masked in place if the MaskConfig ``mask`` is enabled. Per
+    utterance, ``rng`` draws the G global starts, the L local starts, then
+    each view's mask draws. Only frames reach the arrays, no id or label.
     """
-    for i, utt in enumerate(utterances):
-        cs = sample_crops(utt, crops.num_global, crops.num_local,
-                          crops.len_global, crops.len_local, rng,
-                          None if out is None else (out[0][i], out[1][i]))
+    g, l = crops.num_global, crops.num_local
+    len_g, len_l = crops.len_global, crops.len_local
+    if not 0 < len_l < len_g:
+        raise InvalidConfig(
+            f"need 0 < len_local < len_global, got {len_l}/{len_g}")
+    if g < 1 or l < 1:
+        raise InvalidConfig("need at least one global and one local view")
+    if out is None:
+        b, f = len(utterances), utterances[0].frames.shape[1]
+        out = (np.empty((b, g, len_g, f)), np.empty((b, l, len_l, f)))
+    for utt, global_views, local_views in zip(utterances, *out):
+        t = utt.frames.shape[0]
+        if t < len_g:
+            raise UtteranceTooShort(
+                f"utterance '{utt.utterance_id}' has {t} frames < {len_g}")
+        for views in (global_views, local_views):
+            length = views.shape[1]
+            for view in views:
+                start = int(rng.integers(0, t - length + 1))
+                view[...] = utt.frames[start:start + length]
         if mask is not None and mask.enabled:
-            for view in cs.global_views + cs.local_views:
+            for view in (*global_views, *local_views):
                 mask_in_place(view, mask.num_time_masks, mask.num_freq_masks,
                               mask.max_width, rng)
-        yield cs
+    return out
 
 
 # ----------------------------------------------------------------------
 # feature files and manifests
+
+
+def read_bytes(path) -> bytes:
+    """The bytes of the file at ``path``; a file that cannot be read (it is
+    missing, a directory, or not permitted) is a DataError naming it."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def read_lines(path) -> list[str]:
+    """The lines of the UTF-8 text file at ``path`` without their line
+    ends, numbered as text-mode iteration numbers them (CRLF and a lone CR
+    end a line too). A byte that is not UTF-8 is a MalformedFile naming
+    its line."""
+    blob = read_bytes(path)
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len(_split_lines(blob[:exc.start].decode("utf-8")))
+        raise MalformedFile(path, lineno,
+                            f"byte {exc.start} is not valid UTF-8") from None
+    return _split_lines(text)
+
+
+def _split_lines(text: str) -> list[str]:
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 class BinaryReader:
@@ -175,7 +172,7 @@ class BinaryReader:
 
     def __init__(self, path):
         self.path = path
-        self.blob = Path(path).read_bytes()
+        self.blob = read_bytes(path)
         self.off = 0
 
     def take(self, n: int, what: str) -> bytes:
@@ -297,17 +294,15 @@ class ManifestEntry:
 def read_manifest(path) -> list[ManifestEntry]:
     base = Path(path).parent
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (2, 3):
-                raise MalformedFile(path, lineno,
-                                    "expected utterance_id<TAB>path[<TAB>speaker_id]")
-            speaker = parts[2] if len(parts) == 3 else None
-            entries.append(ManifestEntry(parts[0], base / parts[1], speaker))
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (2, 3):
+            raise MalformedFile(path, lineno,
+                                "expected utterance_id<TAB>path[<TAB>speaker_id]")
+        speaker = parts[2] if len(parts) == 3 else None
+        entries.append(ManifestEntry(parts[0], base / parts[1], speaker))
     return entries
 
 

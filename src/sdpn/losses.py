@@ -40,11 +40,12 @@ class DimRegLoss:
 def cross_entropy_loss(p_teacher, p_student) -> LossValue:
     """Sum of H(teacher | student) over every (global, local) view pair.
 
-    ``p_teacher`` holds one distribution per teacher (global) view,
-    ``p_student`` one per student (local) view; H(a|b) = -sum_k a_k log b_k.
-    The gradient is taken w.r.t. the student logits that produced
-    ``p_student`` via softmax: for local view l it is
-    sum_g (p_student_l - p_teacher_g).
+    ``p_teacher`` (..., G, K) holds one distribution per teacher (global)
+    view, ``p_student`` (..., L, K) one per student (local) view, with the
+    same leading batch dimensions; H(a|b) = -sum_k a_k log b_k. The value is
+    also summed over the batch. The gradient is taken w.r.t. the student
+    logits that produced ``p_student`` via softmax: for local view l it is
+    sum_g (p_student_l - p_teacher_g) within the same batch entry.
     """
     a = np.atleast_2d(np.asarray(p_teacher, dtype=np.float64))
     b = np.atleast_2d(np.asarray(p_student, dtype=np.float64))
@@ -52,10 +53,14 @@ def cross_entropy_loss(p_teacher, p_student) -> LossValue:
         raise DistributionLengthMismatch(
             f"teacher has {a.shape[-1]} classes, student {b.shape[-1]}"
         )
+    if a.shape[:-2] != b.shape[:-2]:
+        raise ShapeMismatch(
+            f"teacher batch dims {a.shape[:-2]} != student {b.shape[:-2]}")
     log_b = np.log(np.maximum(b, PROB_FLOOR))
     # sum_g sum_l (-a_g . log b_l) factorizes through the per-class sums.
-    value = -float(a.sum(axis=0) @ log_b.sum(axis=0))
-    grad = a.shape[0] * b - a.sum(axis=0)[None, :]
+    a_sum = a.sum(axis=-2)
+    value = -float(a_sum.ravel() @ log_b.sum(axis=-2).ravel())
+    grad = a.shape[-2] * b - a_sum[..., None, :]
     return LossValue(value, grad)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import BinaryReader, atomic_write
+from .data import BinaryReader, atomic_write, read_lines
 from .errors import (
     DegenerateCohort,
     InvalidConfig,
@@ -105,16 +105,15 @@ class ScoredTrial:
 
 def read_trials(path) -> list[Trial]:
     trials = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3 or parts[0] not in ("1", "0", "-"):
-                raise MalformedFile(path, lineno,
-                                    f"expected 'label enroll test', got {line!r}")
-            trials.append(Trial(parts[0], parts[1], parts[2]))
+    for lineno, line in enumerate(read_lines(path), 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 3 or parts[0] not in ("1", "0", "-"):
+            raise MalformedFile(path, lineno,
+                                f"expected 'label enroll test', got {line!r}")
+        trials.append(Trial(parts[0], parts[1], parts[2]))
     return trials
 
 
@@ -134,17 +133,19 @@ def write_scores(trials, raw, normalized, path, header: str):
 
 def read_scores(path) -> list[ScoredTrial]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise MalformedFile(path, lineno,
-                                    "expected enroll<TAB>test<TAB>raw<TAB>normalized")
-            out.append(ScoredTrial(parts[0], parts[1], float(parts[2]),
-                                   float(parts[3])))
+    for lineno, line in enumerate(read_lines(path), 1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise MalformedFile(path, lineno,
+                                "expected enroll<TAB>test<TAB>raw<TAB>normalized")
+        try:
+            raw, normalized = float(parts[2]), float(parts[3])
+        except ValueError:
+            raise MalformedFile(path, lineno,
+                                "raw and normalized must be numbers") from None
+        out.append(ScoredTrial(parts[0], parts[1], raw, normalized))
     return out
 
 
@@ -288,6 +289,9 @@ class TrialScorer:
             raise InvalidConfig(f"unknown method '{method}', want one of {METHODS}")
         if method != "cosine" and cohort is None:
             raise InvalidConfig(f"method '{method}' needs a cohort")
+        if top_k is not None and method != "as":
+            raise InvalidConfig(
+                f"top_k applies to method 'as' only, got it with '{method}'")
         if method == "as" and top_k is None:
             top_k = min(300, len(cohort))
         self.store = store

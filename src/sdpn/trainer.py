@@ -32,9 +32,9 @@ REGULARIZERS = {
 
 
 def validate_config(cfg: RunConfig):
-    """Reject a ``train`` section the loop cannot run. Called by ``train``
-    itself, because CLI flag overrides are set on the loaded config after
-    its sections were built."""
+    """Reject a ``train`` section, or a teacher-center momentum, that the
+    loop cannot run. Called by ``train`` itself, because CLI flag overrides
+    are set on the loaded config after its sections were built."""
     t = cfg.train
     if t.epochs < 0:
         raise InvalidConfig(f"epochs must be >= 0, got {t.epochs}")
@@ -53,6 +53,10 @@ def validate_config(cfg: RunConfig):
     if t.mu < 0 or t.lam < 0:
         raise InvalidConfig(
             f"loss weights must be >= 0, got mu={t.mu} lam={t.lam}")
+    if not 0 <= cfg.model.center_momentum < 1:
+        raise InvalidConfig(
+            f"center_momentum must be in [0, 1), got "
+            f"{cfg.model.center_momentum}")
     if t.regularizer not in REGULARIZERS:
         raise InvalidConfig(
             f"regularizer must be one of {sorted(REGULARIZERS)}, "
@@ -152,15 +156,11 @@ def batch_loss_and_grads(pair: model.TeacherStudentPair, global_views,
     p_stu = model.prototype_distribution(s_proj_l, protos,
                                          model_cfg.student_temp)
 
-    ce_value = 0.0
-    d_logits = np.empty_like(p_stu)
     p_tea_b = p_tea.reshape(b, g, -1)
-    p_stu_b = p_stu.reshape(b, l, -1)
-    for i in range(b):
-        ce = losses.cross_entropy_loss(p_tea_b[i], p_stu_b[i])
-        ce_value += ce.value / b
-        d_logits[i * l:(i + 1) * l] = ce.gradient / b
-    d_scores_l = d_logits / model_cfg.student_temp
+    ce = losses.cross_entropy_loss(p_tea_b, p_stu.reshape(b, l, -1))
+    ce_value = ce.value / b
+    d_scores_l = (ce.gradient / b).reshape(p_stu.shape) \
+        / model_cfg.student_temp
     g_proj_l = d_scores_l @ protos
     g_protos = d_scores_l.T @ s_proj_l
 
@@ -221,29 +221,15 @@ def train_step(pair: model.TeacherStudentPair, global_views, local_views,
     return terms, aux
 
 
-def assemble_batch(utterances, crops, rng, mask=None, out=None):
-    """Crop (and, with an enabled ``mask``, mask) every utterance's views
-    straight into one (B, G, Tg, F) and one (B, L, Tl, F) float64 array,
-    drawing from ``rng`` in ``iter_crop_sets`` order. ``out`` is such a
-    pair to overwrite, else a fresh pair is made; returns the pair."""
-    if out is None:
-        b, f = len(utterances), utterances[0].frames.shape[1]
-        out = (np.empty((b, crops.num_global, crops.len_global, f)),
-               np.empty((b, crops.num_local, crops.len_local, f)))
-    for _ in data_mod.iter_crop_sets(utterances, crops, rng, mask, out):
-        pass
-    return out
-
-
 def train(corpus, pair: model.TeacherStudentPair, cfg: RunConfig, *,
           resume: TrainerState | None = None, on_step=None, log_path=None):
     """Run the loop under ``cfg`` (its ``train``, ``model``, ``crops``,
     ``augment`` and ``seed``); returns (pair, epoch_records, state).
 
-    ``on_step`` (if given) receives a dict per step with the raw batch, the
-    loss terms, and the projected globals — the tests use it to recompute
-    losses independently. The batch arrays are overwritten by the next
-    step; copy them to keep them. Raises InvalidConfig before the first
+    ``on_step`` (if given) receives a dict per step with the batch as
+    ``data.iter_crop_sets`` wrote it, the loss terms, and the projected
+    globals — the tests use it to recompute losses independently. Every
+    step overwrites the same batch arrays; copy them to keep them. Raises InvalidConfig before the first
     step if ``validate_config`` rejects ``cfg``, and DivergedLoss (carrying
     the last finite state) if a loss term or a gradient leaves the reals.
     """
@@ -257,7 +243,7 @@ def train(corpus, pair: model.TeacherStudentPair, cfg: RunConfig, *,
 
     state = resume.copy() if resume is not None else init_state(pair)
     last_good = (pair.copy(), state.copy())
-    batch = None  # reused by every step: see assemble_batch
+    batch = None  # the view arrays every step overwrites
     records = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
@@ -271,8 +257,9 @@ def train(corpus, pair: model.TeacherStudentPair, cfg: RunConfig, *,
             for step_in_epoch in range(steps_per_epoch):
                 chosen = order[step_in_epoch * batch_size:
                                (step_in_epoch + 1) * batch_size]
-                batch = assemble_batch([corpus[i] for i in chosen],
-                                       cfg.crops, rng, cfg.augment, batch)
+                batch = data_mod.iter_crop_sets([corpus[i] for i in chosen],
+                                                cfg.crops, rng, cfg.augment,
+                                                batch)
                 gv, lv = batch
                 last_lr = lr_at(state.global_step, total_steps, cfg)
                 try:

@@ -1,7 +1,7 @@
 """Independent checks the tests call directly: brute-force metric oracles,
 algebraic identities of the normalizations and the covariance, a plain
-reference of the encoder's forward and backward, and a miniature paired
-anti-collapse run.
+reference of the encoder's forward and backward, a per-utterance reference
+of the crop sampler, and a miniature paired anti-collapse run.
 
 The oracles are naive counting loops that share no code with
 ``sdpn.metrics``. Each case draws instance ``i`` from
@@ -208,6 +208,34 @@ def encoder_reference(p, frames, g_emb):
              "w2": pooled.T @ g_emb,
              "b2": g_emb.sum(axis=0)}
     return emb, grads
+
+
+# ----------------------------------------------------------------------
+# crop sampler reference: one utterance at a time, copies, np.stack
+
+
+def stacked_crop_batch(utterances, crops, rng, mask=None):
+    """What ``data.iter_crop_sets`` returns, built one utterance at a time:
+    each view a fresh slice copy (the global starts drawn first, then the
+    local ones), then, with an enabled ``mask``, each view masked on a copy
+    in the same order, and the views stacked per kind and per batch with
+    ``np.stack``."""
+    batch = ([], [])
+    for utt in utterances:
+        t = utt.frames.shape[0]
+        kinds = []
+        for count, length in ((crops.num_global, crops.len_global),
+                              (crops.num_local, crops.len_local)):
+            starts = [int(rng.integers(0, t - length + 1))
+                      for _ in range(count)]
+            kinds.append([utt.frames[s:s + length].copy() for s in starts])
+        for views, stacked in zip(kinds, batch):
+            if mask is not None and mask.enabled:
+                views = [data.mask_in_place(
+                    v.copy(), mask.num_time_masks, mask.num_freq_masks,
+                    mask.max_width, rng) for v in views]
+            stacked.append(np.stack(views))
+    return tuple(np.stack(stacked) for stacked in batch)
 
 
 # ----------------------------------------------------------------------

@@ -279,6 +279,16 @@ def test_cohort_method_without_cohort_exits_1(world):
                      "--method", "z", "--out", "/dev/null"]) == 1
 
 
+def test_top_k_without_as_exits_1(world, tmp_path, capsys):
+    out = tmp_path / "x.tsv"
+    assert cli.main(["normalize", "--store", str(world["store"]),
+                     "--trials", str(world["trials"]),
+                     "--cohort", str(world["cohort"]), "--method", "s",
+                     "--top-k", "2", "--out", str(out)]) == 1
+    assert "top_k applies to method 'as' only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_resume_under_different_config_exits_1(world, tmp_path, capsys):
     assert cli.main(["train", "--config", str(world["config"]),
                      "--seed", "999",
@@ -326,6 +336,66 @@ def test_non_utf8_store_id_exits_2(world, tmp_path):
     assert cli.main(["score", "--store", str(broken),
                      "--trials", str(world["trials"]),
                      "--out", str(tmp_path / "x.tsv")]) == 2
+
+
+def _argv_with(world, tmp_path, command, flag, path):
+    """A ``command`` line over the world's files with ``flag`` set to
+    ``path``."""
+    w = {k: str(v) for k, v in world.items()}
+    argv = {
+        "train": ["train", "--config", w["config"], "--manifest",
+                  w["manifest"]],
+        "embed": ["embed", "--checkpoint", w["ckpt"], "--manifest",
+                  w["manifest"]],
+        "score": ["score", "--store", w["store"], "--trials", w["trials"]],
+        "normalize": ["normalize", "--store", w["store"], "--trials",
+                      w["trials"], "--cohort", w["cohort"], "--method", "s"],
+        "eval": ["eval", "--scores", w["scores"], "--trials", w["trials"]],
+    }[command]
+    argv[argv.index(flag) + 1] = str(path)
+    if command != "eval":
+        argv += ["--out", str(tmp_path / "out")]
+    return argv
+
+
+TEXT_INPUTS = [("train", "--manifest"), ("embed", "--manifest"),
+               ("score", "--trials"), ("eval", "--trials"),
+               ("eval", "--scores")]
+BINARY_INPUTS = [("embed", "--checkpoint"), ("score", "--store"),
+                 ("normalize", "--cohort")]
+
+
+@pytest.mark.parametrize("command, flag", TEXT_INPUTS + BINARY_INPUTS)
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_input_exits_2(world, tmp_path, capsys, command, flag,
+                                  kind):
+    path = tmp_path / "nothere" if kind == "missing" else tmp_path
+    assert cli.main(_argv_with(world, tmp_path, command, flag, path)) == 2
+    assert f"cannot read {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", TEXT_INPUTS)
+def test_non_utf8_text_input_exits_2(world, tmp_path, capsys, command, flag):
+    source = world[{"--manifest": "manifest", "--trials": "trials",
+                    "--scores": "scores"}[flag]]
+    first, rest = source.read_bytes().split(b"\n", 1)
+    broken = tmp_path / "non_utf8.txt"
+    broken.write_bytes(first + b"\n\xff" + rest)
+    assert cli.main(_argv_with(world, tmp_path, command, flag, broken)) == 2
+    assert f"{broken} @ 2: byte {len(first) + 1} is not valid UTF-8" \
+        in capsys.readouterr().err
+
+
+def test_non_numeric_score_exits_2(world, tmp_path, capsys):
+    lines = world["scores"].read_text().splitlines()
+    enroll, test, _, normalized = lines[1].split("\t")
+    lines[1] = "\t".join([enroll, test, "n/a", normalized])
+    scores = tmp_path / "scores.tsv"
+    scores.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main(["eval", "--scores", str(scores),
+                     "--trials", str(world["trials"])]) == 2
+    assert f"{scores} @ 2: raw and normalized must be numbers" \
+        in capsys.readouterr().err
 
 
 def test_single_class_eval_exits_2(world, tmp_path):

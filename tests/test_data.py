@@ -1,7 +1,6 @@
 """Synthetic corpus, cropping, masking, and the feature-file format."""
 
 import os
-import pickle
 import struct
 
 import numpy as np
@@ -71,20 +70,18 @@ def test_corpus_validation():
 
 
 def test_crops_have_requested_shapes():
-    utt = small_corpus()[0]
+    corpus = small_corpus()[:3]
     rng = np.random.default_rng(5)
-    cs = data.sample_crops(utt, 2, 4, 30, 10, rng)
-    assert len(cs.global_views) == 2 and len(cs.local_views) == 4
-    assert all(v.shape == (30, 6) for v in cs.global_views)
-    assert all(v.shape == (10, 6) for v in cs.local_views)
-    assert cs.source == utt.utterance_id
+    gv, lv = data.iter_crop_sets(corpus, CropConfig(2, 4, 30, 10), rng)
+    assert gv.shape == (3, 2, 30, 6) and gv.dtype == np.float64
+    assert lv.shape == (3, 4, 10, 6) and lv.dtype == np.float64
 
 
 def test_crops_are_contiguous_slices():
     utt = small_corpus()[1]
     rng = np.random.default_rng(6)
-    cs = data.sample_crops(utt, 1, 1, 20, 7, rng)
-    g = cs.global_views[0]
+    gv, _ = data.iter_crop_sets([utt], CropConfig(1, 1, 20, 7), rng)
+    g = gv[0, 0]
     # locate the crop in the source and confirm bit-identity
     for start in range(utt.frames.shape[0] - 20 + 1):
         if np.array_equal(utt.frames[start:start + 20], g):
@@ -98,19 +95,19 @@ def test_crop_exact_length_has_single_offset():
     exact = data.Utterance("x", None, utt.frames[:30])
     rng = np.random.default_rng(7)
     for _ in range(5):
-        cs = data.sample_crops(exact, 1, 1, 30, 10, rng)
-        npt.assert_array_equal(cs.global_views[0], exact.frames)
+        gv, _ = data.iter_crop_sets([exact], CropConfig(1, 1, 30, 10), rng)
+        npt.assert_array_equal(gv[0, 0], exact.frames)
 
 
 def test_crop_errors():
     utt = small_corpus()[0]
     rng = np.random.default_rng(8)
     with pytest.raises(UtteranceTooShort):
-        data.sample_crops(utt, 1, 1, 51, 10, rng)
+        data.iter_crop_sets([utt], CropConfig(1, 1, 51, 10), rng)
     with pytest.raises(InvalidConfig):
-        data.sample_crops(utt, 1, 1, 10, 10, rng)
+        data.iter_crop_sets([utt], CropConfig(1, 1, 10, 10), rng)
     with pytest.raises(InvalidConfig):
-        data.sample_crops(utt, 0, 1, 20, 10, rng)
+        data.iter_crop_sets([utt], CropConfig(0, 1, 20, 10), rng)
 
 
 # ----------------------------------------------------------------------
@@ -120,16 +117,17 @@ def test_crop_errors():
 def test_mask_zero_masks_is_identity_copy():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((12, 8))
-    out = data.spec_mask(x, 0, 0, 3, rng)
+    copy = x.copy()
+    out = data.mask_in_place(copy, 0, 0, 3, rng)
     npt.assert_array_equal(out, x)
-    assert out is not x
+    assert out is copy
 
 
 def test_mask_fill_is_matrix_mean_and_bounds_hold():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((20, 10))
     fill = x.mean()
-    out = data.spec_mask(x, 2, 1, 3, rng)
+    out = data.mask_in_place(x.copy(), 2, 1, 3, rng)
     changed = out != x
     assert changed.any()
     npt.assert_allclose(out[changed], fill, atol=1e-15)
@@ -139,7 +137,7 @@ def test_mask_leaves_most_entries_untouched():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((30, 20))
     k, w = 2, 4
-    out = data.spec_mask(x, k, k, w, rng)
+    out = data.mask_in_place(x.copy(), k, k, w, rng)
     unchanged = (out == x).sum()
     assert unchanged >= (30 - k * w) * (20 - k * w)
 
@@ -148,9 +146,9 @@ def test_mask_width_validation():
     rng = np.random.default_rng(12)
     x = np.zeros((5, 9))
     with pytest.raises(InvalidConfig):
-        data.spec_mask(x, 1, 1, 5, rng)  # max_width not < min(T, F)
+        data.mask_in_place(x.copy(), 1, 1, 5, rng)  # max_width >= min(T, F)
     with pytest.raises(InvalidConfig):
-        data.spec_mask(x, -1, 0, 2, rng)
+        data.mask_in_place(x.copy(), -1, 0, 2, rng)
 
 
 # ----------------------------------------------------------------------
@@ -354,17 +352,24 @@ def test_manifest_paths_relative_to_manifest_dir(tmp_path):
 # label hygiene and trials
 
 
-def test_crop_sets_never_serialize_speaker_labels():
+def test_crop_sampler_returns_only_frames():
     corpus = small_corpus()
-    crops = CropConfig(num_global=1, num_local=2, len_global=20, len_local=8)
+    crops = CropConfig(1, 2, 20, 8)
     mask = MaskConfig(enabled=True, num_time_masks=1, num_freq_masks=1,
                       max_width=2)
-    rng = np.random.default_rng(13)
-    speakers = {u.speaker_id for u in corpus}
-    for cs in data.iter_crop_sets(corpus, crops, rng, mask=mask):
-        payload = pickle.dumps(cs)
-        for spk in speakers:
-            assert spk.encode() not in payload
+    labeled = data.iter_crop_sets(corpus, crops, np.random.default_rng(13),
+                                  mask=mask)
+    assert isinstance(labeled, tuple) and len(labeled) == 2
+    assert all(type(a) is np.ndarray and a.dtype == np.float64
+               for a in labeled)
+    # the same frames under other utterance ids and without speaker ids
+    # give the same bytes
+    unlabeled = [data.Utterance(f"other{i}", None, u.frames)
+                 for i, u in enumerate(corpus)]
+    stripped = data.iter_crop_sets(unlabeled, crops,
+                                   np.random.default_rng(13), mask=mask)
+    for a, b in zip(labeled, stripped):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_build_trial_list_counts():

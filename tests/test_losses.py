@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from sdpn import losses, numerics
-from sdpn.errors import BatchTooSmall, DistributionLengthMismatch
+from sdpn.errors import (BatchTooSmall, DistributionLengthMismatch,
+                         ShapeMismatch)
 
 
 def fd(f, x, h=1e-5):
@@ -71,6 +72,34 @@ def test_ce_gradient_is_summed_probability_gap():
 def test_ce_length_mismatch():
     with pytest.raises(DistributionLengthMismatch):
         losses.cross_entropy_loss([[0.5, 0.5]], [[0.2, 0.3, 0.5]])
+
+
+@pytest.mark.parametrize("lead", [(4,), (2, 3)])
+def test_ce_batched_equals_per_entry_calls(lead):
+    rng = np.random.default_rng(35)
+    p_tea = numerics.softmax(rng.standard_normal((*lead, 2, 5)), 1.0)
+    p_stu = numerics.softmax(rng.standard_normal((*lead, 3, 5)), 1.0)
+    out = losses.cross_entropy_loss(p_tea, p_stu)
+    rows = [losses.cross_entropy_loss(a, b) for a, b in
+            zip(p_tea.reshape(-1, 2, 5), p_stu.reshape(-1, 3, 5))]
+    assert out.value == pytest.approx(sum(r.value for r in rows), rel=1e-14)
+    want = np.stack([r.gradient for r in rows]).reshape(p_stu.shape)
+    assert out.gradient.shape == p_stu.shape
+    assert out.gradient.tobytes() == want.tobytes()
+    # a batch of one gives the 2-d call's value to the bit
+    first = losses.cross_entropy_loss(p_tea.reshape(-1, 2, 5)[:1],
+                                      p_stu.reshape(-1, 3, 5)[:1])
+    assert first.value == rows[0].value
+
+
+def test_ce_mismatched_batch_dims():
+    uniform = np.full(3, 1.0 / 3.0)
+    with pytest.raises(ShapeMismatch):
+        losses.cross_entropy_loss(np.tile(uniform, (2, 1, 1)),
+                                  np.tile(uniform, (3, 2, 1)))
+    with pytest.raises(ShapeMismatch):
+        losses.cross_entropy_loss(np.tile(uniform, (2, 1, 1)),
+                                  np.tile(uniform, (2, 1)))
 
 
 # ----------------------------------------------------------------------

@@ -322,6 +322,13 @@ def test_scorer_method_validation():
         TrialScorer(store, None, method="z")
 
 
+@pytest.mark.parametrize("method", ["cosine", "z", "t", "s"])
+def test_scorer_top_k_needs_as_method(method):
+    store, cohort, _ = make_scorer_setup(77)
+    with pytest.raises(InvalidConfig, match="top_k"):
+        TrialScorer(store, cohort, method=method, top_k=2)
+
+
 def test_scorer_z_t_s_relationship():
     store, cohort, trials = make_scorer_setup(74)
     z, t, s = (TrialScorer(store, cohort, method=m).score_trials(trials)[1]

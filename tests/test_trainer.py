@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracles
 from sdpn import data, losses, model, trainer
 from sdpn.config import (CropConfig, MaskConfig, ModelConfig, RunConfig,
                          TrainSection)
@@ -41,8 +42,7 @@ def tiny_world(seed=21, epochs=4, batch_size=4, **train_kw):
 
 
 def tiny_batch(corpus, crops, seed=3):
-    return trainer.assemble_batch(corpus[:4], crops,
-                                  np.random.default_rng(seed))
+    return data.iter_crop_sets(corpus[:4], crops, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("masked", [True, False])
@@ -56,19 +56,11 @@ def test_assembled_batch_is_byte_identical_to_stacked_crop_sets(masked):
     batch = None
     for step in range(2):  # the second step overwrites the first's arrays
         utts = corpus[4 * step:4 * step + 4]
-        batch = trainer.assemble_batch(utts, crops, rng, mask, batch)
-        ref = ([], [])
-        for utt in utts:
-            cs = data.sample_crops(utt, 2, 3, 24, 10, ref_rng)
-            for views, stacked in zip((cs.global_views, cs.local_views),
-                                      ref):
-                if masked:
-                    views = [data.spec_mask(v, 2, 1, 3, ref_rng)
-                             for v in views]
-                stacked.append(np.stack(views))
-        for got, want in zip(batch, ref):
+        batch = data.iter_crop_sets(utts, crops, rng, mask, batch)
+        want = oracles.stacked_crop_batch(utts, crops, ref_rng, mask)
+        for got, ref in zip(batch, want):
             assert got.dtype == np.float64
-            assert got.tobytes() == np.stack(want).tobytes()
+            assert got.tobytes() == ref.tobytes()
     assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
 
 
@@ -126,9 +118,14 @@ WEIGHTS_AT_ZERO = dict(mu=0.0, lam=0.0)  # the boundary is allowed
     dict(mu=-0.1),
     dict(lam=-1.0),
     WEIGHTS_AT_ZERO,
+    dict(center_momentum=1.0),
+    dict(center_momentum=-0.5),
 ])
 def test_train_config_validation(bad):
-    corpus, pair, cfg = tiny_world(**bad)
+    train_kw = {k: v for k, v in bad.items() if k != "center_momentum"}
+    corpus, pair, cfg = tiny_world(**train_kw)
+    if "center_momentum" in bad:
+        cfg.model.center_momentum = bad["center_momentum"]
     if bad is WEIGHTS_AT_ZERO:
         trainer.train(corpus, pair, cfg)
         return
