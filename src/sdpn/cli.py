@@ -140,7 +140,7 @@ def cmd_gen_data(args) -> int:
                   for u in corpus]
     manifest = data_mod.save_corpus(corpus, args.out)
     if args.trials_out:
-        scoring.write_trials(data_mod.build_trial_list(corpus), args.trials_out)
+        scoring.write_trials(scoring.build_trial_list(corpus), args.trials_out)
     print(manifest)
     return 0
 
@@ -157,7 +157,7 @@ def cmd_train(args) -> int:
     ckpt_path = out_dir / "checkpoint.sdck"
     fingerprint = cfg.fingerprint()
 
-    corpus = data_mod.load_corpus(args.manifest, include_speaker=False)
+    corpus = data_mod.load_corpus(args.manifest)
 
     if args.resume:
         tensors, stored_fp = model.load_checkpoint(args.resume)
@@ -200,7 +200,7 @@ def cmd_embed(args) -> int:
     tensors, _ = model.load_checkpoint(args.checkpoint)
     pair = model.pair_from_tensors(tensors)
     net = pair.teacher if args.branch == "teacher" else pair.student
-    corpus = data_mod.load_corpus(args.manifest, include_speaker=False)
+    corpus = data_mod.load_corpus(args.manifest)
     vectors = {}
     for utt in corpus:
         embedding, _ = model.forward_embed(net, utt.frames)

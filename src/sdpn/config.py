@@ -1,10 +1,10 @@
-"""Run configuration: one JSON document covering data generation, model
-dimensions, training, scoring, and metric costs.
+"""Run configuration: one JSON document covering data generation, crops,
+augmentation, model dimensions and training.
 
 Unknown keys are rejected with their path, the schema version is checked,
-and a canonical fingerprint (sha256 of the sorted JSON of the fields
-training reads) tags checkpoints so a resumed run can prove it trains under
-the same configuration.
+and a canonical fingerprint (sha256 of the sorted JSON of the whole
+config) tags checkpoints so a resumed run can prove it trains under the
+same configuration.
 """
 
 from __future__ import annotations
@@ -73,21 +73,6 @@ class TrainSection:
 
 
 @dataclass
-class ScoringSection:
-    method: str = "cosine"
-    top_k: int | None = None  # None -> min(300, cohort size) for AS-norm
-    sample_stddev: bool = False
-    branch: str = "teacher"
-
-
-@dataclass
-class MetricsSection:
-    p_target: float = 0.05
-    c_miss: float = 1.0
-    c_fa: float = 1.0
-
-
-@dataclass
 class RunConfig:
     schema_version: int = SCHEMA_VERSION
     seed: int = 1234
@@ -96,19 +81,14 @@ class RunConfig:
     augment: MaskConfig = field(default_factory=MaskConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainSection = field(default_factory=TrainSection)
-    scoring: ScoringSection = field(default_factory=ScoringSection)
-    metrics: MetricsSection = field(default_factory=MetricsSection)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     def fingerprint(self) -> str:
-        """sha256 of the sorted JSON of what ``train`` reads: every field
-        except the ``scoring`` and ``metrics`` sections, so editing those
-        leaves a checkpoint resumable."""
-        trained = {k: v for k, v in self.to_dict().items()
-                   if k not in ("scoring", "metrics")}
-        canonical = json.dumps(trained, sort_keys=True, separators=(",", ":"))
+        """sha256 of the sorted, compact JSON of every field."""
+        canonical = json.dumps(self.to_dict(), sort_keys=True,
+                               separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -128,8 +108,6 @@ _SECTIONS = {
     "augment": MaskConfig,
     "model": ModelConfig,
     "train": TrainSection,
-    "scoring": ScoringSection,
-    "metrics": MetricsSection,
 }
 
 

@@ -3,13 +3,13 @@ masking augmentation, and the on-disk feature format.
 
 Feature files (see docs/formats.md): magic ``SDFK``, version u16, T u32,
 F u32, then T*F little-endian float64 row-major, then a length-prefixed
-UTF-8 utterance id and an optional length-prefixed speaker id. The corpus
-manifest is ``utterance_id<TAB>path[<TAB>speaker_id]`` with paths relative
-to the manifest's directory.
+UTF-8 utterance id. The corpus manifest is
+``utterance_id<TAB>path[<TAB>speaker_id]`` with paths relative to the
+manifest's directory; it is the only place a speaker id is stored.
 
-Speaker labels exist only for evaluation plumbing: the trainer gets its
-views from ``iter_crop_sets`` as two float64 arrays of frames, with no
-speaker label or utterance id attached.
+Speaker labels exist only for evaluation plumbing: ``load_corpus`` hands
+``train`` and ``embed`` utterances without them, and the trainer gets its
+views from ``iter_crop_sets`` as two float64 arrays of frames.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (DataError, InvalidConfig, MalformedFile,
                      UtteranceTooShort)
 
 FEATURE_MAGIC = b"SDFK"
-FEATURE_VERSION = 1
+FEATURE_VERSION = 2
 
 
 @dataclass
@@ -203,11 +203,8 @@ class BinaryReader:
         if self.take(len(magic), "magic") != magic:
             raise MalformedFile(self.path, 0, f"bad magic, not {kind}")
 
-    def at_end(self) -> bool:
-        return self.off == len(self.blob)
-
     def expect_end(self, what: str):
-        if not self.at_end():
+        if self.off != len(self.blob):
             raise MalformedFile(self.path, self.off,
                                 f"trailing bytes after {what}")
 
@@ -215,7 +212,8 @@ class BinaryReader:
 def atomic_write(path, payload: bytes):
     """Write to a ``.tmp`` sibling, fsync it and rename it over ``path``, so
     a crash never leaves a half-written file behind. If the write, fsync or
-    rename fails, the ``.tmp`` sibling is removed and the error re-raised."""
+    rename fails, the ``.tmp`` sibling is removed; an OSError becomes a
+    DataError naming ``path``, anything else is re-raised."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -223,11 +221,14 @@ def atomic_write(path, payload: bytes):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except FileNotFoundError:
             pass
+        if isinstance(exc, OSError):
+            raise DataError(
+                f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 
@@ -243,13 +244,9 @@ def write_feature_file(utt: Utterance, path):
         fh.write(frames.tobytes())
         fh.write(struct.pack("<H", len(uid)))
         fh.write(uid)
-        if utt.speaker_id is not None:
-            sid = utt.speaker_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(sid)))
-            fh.write(sid)
 
 
-def read_feature_file(path, include_speaker: bool = True) -> Utterance:
+def read_feature_file(path) -> Utterance:
     r = BinaryReader(path)
     r.expect_magic(FEATURE_MAGIC, "a feature file")
     version, t, f = r.unpack("<HII", "header")
@@ -258,12 +255,8 @@ def read_feature_file(path, include_speaker: bool = True) -> Utterance:
     frames = r.float64s(t * f, "frames").reshape(t, f)
     (ulen,) = r.unpack("<H", "utterance id length")
     uid = r.text(ulen, "utterance id")
-    speaker = None
-    if not r.at_end():
-        (slen,) = r.unpack("<H", "speaker id length")
-        speaker = r.text(slen, "speaker id")
-    r.expect_end("trailers")
-    return Utterance(uid, speaker if include_speaker else None, frames)
+    r.expect_end("utterance id")
+    return Utterance(uid, None, frames)
 
 
 def save_corpus(corpus, out_dir, manifest_name: str = "manifest.tsv") -> Path:
@@ -306,34 +299,15 @@ def read_manifest(path) -> list[ManifestEntry]:
     return entries
 
 
-def load_corpus(manifest_path, include_speaker: bool = True) -> list[Utterance]:
+def load_corpus(manifest_path) -> list[Utterance]:
+    """The manifest's utterances in order, each without a speaker id."""
     corpus = []
     for entry in read_manifest(manifest_path):
-        utt = read_feature_file(entry.path, include_speaker=include_speaker)
+        utt = read_feature_file(entry.path)
         if utt.utterance_id != entry.utterance_id:
             raise MalformedFile(
                 entry.path, 0,
                 f"utterance id '{utt.utterance_id}' does not match manifest "
                 f"entry '{entry.utterance_id}'")
-        if include_speaker and utt.speaker_id is None:
-            utt.speaker_id = entry.speaker_id
         corpus.append(utt)
     return corpus
-
-
-def build_trial_list(corpus) -> list:
-    """All unordered utterance pairs labeled by speaker match. Requires
-    speaker labels; returns scoring.Trial records in deterministic order."""
-    from .scoring import Trial
-
-    labeled = [(u.utterance_id, u.speaker_id) for u in corpus]
-    if any(s is None for _, s in labeled):
-        raise InvalidConfig("trial generation needs speaker labels on every "
-                            "utterance")
-    trials = []
-    for i in range(len(labeled)):
-        for j in range(i + 1, len(labeled)):
-            same = labeled[i][1] == labeled[j][1]
-            trials.append(Trial("1" if same else "0",
-                                labeled[i][0], labeled[j][0]))
-    return trials

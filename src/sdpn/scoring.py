@@ -1,8 +1,8 @@
 """Cosine trial scoring with Z/T/S/AS cohort normalization.
 
-Also owns the on-disk formats for trial lists (``label enroll test``,
-space-separated, label 1/0/-), tab-separated score files with six-decimal
-values, and the binary embedding store.
+Also builds the all-pairs trial list and owns the on-disk formats for trial
+lists (``label enroll test``, space-separated, label 1/0/-), tab-separated
+score files with six-decimal values, and the binary embedding store.
 """
 
 from __future__ import annotations
@@ -117,6 +117,22 @@ def read_trials(path) -> list[Trial]:
     return trials
 
 
+def build_trial_list(corpus) -> list[Trial]:
+    """All unordered utterance pairs labeled by speaker match, in corpus
+    order. Requires a speaker label on every utterance."""
+    labeled = [(u.utterance_id, u.speaker_id) for u in corpus]
+    if any(s is None for _, s in labeled):
+        raise InvalidConfig("trial generation needs speaker labels on every "
+                            "utterance")
+    trials = []
+    for i in range(len(labeled)):
+        for j in range(i + 1, len(labeled)):
+            same = labeled[i][1] == labeled[j][1]
+            trials.append(Trial("1" if same else "0",
+                                labeled[i][0], labeled[j][0]))
+    return trials
+
+
 def write_trials(trials, path):
     text = "".join(f"{t.label} {t.enroll} {t.test}\n" for t in trials)
     atomic_write(path, text.encode("utf-8"))
@@ -212,7 +228,6 @@ def cohort_scores(x, cohort: Cohort) -> np.ndarray:
 class CohortStats:
     mu: float | np.ndarray
     sigma: float | np.ndarray
-    k_used: int
 
 
 def cohort_stats(scores, top_k: int | None = None,
@@ -236,7 +251,7 @@ def cohort_stats(scores, top_k: int | None = None,
     if k < 2:
         raise DegenerateCohort(f"need >= 2 cohort scores, got {k}")
     return CohortStats(s.mean(axis=-1),
-                       s.std(axis=-1, ddof=1 if sample_stddev else 0), k)
+                       s.std(axis=-1, ddof=1 if sample_stddev else 0))
 
 
 def _shift_scale(raw, stats: CohortStats):
@@ -325,8 +340,7 @@ class TrialScorer:
             mu[ids[b]] = stats.mu
             sigma[ids[b]] = stats.sigma
 
-        k = top_k or len(self.cohort)
-        enroll, test = (CohortStats(mu[pairs[:, i]], sigma[pairs[:, i]], k)
+        enroll, test = (CohortStats(mu[pairs[:, i]], sigma[pairs[:, i]])
                         for i in (0, 1))
         if self.method == "z":
             return raw, znorm(raw, enroll)

@@ -183,7 +183,7 @@ def test_criterion_7_end_to_end():
     pair, _, _ = trainer.train(train_corpus, pair, cfg)
 
     store = _embed_store(pair.teacher, held)
-    trials = data.build_trial_list(held)
+    trials = scoring.build_trial_list(held)
     labels = [t.label == "1" for t in trials]
     _, cosine = scoring.TrialScorer(store, None).score_trials(trials)
     eer_cos, _ = metrics.eer(metrics.det_sweep(cosine, labels))

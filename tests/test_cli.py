@@ -157,9 +157,9 @@ def test_gen_data_prefix_disjoins_cohort_ids(world, tmp_path):
     assert cli.main(["gen-data", "--config", str(world["config"]),
                      "--seed", "99", "--prefix", "c_",
                      "--out", str(out)]) == 0
-    for utt in data.load_corpus(out / "manifest.tsv"):
-        assert utt.utterance_id.startswith("c_")
-        assert utt.speaker_id.startswith("c_")
+    for entry in data.read_manifest(out / "manifest.tsv"):
+        assert entry.utterance_id.startswith("c_")
+        assert entry.speaker_id.startswith("c_")  # the manifest holds them
     # the point of the flag: embeddings of this corpus pass the cohort
     # overlap check against the unprefixed world's trial list
     store = scoring.EmbeddingStore(
@@ -219,11 +219,13 @@ def test_usage_errors_exit_1(capsys):
 
 
 def test_unknown_config_key_exits_1(world, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"sed": 1}), encoding="utf-8")
-    assert cli.main(["gen-data", "--config", str(bad),
-                     "--out", str(tmp_path / "x")]) == 1
-    assert "sed" in capsys.readouterr().err
+    # "scoring" and "metrics" were sections once; nothing read them
+    for key in ("sed", "scoring", "metrics"):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**CONFIG_DOC, key: {}}), encoding="utf-8")
+        assert cli.main(["gen-data", "--config", str(bad),
+                         "--out", str(tmp_path / "x")]) == 1
+        assert repr(key) in capsys.readouterr().err
 
 
 def test_train_batch_size_flag_is_validated(world, tmp_path, capsys):
@@ -298,20 +300,6 @@ def test_resume_under_different_config_exits_1(world, tmp_path, capsys):
     assert "fingerprint" in capsys.readouterr().err
 
 
-def test_resume_under_changed_scoring_section_exits_0(world, tmp_path):
-    # train reads neither the scoring nor the metrics section, so they stay
-    # out of the fingerprint and editing them keeps the checkpoint resumable
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({**CONFIG_DOC, "scoring": {"top_k": 5}}),
-                      encoding="utf-8")
-    out = tmp_path / "resumed"
-    assert cli.main(["train", "--config", str(config),
-                     "--manifest", str(world["manifest"]),
-                     "--resume", str(world["ckpt"]),
-                     "--out", str(out)]) == 0
-    assert (out / "checkpoint.sdck").read_bytes() == world["ckpt"].read_bytes()
-
-
 def test_missing_embedding_exits_2(world, tmp_path):
     trials = tmp_path / "ghost.txt"
     trials.write_text("1 ghost utt00001\n", encoding="utf-8")
@@ -351,10 +339,8 @@ def _argv_with(world, tmp_path, command, flag, path):
         "normalize": ["normalize", "--store", w["store"], "--trials",
                       w["trials"], "--cohort", w["cohort"], "--method", "s"],
         "eval": ["eval", "--scores", w["scores"], "--trials", w["trials"]],
-    }[command]
+    }[command] + ["--out", str(tmp_path / "out")]
     argv[argv.index(flag) + 1] = str(path)
-    if command != "eval":
-        argv += ["--out", str(tmp_path / "out")]
     return argv
 
 
@@ -372,6 +358,23 @@ def test_unreadable_input_exits_2(world, tmp_path, capsys, command, flag,
     path = tmp_path / "nothere" if kind == "missing" else tmp_path
     assert cli.main(_argv_with(world, tmp_path, command, flag, path)) == 2
     assert f"cannot read {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["score", "normalize", "eval", "embed",
+                                     "gen-data"])
+def test_unwritable_output_exits_2(world, tmp_path, capsys, command):
+    out = tmp_path / "nodir" / "out"
+    if command == "gen-data":
+        argv = ["gen-data", "--config", str(world["config"]),
+                "--out", str(tmp_path / "corpus"), "--trials-out", str(out)]
+    else:
+        argv = _argv_with(world, tmp_path, command, "--out", out)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out}" in err
+    assert "Traceback" not in err and ".tmp" not in err
+    assert not (tmp_path / "nodir").exists()
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("command, flag", TEXT_INPUTS)

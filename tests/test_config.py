@@ -37,9 +37,11 @@ def test_defaults_and_sections_from_dict():
 
 
 def test_unknown_top_level_key_rejected():
-    with pytest.raises(InvalidConfig) as err:
-        config_from_dict({"sed": 7})
-    assert "sed" in str(err.value)
+    # "scoring" and "metrics" were sections once; nothing read them
+    for key in ("sed", "scoring", "metrics"):
+        with pytest.raises(InvalidConfig) as err:
+            config_from_dict({key: {}})
+        assert key in str(err.value)
 
 
 def test_unknown_nested_key_rejected_with_path():
@@ -100,8 +102,9 @@ def test_dotted_overrides(tmp_path):
 def test_fingerprint_stable_and_sensitive():
     a, b = RunConfig(), RunConfig()
     assert a.fingerprint() == b.fingerprint()
-    assert len(a.fingerprint()) == 64
-    int(a.fingerprint(), 16)  # hex digest
+    # pinned: a change here makes every existing checkpoint unresumable
+    assert a.fingerprint() == ("d97dc21b81c6fe8ea097870ca43b9f05"
+                               "3f939c45e14bca0841486bdee1c6c60c")
     b.seed = 2
     assert a.fingerprint() != b.fingerprint()
     c = RunConfig()
@@ -112,9 +115,7 @@ def test_fingerprint_stable_and_sensitive():
 def test_fingerprint_matches_manual_recipe():
     import hashlib
     cfg = RunConfig()
-    trained = cfg.to_dict()
-    del trained["scoring"], trained["metrics"]
-    canonical = json.dumps(trained, sort_keys=True,
+    canonical = json.dumps(cfg.to_dict(), sort_keys=True,
                            separators=(",", ":")).encode()
     assert cfg.fingerprint() == hashlib.sha256(canonical).hexdigest()
 

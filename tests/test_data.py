@@ -9,7 +9,8 @@ import pytest
 
 from sdpn import cli, data, model, scoring
 from sdpn.config import CropConfig, MaskConfig
-from sdpn.errors import InvalidConfig, MalformedFile, UtteranceTooShort
+from sdpn.errors import (DataError, InvalidConfig, MalformedFile,
+                         UtteranceTooShort)
 
 
 def small_corpus(seed=1, **kw):
@@ -161,7 +162,7 @@ def test_feature_file_roundtrip(tmp_path):
     data.write_feature_file(utt, path)
     back = data.read_feature_file(path)
     assert back.utterance_id == utt.utterance_id
-    assert back.speaker_id == utt.speaker_id
+    assert back.speaker_id is None  # the manifest holds speaker ids
     npt.assert_array_equal(back.frames, utt.frames)
 
 
@@ -173,30 +174,50 @@ def test_feature_file_without_speaker(tmp_path):
 
 
 def test_feature_file_speaker_suppression(tmp_path):
+    # a feature file has no speaker field: a labeled utterance is written
+    # to the same bytes as the unlabeled one, and reads back unlabeled
     utt = small_corpus()[0]
-    path = tmp_path / "u.sdfk"
-    data.write_feature_file(utt, path)
-    assert data.read_feature_file(path, include_speaker=False).speaker_id is None
+    labeled, unlabeled = tmp_path / "l.sdfk", tmp_path / "u.sdfk"
+    data.write_feature_file(utt, labeled)
+    data.write_feature_file(
+        data.Utterance(utt.utterance_id, None, utt.frames), unlabeled)
+    assert labeled.read_bytes() == unlabeled.read_bytes()
+    assert data.read_feature_file(labeled).speaker_id is None
 
 
 def test_feature_file_golden_bytes(tmp_path):
     # authored from the wire layout, independent of the writer: a 2x3
-    # matrix [[1,2,3],[4,5,6]] for utterance "ab", speaker "s"
+    # matrix [[1,2,3],[4,5,6]] for utterance "ab"
     blob = b"SDFK"
-    blob += struct.pack("<HII", 1, 2, 3)
+    blob += struct.pack("<HII", 2, 2, 3)
     blob += struct.pack("<6d", 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
     blob += struct.pack("<H", 2) + b"ab"
-    blob += struct.pack("<H", 1) + b"s"
     path = tmp_path / "golden.sdfk"
     path.write_bytes(blob)
     utt = data.read_feature_file(path)
     assert utt.utterance_id == "ab"
-    assert utt.speaker_id == "s"
+    assert utt.speaker_id is None
     npt.assert_array_equal(utt.frames, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     # and the writer must reproduce those bytes exactly
     out = tmp_path / "rewritten.sdfk"
     data.write_feature_file(utt, out)
     assert out.read_bytes() == blob
+
+
+def test_feature_file_version_1_rejected(tmp_path):
+    # version 1 carried an optional speaker-id trailer; its files are not
+    # read, whatever follows the header
+    blob = b"SDFK"
+    blob += struct.pack("<HII", 1, 1, 2)
+    blob += struct.pack("<2d", 1.0, 2.0)
+    blob += struct.pack("<H", 2) + b"ab"
+    blob += struct.pack("<H", 1) + b"s"
+    path = tmp_path / "v1.sdfk"
+    path.write_bytes(blob)
+    with pytest.raises(MalformedFile) as err:
+        data.read_feature_file(path)
+    assert err.value.offset == 4
+    assert "unsupported feature version 1" in str(err.value)
 
 
 def test_feature_file_truncation_offsets(tmp_path):
@@ -232,7 +253,7 @@ def _write_checkpoint(path):
 
 
 BINARY_FORMATS = {
-    "feature": (_write_feature, data.read_feature_file, (b"abc", b"spk")),
+    "feature": (_write_feature, data.read_feature_file, (b"abc",)),
     "store": (_write_store, scoring.EmbeddingStore.load, (b"a", b"bc")),
     "checkpoint": (_write_checkpoint, model.load_checkpoint,
                    (b"fp", b"s", b"w")),
@@ -249,11 +270,6 @@ def test_binary_readers_reject_prefixes_bad_magic_and_trailing_bytes(
     read(path)
     for cut in range(len(raw)):
         path.write_bytes(raw[:cut])
-        if fmt == "feature" and cut == len(raw) - 2 - len(b"spk"):
-            # the speaker id is an optional trailer, so this prefix is a
-            # complete speaker-less feature file
-            assert read(path).speaker_id is None
-            continue
         with pytest.raises(MalformedFile) as err:
             read(path)
         assert err.value.offset <= cut
@@ -280,8 +296,11 @@ def _write_eval_report(path):
     scores = path.with_name("scores.tsv")
     scores.write_text("# method=cosine\na\tb\t0.9\t0.9\na\tc\t0.1\t0.1\n",
                       encoding="utf-8")
-    cli.main(["eval", "--scores", str(scores), "--trials", str(trials),
-              "--out", str(path)])
+    # the command itself, not cli.main, so its errors propagate
+    args = cli.build_parser().parse_args(
+        ["eval", "--scores", str(scores), "--trials", str(trials),
+         "--out", str(path)])
+    args.func(args)
 
 
 ATOMIC_WRITERS = {
@@ -305,7 +324,7 @@ def test_failed_rename_leaves_existing_artifact_intact(tmp_path, monkeypatch,
         raise OSError("rename failed")
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="rename failed"):
+    with pytest.raises(DataError, match="rename failed"):
         ATOMIC_WRITERS[writer](path)
     assert path.read_bytes() == b"the previous artifact"
     assert not list(tmp_path.glob("*.tmp"))
@@ -320,7 +339,10 @@ def test_save_and_load_corpus(tmp_path):
     manifest = data.save_corpus(corpus, tmp_path / "corpus")
     back = data.load_corpus(manifest)
     assert [u.utterance_id for u in back] == [u.utterance_id for u in corpus]
-    assert [u.speaker_id for u in back] == [u.speaker_id for u in corpus]
+    # speaker ids live in the manifest only; loading drops them
+    assert all(u.speaker_id is None for u in back)
+    assert [e.speaker_id for e in data.read_manifest(manifest)] \
+        == [u.speaker_id for u in corpus]
     npt.assert_array_equal(back[5].frames, corpus[5].frames)
 
 
@@ -374,11 +396,11 @@ def test_crop_sampler_returns_only_frames():
 
 def test_build_trial_list_counts():
     corpus = small_corpus()  # 4 speakers x 3 utts
-    trials = data.build_trial_list(corpus)
+    trials = scoring.build_trial_list(corpus)
     n = len(corpus)
     assert len(trials) == n * (n - 1) // 2
     targets = sum(1 for t in trials if t.label == "1")
     assert targets == 4 * 3  # C(3,2) same-speaker pairs per speaker
     unlabeled = data.Utterance("u", None, np.zeros((4, 2)))
     with pytest.raises(InvalidConfig):
-        data.build_trial_list(corpus + [unlabeled])
+        scoring.build_trial_list(corpus + [unlabeled])

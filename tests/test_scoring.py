@@ -63,7 +63,6 @@ def test_cohort_stats_plain_mean_std():
     stats = cohort_stats([1.0, 2.0, 3.0, 4.0])
     assert stats.mu == pytest.approx(2.5)
     assert stats.sigma == pytest.approx(np.sqrt(1.25))  # population
-    assert stats.k_used == 4
 
 
 def test_cohort_stats_sample_flag():
@@ -99,15 +98,15 @@ def test_cohort_stats_errors():
 
 
 def test_znorm_tnorm_snorm_shift_scale():
-    stats = CohortStats(mu=0.5, sigma=0.25, k_used=10)
+    stats = CohortStats(mu=0.5, sigma=0.25)
     assert znorm(1.0, stats) == pytest.approx(2.0)
     assert tnorm(0.25, stats) == pytest.approx(-1.0)
-    other = CohortStats(mu=0.0, sigma=0.5, k_used=10)
+    other = CohortStats(mu=0.0, sigma=0.5)
     assert snorm(1.0, stats, other) == pytest.approx(0.5 * (2.0 + 2.0))
 
 
 def test_snorm_degenerate_sigma():
-    flat = CohortStats(mu=0.5, sigma=0.0, k_used=4)
+    flat = CohortStats(mu=0.5, sigma=0.0)
     with pytest.raises(DegenerateCohort):
         znorm(1.0, flat)
 
