@@ -6,7 +6,6 @@ finite-difference-verified gradients.
 """
 
 from .losses import (
-    DimRegLoss,
     LossValue,
     cross_entropy_loss,
     diversity_regularization,
@@ -22,17 +21,17 @@ from .numerics import (
     normalized_covariance,
     softmax,
 )
-from .scoring import asnorm, cohort_stats, cosine_score, snorm, tnorm, znorm
+from .scoring import cohort_stats, cosine_score, snorm, tnorm, znorm
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DimRegLoss", "LossValue", "cross_entropy_loss",
+    "LossValue", "cross_entropy_loss",
     "diversity_regularization", "frobenius_reg_covariance_grad",
     "frobenius_regularization", "off_diagonal_regularization",
     "sdpn_objective", "det_sweep", "eer", "evaluation_report", "min_dcf",
     "finite_diff_gradient", "frobenius_norm", "normalized_covariance",
     "softmax",
-    "asnorm", "cohort_stats", "cosine_score", "snorm", "tnorm", "znorm",
+    "cohort_stats", "cosine_score", "snorm", "tnorm", "znorm",
     "__version__",
 ]

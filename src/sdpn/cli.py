@@ -19,6 +19,7 @@ from . import data as data_mod
 from . import metrics, model, proptests, scoring, trainer
 from .config import RunConfig, load_config
 from .errors import (
+    DataError,
     DivergedLoss,
     InvalidConfig,
     MissingLabels,
@@ -138,6 +139,13 @@ def cmd_gen_data(args) -> int:
         corpus = [data_mod.Utterance(args.prefix + u.utterance_id,
                                      args.prefix + u.speaker_id, u.frames)
                   for u in corpus]
+    if args.trials_out:  # fail before the corpus is written
+        trials_dir = Path(args.trials_out).resolve().parent
+        # save_corpus creates --out and its parents
+        if not (trials_dir.is_dir()
+                or Path(args.out).resolve().is_relative_to(trials_dir)):
+            raise DataError(f"cannot write {args.trials_out}: "
+                            f"{trials_dir} is not a directory")
     manifest = data_mod.save_corpus(corpus, args.out)
     if args.trials_out:
         scoring.write_trials(scoring.build_trial_list(corpus), args.trials_out)
@@ -152,8 +160,7 @@ def cmd_train(args) -> int:
         "train.lr_peak": args.lr_peak,
         "train.regularizer": args.regularizer,
     })
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = data_mod.make_dir(args.out)
     ckpt_path = out_dir / "checkpoint.sdck"
     fingerprint = cfg.fingerprint()
 
@@ -201,11 +208,9 @@ def cmd_embed(args) -> int:
     pair = model.pair_from_tensors(tensors)
     net = pair.teacher if args.branch == "teacher" else pair.student
     corpus = data_mod.load_corpus(args.manifest)
-    vectors = {}
-    for utt in corpus:
-        embedding, _ = model.forward_embed(net, utt.frames)
-        vectors[utt.utterance_id] = embedding
-    scoring.EmbeddingStore(vectors).save(args.out)
+    embeddings = model.forward_embed(net, [u.frames for u in corpus])
+    scoring.EmbeddingStore(dict(zip((u.utterance_id for u in corpus),
+                                    embeddings))).save(args.out)
     print(args.out)
     return 0
 

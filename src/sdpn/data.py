@@ -232,6 +232,17 @@ def atomic_write(path, payload: bytes):
         raise
 
 
+def make_dir(path) -> Path:
+    """Create directory ``path`` and its parents if missing; an OSError (a
+    file already at ``path`` or on its way) becomes a DataError naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(
+            f"cannot create directory {path}: {exc.strerror or exc}") from None
+    return Path(path)
+
+
 def write_feature_file(utt: Utterance, path):
     frames = np.ascontiguousarray(utt.frames, dtype="<f8")
     if frames.ndim != 2:
@@ -262,8 +273,7 @@ def read_feature_file(path) -> Utterance:
 def save_corpus(corpus, out_dir, manifest_name: str = "manifest.tsv") -> Path:
     """Write one feature file per utterance plus the manifest; returns the
     manifest path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_dir(out_dir)
     lines = []
     for utt in corpus:
         rel = f"{utt.utterance_id}.sdfk"

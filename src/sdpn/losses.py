@@ -28,15 +28,6 @@ class LossValue:
     gradient: np.ndarray
 
 
-@dataclass(frozen=True)
-class DimRegLoss:
-    """Dimension-regularizer value with gradients for both batches."""
-
-    value: float
-    teacher_gradient: np.ndarray
-    student_gradient: np.ndarray
-
-
 def cross_entropy_loss(p_teacher, p_student) -> LossValue:
     """Sum of H(teacher | student) over every (global, local) view pair.
 
@@ -103,18 +94,15 @@ def _offdiag_square_sum(c: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", c, c) - np.einsum("ii,ii->", c, c))
 
 
-def off_diagonal_regularization(teacher_batch, student_batch) -> DimRegLoss:
-    """Sum of squared off-diagonal covariance entries for both batches."""
+def off_diagonal_regularization(teacher_batch, student_batch) -> LossValue:
+    """Sum of squared off-diagonal covariance entries for both batches; the
+    gradient is w.r.t. the student batch (the teacher moves only by EMA)."""
     c_t, c_s = _covariance_pair(teacher_batch, student_batch)
     value = _offdiag_square_sum(c_t) + _offdiag_square_sum(c_s)
-
-    def grad_for(batch, c):
-        g = 2.0 * c
-        np.fill_diagonal(g, 0.0)
-        return numerics.normalized_covariance_vjp(batch, g)
-
-    return DimRegLoss(value, grad_for(teacher_batch, c_t),
-                      grad_for(student_batch, c_s))
+    g = 2.0 * c_s
+    np.fill_diagonal(g, 0.0)
+    return LossValue(value,
+                     numerics.normalized_covariance_vjp(student_batch, g))
 
 
 def frobenius_reg_covariance_grad(c) -> np.ndarray:
@@ -133,8 +121,9 @@ def frobenius_reg_covariance_grad(c) -> np.ndarray:
     return g
 
 
-def frobenius_regularization(teacher_batch, student_batch) -> DimRegLoss:
-    """log Frobenius norm of both covariance matrices, diagonal included.
+def frobenius_regularization(teacher_batch, student_batch) -> LossValue:
+    """log Frobenius norm of both covariance matrices, diagonal included;
+    the gradient is w.r.t. the student batch (the teacher moves only by EMA).
 
     Because every live diagonal entry is exactly 1, the entry gradient
     C_ij / (D + sum_offdiag C^2) coincides with the true derivative of
@@ -143,19 +132,14 @@ def frobenius_regularization(teacher_batch, student_batch) -> DimRegLoss:
     c_t, c_s = _covariance_pair(teacher_batch, student_batch)
     value = float(np.log(numerics.frobenius_norm(c_t))
                   + np.log(numerics.frobenius_norm(c_s)))
-
-    def grad_for(batch, c):
-        return numerics.normalized_covariance_vjp(
-            batch, frobenius_reg_covariance_grad(c))
-
-    return DimRegLoss(value, grad_for(teacher_batch, c_t),
-                      grad_for(student_batch, c_s))
+    return LossValue(value, numerics.normalized_covariance_vjp(
+        student_batch, frobenius_reg_covariance_grad(c_s)))
 
 
-def sdpn_objective(ce_value: float, re: LossValue, dr: DimRegLoss | None,
+def sdpn_objective(ce_value: float, re: LossValue, dr: LossValue | None,
                    mu: float, lam: float) -> LossValue:
     """Total ``ce + mu*re + lam*dr`` with its gradient w.r.t. the student
-    global projections, ``mu*re.gradient + lam*dr.student_gradient`` (the
+    global projections, ``mu*re.gradient + lam*dr.gradient`` (the
     distillation gradient flows through the local views instead). ``mu``
     weights the diversity term, ``lam`` the dimension regularizer; ``dr`` is
     None when no dimension regularizer runs."""
@@ -163,5 +147,5 @@ def sdpn_objective(ce_value: float, re: LossValue, dr: DimRegLoss | None,
     value = ce_value + mu * re.value + lam * dr_value
     gradient = mu * re.gradient
     if dr is not None:
-        gradient = gradient + lam * dr.student_gradient
+        gradient = gradient + lam * dr.gradient
     return LossValue(value, gradient)

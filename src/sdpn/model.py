@@ -29,6 +29,9 @@ from .errors import InvalidConfig, MalformedFile, ShapeMismatch, ZeroVector
 
 # Keeps the std branch of the pooling differentiable at zero variance.
 EPS_POOL_VAR = 1e-10
+# forward_embed runs the encoder on blocks of utterances holding about this
+# many frame-level hidden activations, which bounds its working memory.
+EMBED_BLOCK_ELEMENTS = 2 ** 18
 
 CHECKPOINT_MAGIC = b"SDCK"
 CHECKPOINT_VERSION = 1
@@ -224,13 +227,26 @@ def network_backward(net: Network, caches, g_proj: np.ndarray) -> dict:
     return out
 
 
-def forward_embed(net: Network, frames: np.ndarray):
-    """Single utterance (T, F) -> (backbone embedding, unit projection)."""
-    x = np.asarray(frames, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"expected (T, F) frames, got shape {x.shape}")
-    emb, proj, _ = network_forward(net, x[None])
-    return emb[0], proj[0]
+def forward_embed(net: Network, frames_list) -> np.ndarray:
+    """Backbone embeddings (N, E) of N utterances of (T, F) frames each, in
+    input order. Utterances of one length go through ``encoder_forward``
+    together, in blocks of about EMBED_BLOCK_ELEMENTS frame activations."""
+    utts = [np.asarray(f, dtype=np.float64) for f in frames_list]
+    feature_dim, hidden = net.encoder.w1.shape
+    by_length: dict[int, list[int]] = {}
+    for i, x in enumerate(utts):
+        if x.ndim != 2 or x.shape[1] != feature_dim:
+            raise ShapeMismatch(f"utterance {i}: expected (T, {feature_dim}) "
+                                f"frames, got shape {x.shape}")
+        by_length.setdefault(x.shape[0], []).append(i)
+    out = np.empty((len(utts), net.encoder.w2.shape[1]))
+    for t, rows in by_length.items():
+        step = max(1, EMBED_BLOCK_ELEMENTS // max(1, t * hidden))
+        for lo in range(0, len(rows), step):
+            block = rows[lo:lo + step]
+            out[block], _ = encoder_forward(
+                net.encoder, np.stack([utts[i] for i in block]))
+    return out
 
 
 def prototype_scores(projected: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
@@ -241,13 +257,11 @@ def prototype_scores(projected: np.ndarray, prototypes: np.ndarray) -> np.ndarra
     return y @ prototypes.T
 
 
-def prototype_distribution(projected, prototypes, temperature: float,
-                           center=None) -> np.ndarray:
-    """softmax((projected . prototypes - center) / temperature)."""
-    scores = prototype_scores(projected, prototypes)
-    if center is not None:
-        scores = scores - np.asarray(center, dtype=np.float64)
-    return numerics.softmax(scores, temperature)
+def prototype_distribution(projected, prototypes,
+                           temperature: float) -> np.ndarray:
+    """softmax((projected . prototypes) / temperature)."""
+    return numerics.softmax(prototype_scores(projected, prototypes),
+                            temperature)
 
 
 def normalize_prototypes(prototypes: np.ndarray):

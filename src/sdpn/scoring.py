@@ -275,14 +275,6 @@ def snorm(raw, enroll_stats: CohortStats, test_stats: CohortStats):
                   + _shift_scale(raw, test_stats))
 
 
-def asnorm(raw, enroll_scores, test_scores, top_k: int,
-           sample_stddev: bool = False):
-    """Adaptive S-norm: both sides standardized by their top-K cohort stats."""
-    se = cohort_stats(enroll_scores, top_k=top_k, sample_stddev=sample_stddev)
-    st = cohort_stats(test_scores, top_k=top_k, sample_stddev=sample_stddev)
-    return snorm(raw, se, st)
-
-
 def _blocks(rows: int, width: int):
     """Slices of ``rows`` rows of ``width`` values, ~BLOCK_ELEMENTS each."""
     step = max(1, BLOCK_ELEMENTS // max(1, width))

@@ -68,7 +68,7 @@ HAND_WANT = 1.75
 def test_criterion_3_normalization_identities():
     full_k = oracles.identity_asnorm_snorm(100)
     affine = oracles.identity_affine_invariance(50)
-    hand = scoring.asnorm(HAND_RAW, HAND_ENROLL, HAND_TEST, top_k=2)
+    hand = oracles.asnorm(HAND_RAW, HAND_ENROLL, HAND_TEST, top_k=2)
     hand_ok = abs(hand - HAND_WANT) <= 1e-14
     ok = full_k <= 1e-12 and affine <= 1e-10 and hand_ok
     verdict(3, "score-normalization identities", ok,
@@ -155,9 +155,9 @@ E2E_SEED = 1234
 
 
 def _embed_store(net, corpus, prefix=""):
+    embeddings = model.forward_embed(net, [u.frames for u in corpus])
     return scoring.EmbeddingStore(
-        {prefix + u.utterance_id: model.forward_embed(net, u.frames)[0]
-         for u in corpus})
+        {prefix + u.utterance_id: e for u, e in zip(corpus, embeddings)})
 
 
 def test_criterion_7_end_to_end():

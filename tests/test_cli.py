@@ -87,6 +87,36 @@ def test_embed_store_covers_corpus(world):
     assert store.dim == CONFIG_DOC["model"]["embed_dim"]
 
 
+@pytest.mark.parametrize("block_elements", [1, model.EMBED_BLOCK_ELEMENTS])
+def test_embed_interleaved_lengths_in_manifest_order(world, tmp_path,
+                                                     monkeypatch,
+                                                     block_elements):
+    # three frame lengths interleaved; block_elements 1 puts every
+    # utterance in its own encoder block
+    rng = np.random.default_rng(70)
+    corpus = [data.Utterance(f"u{i}", None,
+                             rng.standard_normal(((12, 30, 7)[i % 3], 6)))
+              for i in range(9)]
+    manifest = data.save_corpus(corpus, tmp_path / "corpus")
+    monkeypatch.setattr(model, "EMBED_BLOCK_ELEMENTS", block_elements)
+    calls = []
+    forward_embed = model.forward_embed
+    monkeypatch.setattr(model, "forward_embed",
+                        lambda *a: calls.append(a) or forward_embed(*a))
+    out = tmp_path / "emb.store"
+    assert cli.main(["embed", "--checkpoint", str(world["ckpt"]),
+                     "--manifest", str(manifest), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    store = scoring.EmbeddingStore.load(out)
+    assert store.ids() == [u.utterance_id for u in corpus]
+    teacher = model.pair_from_tensors(model.load_checkpoint(world["ckpt"])[0]
+                                      ).teacher
+    for u in corpus:
+        want, _, _ = model.network_forward(teacher, u.frames[None])
+        np.testing.assert_allclose(store.get(u.utterance_id), want[0],
+                                   rtol=0, atol=1e-12)
+
+
 def test_cosine_scores_file_shape(world):
     text = world["scores"].read_text().splitlines()
     assert text[0] == "# method=cosine"
@@ -375,6 +405,22 @@ def test_unwritable_output_exits_2(world, tmp_path, capsys, command):
     assert "Traceback" not in err and ".tmp" not in err
     assert not (tmp_path / "nodir").exists()
     assert not list(tmp_path.rglob("*.tmp"))
+    # gen-data checks --trials-out before it writes the corpus
+    assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_out_naming_a_file_exits_2(world, tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n", encoding="utf-8")
+    argv = [command, "--config", str(world["config"]), "--out", str(taken)]
+    if command == "train":
+        argv += ["--manifest", str(world["manifest"])]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"cannot create directory {taken}" in err
+    assert "Traceback" not in err
+    assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
 
 @pytest.mark.parametrize("command, flag", TEXT_INPUTS)
@@ -471,6 +517,15 @@ def test_grad_check_single_loss_with_report(tmp_path, capsys):
     records = [json.loads(x) for x in report.read_text().splitlines()]
     assert [r["name"] for r in records] == ["fd_ce_gradient"]
     assert records[0]["passed"] is True
+
+
+def test_grad_check_unwritable_report_exits_2(tmp_path, capsys):
+    report = tmp_path / "nodir" / "fd.jsonl"
+    assert cli.main(["grad-check", "--loss", "ce", "--instances", "2",
+                     "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {report}" in err and "Traceback" not in err
+    assert not (tmp_path / "nodir").exists()
 
 
 def test_grad_check_rejects_unknown_loss():

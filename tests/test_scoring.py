@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from oracles import asnorm
 from sdpn import scoring
 from sdpn.errors import (
     DegenerateCohort,
@@ -19,7 +20,6 @@ from sdpn.scoring import (
     EmbeddingStore,
     Trial,
     TrialScorer,
-    asnorm,
     cohort_scores,
     cohort_stats,
     cosine_score,
