@@ -242,23 +242,19 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    scored = scoring.read_scores(args.scores)
-    labels_by_pair = {(t.enroll, t.test): t.label
-                      for t in scoring.read_trials(args.trials)}
-    values = []
-    labels = []
-    for s in scored:
-        label = labels_by_pair.get((s.enroll, s.test))
-        if label is None:
-            raise MissingLabels(
-                f"trial ({s.enroll}, {s.test}) not present in {args.trials}")
-        if label == "-":
-            raise MissingLabels(
-                f"trial ({s.enroll}, {s.test}) is unlabeled; eval needs 1/0")
-        values.append(s.normalized)
-        labels.append(label == "1")
-    report = metrics.evaluation_report(values, labels, args.p_target,
-                                       args.c_miss, args.c_fa)
+    enroll, test, _, normalized = scoring.read_scores(args.scores)
+    label_of = {(e, t): label for label, e, t
+                in scoring.read_trials(args.trials)}
+    labels = list(map(label_of.get, zip(enroll, test)))
+    unusable = set(labels) - {"1", "0"}  # None (not in the list) or "-"
+    if unusable:
+        i = min(map(labels.index, unusable))
+        reason = (f"not present in {args.trials}" if labels[i] is None
+                  else "is unlabeled; eval needs 1/0")
+        raise MissingLabels(f"trial ({enroll[i]}, {test[i]}) {reason}")
+    report = metrics.evaluation_report(
+        normalized, np.array(labels, dtype=str) == "1", args.p_target,
+        args.c_miss, args.c_fa)
     text = json.dumps(report, indent=2)
     if args.out:
         data_mod.atomic_write(args.out, (text + "\n").encode("utf-8"))

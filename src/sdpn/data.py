@@ -296,7 +296,7 @@ class ManifestEntry:
 
 def read_manifest(path) -> list[ManifestEntry]:
     base = Path(path).parent
-    entries = []
+    entries = {}
     for lineno, line in enumerate(read_lines(path), 1):
         if not line:
             continue
@@ -304,9 +304,12 @@ def read_manifest(path) -> list[ManifestEntry]:
         if len(parts) not in (2, 3):
             raise MalformedFile(path, lineno,
                                 "expected utterance_id<TAB>path[<TAB>speaker_id]")
+        if parts[0] in entries:
+            raise MalformedFile(path, lineno,
+                                f"repeated utterance id '{parts[0]}'")
         speaker = parts[2] if len(parts) == 3 else None
-        entries.append(ManifestEntry(parts[0], base / parts[1], speaker))
-    return entries
+        entries[parts[0]] = ManifestEntry(parts[0], base / parts[1], speaker)
+    return list(entries.values())
 
 
 def load_corpus(manifest_path) -> list[Utterance]:

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import BinaryReader, atomic_write, read_lines
 from .errors import (
+    DataError,
     DegenerateCohort,
     InvalidConfig,
     KTooLarge,
@@ -80,57 +82,48 @@ class EmbeddingStore:
             raise MalformedFile(path, 4, f"unsupported version {version}")
         vectors = {}
         for _ in range(count):
+            record = r.off
             (klen,) = r.unpack("<H", "id length")
             key = r.text(klen, "id")
+            if key in vectors:
+                raise MalformedFile(path, record, f"repeated id '{key}'")
             (dim,) = r.unpack("<I", "dim")
             vectors[key] = r.float64s(dim, f"vector '{key}'")
         r.expect_end("last record")
         return cls(vectors)
 
 
-@dataclass(frozen=True)
-class Trial:
+class Trial(NamedTuple):
     label: str  # "1", "0", or "-"
     enroll: str
     test: str
 
 
-@dataclass(frozen=True)
-class ScoredTrial:
-    enroll: str
-    test: str
-    raw: float
-    normalized: float
-
-
 def read_trials(path) -> list[Trial]:
-    trials = []
-    for lineno, line in enumerate(read_lines(path), 1):
-        line = line.strip()
-        if not line:
-            continue
+    lines = read_lines(path)
+    fields = " ".join(lines).split()
+    if ({len(line.split()) for line in lines} <= {0, 3}
+            and set(fields[0::3]) <= {"1", "0", "-"}):
+        return list(map(Trial, fields[0::3], fields[1::3], fields[2::3]))
+    for lineno, line in enumerate(lines, 1):  # name the first bad line
         parts = line.split()
-        if len(parts) != 3 or parts[0] not in ("1", "0", "-"):
-            raise MalformedFile(path, lineno,
-                                f"expected 'label enroll test', got {line!r}")
-        trials.append(Trial(parts[0], parts[1], parts[2]))
-    return trials
+        if parts and (len(parts) != 3 or parts[0] not in ("1", "0", "-")):
+            raise MalformedFile(
+                path, lineno,
+                f"expected 'label enroll test', got {line.strip()!r}")
 
 
 def build_trial_list(corpus) -> list[Trial]:
     """All unordered utterance pairs labeled by speaker match, in corpus
     order. Requires a speaker label on every utterance."""
-    labeled = [(u.utterance_id, u.speaker_id) for u in corpus]
-    if any(s is None for _, s in labeled):
+    if any(u.speaker_id is None for u in corpus):
         raise InvalidConfig("trial generation needs speaker labels on every "
                             "utterance")
-    trials = []
-    for i in range(len(labeled)):
-        for j in range(i + 1, len(labeled)):
-            same = labeled[i][1] == labeled[j][1]
-            trials.append(Trial("1" if same else "0",
-                                labeled[i][0], labeled[j][0]))
-    return trials
+    ids = np.array([u.utterance_id for u in corpus], dtype=object)
+    speakers = np.array([u.speaker_id for u in corpus], dtype=object)
+    i, j = np.triu_indices(len(corpus), k=1)
+    labels = np.where(speakers[i] == speakers[j], "1", "0")
+    return list(map(Trial, labels.tolist(), ids[i].tolist(), ids[j].tolist()))
 
 
 def write_trials(trials, path):
@@ -144,12 +137,27 @@ def write_scores(trials, raw, normalized, path, header: str):
     lines += [f"{t.enroll}\t{t.test}\t{r:.6f}\t{n:.6f}\n" for t, r, n
               in zip(trials, np.asarray(raw).tolist(),
                      np.asarray(normalized).tolist())]
-    atomic_write(path, "".join(lines).encode("utf-8"))
+    text = "".join(lines)
+    if "\n#" in text:  # read_scores would skip that row as a comment
+        raise DataError(f"cannot write {path}: an enroll id starts with "
+                        "'#', which marks a comment line in a score file")
+    atomic_write(path, text.encode("utf-8"))
 
 
-def read_scores(path) -> list[ScoredTrial]:
-    out = []
-    for lineno, line in enumerate(read_lines(path), 1):
+def read_scores(path) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
+    """Columns (enroll ids, test ids, raw, normalized) of a score file; the
+    scores are float64 arrays parsed with Python ``float``."""
+    lines = read_lines(path)
+    rows = [line for line in lines if line and not line.startswith("#")]
+    if {row.count("\t") for row in rows} <= {3}:
+        fields = "\t".join(rows).split("\t") if rows else []
+        try:
+            return (fields[0::4], fields[1::4],
+                    *(np.array(list(map(float, fields[k::4])))
+                      for k in (2, 3)))
+        except ValueError:
+            pass
+    for lineno, line in enumerate(lines, 1):  # name the first bad line
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -157,12 +165,10 @@ def read_scores(path) -> list[ScoredTrial]:
             raise MalformedFile(path, lineno,
                                 "expected enroll<TAB>test<TAB>raw<TAB>normalized")
         try:
-            raw, normalized = float(parts[2]), float(parts[3])
+            float(parts[2]), float(parts[3])
         except ValueError:
             raise MalformedFile(path, lineno,
                                 "raw and normalized must be numbers") from None
-        out.append(ScoredTrial(parts[0], parts[1], raw, normalized))
-    return out
 
 
 def cosine_score(e, t):
@@ -311,9 +317,9 @@ class TrialScorer:
     def score_trials(self, trials) -> tuple[np.ndarray, np.ndarray]:
         """(raw cosine, normalized) float64 arrays in trial order."""
         rows: dict[str, int] = {}
-        pairs = np.array([(rows.setdefault(t.enroll, len(rows)),
-                           rows.setdefault(t.test, len(rows)))
-                          for t in trials], dtype=np.intp).reshape(-1, 2)
+        pairs = np.array([rows.setdefault(i, len(rows))
+                          for _, e, t in trials for i in (e, t)],
+                         dtype=np.intp).reshape(-1, 2)
         vectors = np.array([self.store.get(i) for i in rows])
         raw = np.empty(len(pairs))
         for b in _blocks(len(pairs), 2 * vectors.shape[-1]):

@@ -138,6 +138,36 @@ def test_eval_report(world, tmp_path, capsys):
     assert printed["p_target"] == 0.05
 
 
+def test_eval_report_does_not_depend_on_score_order(world, tmp_path):
+    trials = scoring.read_trials(world["trials"])
+    shuffled = tmp_path / "shuffled.txt"
+    order = np.random.default_rng(5).permutation(len(trials))
+    scoring.write_trials([trials[i] for i in order], shuffled)
+    scores = tmp_path / "shuffled_scores.tsv"
+    assert cli.main(["score", "--store", str(world["store"]),
+                     "--trials", str(shuffled), "--out", str(scores)]) == 0
+    assert scores.read_text() != world["scores"].read_text()
+    reports = []
+    for name, source in (("in_order", world["scores"]), ("shuffled", scores)):
+        out = tmp_path / f"{name}.json"
+        assert cli.main(["eval", "--scores", str(source),
+                         "--trials", str(world["trials"]),
+                         "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_eval_score_row_missing_from_trials_exits_2(world, tmp_path,
+                                                    capsys):
+    scores = tmp_path / "extra.tsv"
+    scores.write_text(world["scores"].read_text()
+                      + "ghost\tutt00001\t0.5\t0.5\n", encoding="utf-8")
+    assert cli.main(["eval", "--scores", str(scores),
+                     "--trials", str(world["trials"])]) == 2
+    assert f"trial (ghost, utt00001) not present in {world['trials']}" \
+        in capsys.readouterr().err
+
+
 def test_normalize_methods_and_as_equals_s_at_full_k(world, tmp_path):
     outputs = {}
     for method, extra in (("z", []), ("t", []), ("s", []),

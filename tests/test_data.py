@@ -363,6 +363,16 @@ def test_manifest_rejects_bad_lines(tmp_path):
         data.read_manifest(path)
 
 
+def test_manifest_rejects_repeated_id(tmp_path):
+    # embed keys its store by id: a repeat would silently drop an embedding
+    path = tmp_path / "manifest.tsv"
+    path.write_text("a\ta.sdfk\nb\tb.sdfk\na\tc.sdfk\n")
+    with pytest.raises(MalformedFile) as err:
+        data.read_manifest(path)
+    assert (err.value.offset, err.value.exit_code) == (3, 2)
+    assert err.value.reason == "repeated utterance id 'a'"
+
+
 def test_manifest_paths_relative_to_manifest_dir(tmp_path):
     corpus = small_corpus()[:1]
     manifest = data.save_corpus(corpus, tmp_path / "deep" / "nested")

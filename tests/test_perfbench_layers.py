@@ -1,10 +1,17 @@
 """The benchmark's traced run wraps sdpn functions by name: every name in
 ``perfbench/run.py``'s ``LAYERS`` must still exist, or ``--trace 1``
-fails at start-up."""
+fails at start-up. It also wraps ``TrialScorer.score_trials`` in a counter
+that reads its argument as rows."""
 
 import ast
 import importlib.util
+from collections import Counter
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
+
+from sdpn import cli, scoring
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -51,3 +58,35 @@ def test_tracer_installs_and_uninstalls_every_layer():
     for n in names:
         assert resolve(n) is before[n], f"{n} was not restored"
 
+
+def test_score_trials_counter_sees_trial_rows(tmp_path):
+    """What perfbench's ``counted_score_trials`` reads from the trial list
+    that ``normalize`` passes: its length and each row's enroll/test."""
+    rng = np.random.default_rng(0)
+    ids = [f"u{i}" for i in range(5)]
+    scoring.EmbeddingStore({i: rng.standard_normal(4) for i in ids}).save(
+        tmp_path / "e.store")
+    scoring.EmbeddingStore({f"c{i}": rng.standard_normal(4)
+                            for i in range(6)}).save(tmp_path / "c.store")
+    trials = [scoring.Trial("1", ids[i], ids[(i + 2) % 5]) for i in range(5)]
+    scoring.write_trials(trials, tmp_path / "trials.txt")
+
+    counts, seen = Counter(), set()
+    score_trials = scoring.TrialScorer.score_trials
+
+    def counted_score_trials(scorer, trials, *rest, **kwargs):
+        result = score_trials(scorer, trials, *rest, **kwargs)
+        counts["score_trials"] += len(trials)
+        if scorer.cohort is not None:
+            counts["cohort_computes"] += scorer.cohort_computes
+            seen.update({t.enroll for t in trials} | {t.test for t in trials})
+        return result
+
+    with mock.patch.object(scoring.TrialScorer, "score_trials",
+                           counted_score_trials):
+        assert cli.main(["normalize", "--store", str(tmp_path / "e.store"),
+                         "--cohort", str(tmp_path / "c.store"),
+                         "--trials", str(tmp_path / "trials.txt"),
+                         "--out", str(tmp_path / "s.tsv")]) == 0
+    assert counts == {"score_trials": 5, "cohort_computes": 5}
+    assert seen == set(ids)

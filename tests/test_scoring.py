@@ -1,12 +1,19 @@
 """Cosine backend, cohort statistics, and the Z/T/S/AS normalizations."""
 
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import asnorm
 from sdpn import scoring
 from sdpn.errors import (
+    DataError,
     DegenerateCohort,
     InvalidConfig,
     KTooLarge,
@@ -168,6 +175,20 @@ def test_store_truncated_file(tmp_path):
         EmbeddingStore.load(path)
 
 
+def test_store_rejects_repeated_id(tmp_path):
+    def record(key):
+        return (struct.pack("<H", len(key)) + key + struct.pack("<I", 2)
+                + np.ones(2).tobytes())
+
+    head = scoring.STORE_MAGIC + struct.pack("<HI", scoring.STORE_VERSION, 3)
+    path = tmp_path / "emb.bin"
+    path.write_bytes(head + record(b"a") + record(b"b") + record(b"a"))
+    with pytest.raises(MalformedFile) as err:
+        EmbeddingStore.load(path)
+    assert err.value.offset == len(head + record(b"a") + record(b"b"))
+    assert err.value.reason == "repeated id 'a'"
+
+
 def test_store_missing_id_and_dim_check():
     store = unit_rng_store(3, 4, seed=66)
     with pytest.raises(MissingEmbedding):
@@ -202,9 +223,131 @@ def test_scores_file_format(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "# method=s"
     assert text[1] == "e\tt\t0.123457\t1.500000"
-    back = scoring.read_scores(path)
-    assert back[0].enroll == "e"
-    assert back[0].raw == pytest.approx(0.123457)
+    enroll, test, raw, normalized = scoring.read_scores(path)
+    assert (enroll, test) == (["e"], ["t"])
+    assert raw.dtype == normalized.dtype == np.float64
+    assert raw.tolist() == [0.123457] and normalized.tolist() == [1.5]
+
+
+@pytest.mark.parametrize("reader, text, lineno", [
+    (scoring.read_trials, "1 a b\n0 a\n1 - b c\n", 2),
+    (scoring.read_scores, "# h\na\tb\t1\t2\n1\t2\t3\n4\t5\t6\t7\t8\n", 3),
+])
+def test_field_count_is_checked_per_line(tmp_path, reader, text, lineno):
+    # A short line followed by a long one keeps the file's field total, and
+    # here every field that lands in the label or a score column parses.
+    path = tmp_path / "file.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedFile) as err:
+        reader(path)
+    assert err.value.offset == lineno
+
+
+# Properties of the text formats. Ids are any non-empty UTF-8 text without
+# whitespace, the one thing a trial list cannot hold in an id.
+ID = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+             max_size=6).filter(lambda s: s.split() == [s])
+TRIAL = st.builds(Trial, st.sampled_from("10-"), ID, ID)
+SCORE = st.floats(width=64)
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def _parses_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _in_tmp(action):
+    with tempfile.TemporaryDirectory() as tmp:
+        return action(Path(tmp) / "file.txt")
+
+
+@PROPERTY
+@given(st.lists(TRIAL, max_size=8))
+@example([Trial("1", "é", "#x"), Trial("-", "\x00", "字")])
+def test_trials_roundtrip_property(trials):
+    def roundtrip(path):
+        scoring.write_trials(trials, path)
+        return scoring.read_trials(path)
+
+    assert _in_tmp(roundtrip) == trials
+
+
+@PROPERTY
+@given(st.lists(st.tuples(TRIAL, SCORE, SCORE), max_size=8))
+@example([(Trial("1", "é", "字"), 0.1234565, -2.5)])
+@example([(Trial("0", "a", "b"), 0.5, 0.5), (Trial("1", "#c", "d"), 1.0, 1.0)])
+def test_scores_roundtrip_property(rows):
+    trials = [t for t, _, _ in rows]
+    raw = np.array([r for _, r, _ in rows])
+    normalized = np.array([n for _, _, n in rows])
+
+    def roundtrip(path):
+        scoring.write_scores(trials, raw, normalized, path, "method=s")
+        return scoring.read_scores(path)
+
+    if any(t.enroll.startswith("#") for t in trials):
+        # such a row would read back as a comment, so it is not written
+        with pytest.raises(DataError):
+            _in_tmp(roundtrip)
+        return
+    enroll, test, raw_back, normalized_back = _in_tmp(roundtrip)
+    assert enroll == [t.enroll for t in trials]
+    assert test == [t.test for t in trials]
+    for sent, back in ((raw, raw_back), (normalized, normalized_back)):
+        npt.assert_array_equal(back, [float(f"{v:.6f}") for v in sent])
+
+
+BAD_TRIAL_LINE = st.one_of(
+    st.lists(ID, min_size=1, max_size=2),
+    st.lists(ID, min_size=4, max_size=5),
+    st.tuples(ID.filter(lambda s: s not in ("1", "0", "-")), ID, ID),
+).map(" ".join)
+NOT_A_NUMBER = ID.filter(lambda s: not _parses_as_float(s))
+ENROLL = ID.filter(lambda s: not s.startswith("#"))  # "#" opens a comment
+NUMBER = SCORE.map("{:.6f}".format)
+BAD_SCORE_LINE = st.one_of(
+    st.lists(ENROLL, min_size=1, max_size=3),
+    st.lists(ENROLL, min_size=5, max_size=6),
+    st.tuples(ENROLL, ID, NOT_A_NUMBER, NUMBER),
+    st.tuples(ENROLL, ID, NUMBER, NOT_A_NUMBER),
+).map("\t".join)
+
+
+@PROPERTY
+@given(st.lists(TRIAL, min_size=1, max_size=8), BAD_TRIAL_LINE, st.data())
+def test_trials_bad_line_is_named(trials, bad, data):
+    lines = [f"{t.label} {t.enroll} {t.test}" for t in trials]
+    at = data.draw(st.integers(0, len(lines) - 1))
+    lines[at] = bad
+
+    def read(path):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        scoring.read_trials(path)
+
+    with pytest.raises(MalformedFile) as err:
+        _in_tmp(read)
+    assert err.value.offset == at + 1
+
+
+@PROPERTY
+@given(st.lists(st.tuples(ENROLL, ID, NUMBER, NUMBER).map("\t".join),
+                min_size=1, max_size=8), BAD_SCORE_LINE, st.data())
+def test_scores_bad_line_is_named(rows, bad, data):
+    lines = ["# method=cosine", *rows]
+    at = data.draw(st.integers(1, len(rows)))
+    lines[at] = bad
+
+    def read(path):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        scoring.read_scores(path)
+
+    with pytest.raises(MalformedFile) as err:
+        _in_tmp(read)
+    assert err.value.offset == at + 1
 
 
 # ----------------------------------------------------------------------
