@@ -22,6 +22,7 @@ from .errors import (
     DataError,
     DivergedLoss,
     InvalidConfig,
+    MalformedFile,
     MissingLabels,
     SdpnError,
 )
@@ -165,50 +166,63 @@ def cmd_train(args) -> int:
     fingerprint = cfg.fingerprint()
 
     corpus = data_mod.load_corpus(args.manifest)
-
+    state = trainer.init_state(model.init_params(
+        np.random.default_rng(cfg.seed), feature_dim=cfg.data.feature_dim,
+        encoder_hidden=cfg.model.encoder_hidden,
+        embed_dim=cfg.model.embed_dim, proj_hidden=cfg.model.proj_hidden,
+        proj_dim=cfg.model.proj_dim, num_prototypes=cfg.model.num_prototypes))
     if args.resume:
-        tensors, stored_fp = model.load_checkpoint(args.resume)
-        if stored_fp != fingerprint:
-            raise InvalidConfig(
-                "resume checkpoint was written under a different config "
-                f"(fingerprint {stored_fp[:12]}.. != {fingerprint[:12]}..)")
-        pair = model.pair_from_tensors(tensors)
-        state = trainer.state_from_tensors(tensors, pair)
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        pair = model.TeacherStudentPair.create(
-            rng, feature_dim=cfg.data.feature_dim,
-            encoder_hidden=cfg.model.encoder_hidden,
-            embed_dim=cfg.model.embed_dim,
-            proj_hidden=cfg.model.proj_hidden, proj_dim=cfg.model.proj_dim,
-            num_prototypes=cfg.model.num_prototypes)
-        state = trainer.init_state(pair)
+        state = _resume_state(args.resume, state, fingerprint)
 
     try:
-        pair, records, state = trainer.train(
-            corpus, pair, cfg, resume=state,
-            log_path=out_dir / "metrics.jsonl")
+        state, _ = trainer.train(corpus, state, cfg,
+                                 log_path=out_dir / "metrics.jsonl")
     except DivergedLoss as exc:
         if exc.last_good is not None:
-            good_pair, good_state = exc.last_good
-            model.save_checkpoint(
-                ckpt_path, trainer.state_tensors(good_pair, good_state),
-                fingerprint)
+            model.save_checkpoint(ckpt_path, exc.last_good, fingerprint)
             print(f"diverged; last-good checkpoint written to {ckpt_path}",
                   file=sys.stderr)
         raise
-    model.save_checkpoint(ckpt_path, trainer.state_tensors(pair, state),
-                          fingerprint)
+    model.save_checkpoint(ckpt_path, state, fingerprint)
     print(ckpt_path)
     return 0
 
 
+def _resume_state(path, fresh: dict, fingerprint: str) -> dict:
+    """The training state stored at ``path``, in the key order of the
+    ``fresh`` state. The checkpoint must hold exactly the tensors of
+    ``fresh``, in the same shapes, under the same config fingerprint."""
+    tensors, stored_fp = model.load_checkpoint(path)
+    if stored_fp != fingerprint:
+        raise InvalidConfig(
+            "resume checkpoint was written under a different config "
+            f"(fingerprint {stored_fp[:12]}.. != {fingerprint[:12]}..)")
+    _require_tensors(tensors, fresh, path)
+    for name, arr in fresh.items():
+        if tensors[name].shape != arr.shape:
+            raise MalformedFile(
+                path, 0, f"tensor '{name}' has shape {tensors[name].shape}, "
+                f"the config gives {arr.shape}")
+    extra = sorted(set(tensors) - set(fresh))
+    if extra:
+        raise MalformedFile(path, 0, f"unexpected tensor '{extra[0]}'")
+    return {name: tensors[name] for name in fresh}
+
+
+def _require_tensors(tensors: dict, names, path):
+    for name in names:
+        if name not in tensors:
+            raise MalformedFile(path, 0, f"missing tensor '{name}'")
+
+
 def cmd_embed(args) -> int:
     tensors, _ = model.load_checkpoint(args.checkpoint)
-    pair = model.pair_from_tensors(tensors)
-    net = pair.teacher if args.branch == "teacher" else pair.student
+    _require_tensors(tensors, [f"{args.branch}.encoder.{k}"
+                               for k in ("w1", "b1", "w2", "b2")],
+                     args.checkpoint)
     corpus = data_mod.load_corpus(args.manifest)
-    embeddings = model.forward_embed(net, [u.frames for u in corpus])
+    embeddings = model.forward_embed(tensors, args.branch,
+                                     [u.frames for u in corpus])
     scoring.EmbeddingStore(dict(zip((u.utterance_id for u in corpus),
                                     embeddings))).save(args.out)
     print(args.out)

@@ -263,7 +263,15 @@ def read_feature_file(path) -> Utterance:
     version, t, f = r.unpack("<HII", "header")
     if version != FEATURE_VERSION:
         raise MalformedFile(path, 4, f"unsupported feature version {version}")
-    frames = r.float64s(t * f, "frames").reshape(t, f)
+    if t == 0 or f == 0:
+        raise MalformedFile(path, 6, f"empty {t}x{f} frame matrix")
+    start = r.off
+    frames = r.float64s(t * f, "frames")
+    if not np.isfinite(frames).all():
+        i = int(np.flatnonzero(~np.isfinite(frames))[0])
+        raise MalformedFile(path, start + 8 * i,
+                            f"non-finite value {frames[i]} in frame {i // f}")
+    frames = frames.reshape(t, f)
     (ulen,) = r.unpack("<H", "utterance id length")
     uid = r.text(ulen, "utterance id")
     r.expect_end("utterance id")
@@ -271,8 +279,8 @@ def read_feature_file(path) -> Utterance:
 
 
 def save_corpus(corpus, out_dir, manifest_name: str = "manifest.tsv") -> Path:
-    """Write one feature file per utterance plus the manifest; returns the
-    manifest path."""
+    """Write one feature file per utterance, then the manifest through
+    ``atomic_write``; returns the manifest path."""
     out = make_dir(out_dir)
     lines = []
     for utt in corpus:
@@ -283,7 +291,7 @@ def save_corpus(corpus, out_dir, manifest_name: str = "manifest.tsv") -> Path:
         else:
             lines.append(f"{utt.utterance_id}\t{rel}\t{utt.speaker_id}")
     manifest = out / manifest_name
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
     return manifest
 
 

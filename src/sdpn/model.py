@@ -1,5 +1,10 @@
 """Toy-scale teacher/student networks with a shared prototype bank.
 
+All weights live in one dict of float64 arrays keyed by checkpoint tensor
+name: ``student.encoder.w1`` ... ``student.projection.b3``, the same under
+``teacher.``, and ``prototypes``. The trainer adds its ``optimizer.*``
+tensors to the same dict, and a checkpoint is that dict on disk.
+
 Frame encoder: per-frame tanh layer -> mean+std pooling over time -> linear
 embedding. Projection head: two tanh layers plus a linear output, L2
 normalized per row. Prototype scores are dot products against unit-norm
@@ -19,7 +24,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -37,124 +41,63 @@ CHECKPOINT_MAGIC = b"SDCK"
 CHECKPOINT_VERSION = 1
 
 
-def _init_linear(rng, fan_in: int, fan_out: int):
-    w = rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
-    return w, np.zeros(fan_out)
-
-
-@dataclass
-class EncoderParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    @classmethod
-    def create(cls, rng, feature_dim: int, hidden_dim: int, embed_dim: int):
-        w1, b1 = _init_linear(rng, feature_dim, hidden_dim)
-        w2, b2 = _init_linear(rng, 2 * hidden_dim, embed_dim)
-        return cls(w1, b1, w2, b2)
-
-
-@dataclass
-class ProjectionParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    w3: np.ndarray
-    b3: np.ndarray
-
-    @classmethod
-    def create(cls, rng, embed_dim: int, hidden_dim: int, out_dim: int):
-        w1, b1 = _init_linear(rng, embed_dim, hidden_dim)
-        w2, b2 = _init_linear(rng, hidden_dim, hidden_dim)
-        w3, b3 = _init_linear(rng, hidden_dim, out_dim)
-        return cls(w1, b1, w2, b2, w3, b3)
-
-
-def _named_arrays(params, prefix: str):
-    for f in fields(params):
-        yield f"{prefix}.{f.name}", getattr(params, f.name)
-
-
-def _copy_params(params):
-    return type(params)(**{f.name: getattr(params, f.name).copy()
-                           for f in fields(params)})
-
-
-@dataclass
-class Network:
-    encoder: EncoderParams
-    projection: ProjectionParams
-
-    @classmethod
-    def create(cls, rng, feature_dim, encoder_hidden, embed_dim,
-               proj_hidden, proj_dim):
-        return cls(
-            EncoderParams.create(rng, feature_dim, encoder_hidden, embed_dim),
-            ProjectionParams.create(rng, embed_dim, proj_hidden, proj_dim),
-        )
-
-    def named_arrays(self, prefix: str):
-        yield from _named_arrays(self.encoder, f"{prefix}.encoder")
-        yield from _named_arrays(self.projection, f"{prefix}.projection")
-
-    def copy(self):
-        return Network(_copy_params(self.encoder), _copy_params(self.projection))
-
-
-@dataclass
-class TeacherStudentPair:
-    student: Network
-    teacher: Network
-    prototypes: np.ndarray  # (K, proj_dim), rows unit-norm, shared by both
-
-    @classmethod
-    def create(cls, rng, *, feature_dim, encoder_hidden, embed_dim,
-               proj_hidden, proj_dim, num_prototypes):
-        student = Network.create(rng, feature_dim, encoder_hidden, embed_dim,
-                                 proj_hidden, proj_dim)
-        protos = rng.standard_normal((num_prototypes, proj_dim))
-        protos /= np.linalg.norm(protos, axis=1, keepdims=True)
-        return cls(student, student.copy(), protos)
-
-    def named_arrays(self):
-        yield from self.student.named_arrays("student")
-        yield from self.teacher.named_arrays("teacher")
-        yield "prototypes", self.prototypes
-
-    def copy(self):
-        return TeacherStudentPair(self.student.copy(), self.teacher.copy(),
-                                  self.prototypes.copy())
+def init_params(rng, *, feature_dim, encoder_hidden, embed_dim, proj_hidden,
+                proj_dim, num_prototypes) -> dict[str, np.ndarray]:
+    """Fresh weights keyed by checkpoint tensor name. ``rng`` draws the
+    student's weight matrices in layer order (encoder w1, w2, projection
+    w1-w3), scaled by 1/sqrt(fan_in), then the unit-norm prototype rows;
+    biases start at zero and the teacher starts as a copy of the student."""
+    layers = {"encoder": [(feature_dim, encoder_hidden),
+                          (2 * encoder_hidden, embed_dim)],
+              "projection": [(embed_dim, proj_hidden),
+                             (proj_hidden, proj_hidden),
+                             (proj_hidden, proj_dim)]}
+    params = {}
+    for part, shapes in layers.items():
+        for i, (fan_in, fan_out) in enumerate(shapes, 1):
+            params[f"student.{part}.w{i}"] = \
+                rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
+            params[f"student.{part}.b{i}"] = np.zeros(fan_out)
+    params.update({"teacher" + name.removeprefix("student"): arr.copy()
+                   for name, arr in params.items()})
+    protos = rng.standard_normal((num_prototypes, proj_dim))
+    protos /= np.linalg.norm(protos, axis=1, keepdims=True)
+    params["prototypes"] = protos
+    return params
 
 
 # ----------------------------------------------------------------------
 # forward / backward
+#
+# Each pass takes the parameter dict and a branch prefix ("student" or
+# "teacher") and reads ``<prefix>.encoder.*`` / ``<prefix>.projection.*``;
+# gradients come back under the same full names.
 
 
-def encoder_forward(p: EncoderParams, frames: np.ndarray):
+def encoder_forward(params, prefix: str, frames: np.ndarray):
     """frames (B, T, F) -> embeddings (B, E) plus the backward cache."""
+    w1, b1, w2, b2 = (params[f"{prefix}.encoder.{k}"]
+                      for k in ("w1", "b1", "w2", "b2"))
     x = np.asarray(frames, dtype=np.float64)
     if x.ndim != 3:
         raise ShapeMismatch(f"expected (B, T, F) frames, got shape {x.shape}")
-    if x.shape[-1] != p.w1.shape[0]:
+    if x.shape[-1] != w1.shape[0]:
         raise ShapeMismatch(
-            f"feature dim {x.shape[-1]} != encoder input dim {p.w1.shape[0]}")
+            f"feature dim {x.shape[-1]} != encoder input dim {w1.shape[0]}")
     t = x.shape[1]
-    h1 = x @ p.w1
-    h1 += p.b1
+    h1 = x @ w1
+    h1 += b1
     np.tanh(h1, out=h1)
     mu = h1.mean(axis=1)
     centered = h1 - mu[:, None, :]
     var = np.einsum("bth,bth->bh", centered, centered) / t
     sd = np.sqrt(var + EPS_POOL_VAR)
     pooled = np.concatenate([mu, sd], axis=1)
-    emb = pooled @ p.w2 + p.b2
+    emb = pooled @ w2 + b2
     return emb, (x, h1, centered, sd, pooled)
 
 
-def encoder_backward(p: EncoderParams, cache, g_emb: np.ndarray) -> dict:
+def encoder_backward(params, prefix: str, cache, g_emb: np.ndarray) -> dict:
     """Gradients of the encoder parameters given d loss / d embeddings.
 
     Consumes ``cache``: the frame-level gradient is built in place inside
@@ -163,7 +106,7 @@ def encoder_backward(p: EncoderParams, cache, g_emb: np.ndarray) -> dict:
     """
     x, h1, centered, sd, pooled = cache
     t, hidden = h1.shape[1:]
-    g_pooled = g_emb @ p.w2.T
+    g_pooled = g_emb @ params[f"{prefix}.encoder.w2"].T
     g_w2 = pooled.T @ g_emb
     g_b2 = g_emb.sum(axis=0)
     g_mu = g_pooled[:, :hidden]
@@ -177,15 +120,18 @@ def encoder_backward(p: EncoderParams, cache, g_emb: np.ndarray) -> dict:
     g_a1 *= h1
     g_w1 = x.reshape(-1, x.shape[2]).T @ g_a1.reshape(-1, hidden)
     g_b1 = g_a1.sum(axis=(0, 1))
-    return {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2}
+    return {f"{prefix}.encoder.{k}": v for k, v in
+            (("w1", g_w1), ("b1", g_b1), ("w2", g_w2), ("b2", g_b2))}
 
 
-def projection_forward(p: ProjectionParams, emb: np.ndarray):
+def projection_forward(params, prefix: str, emb: np.ndarray):
     """embeddings (B, E) -> unit-norm projections (B, P) plus cache."""
+    w1, b1, w2, b2, w3, b3 = (params[f"{prefix}.projection.{k}"] for k in
+                              ("w1", "b1", "w2", "b2", "w3", "b3"))
     e = np.asarray(emb, dtype=np.float64)
-    z1 = np.tanh(e @ p.w1 + p.b1)
-    z2 = np.tanh(z1 @ p.w2 + p.b2)
-    z3 = z2 @ p.w3 + p.b3
+    z1 = np.tanh(e @ w1 + b1)
+    z2 = np.tanh(z1 @ w2 + b2)
+    z3 = z2 @ w3 + b3
     r = np.linalg.norm(z3, axis=1, keepdims=True)
     if (r <= numerics.EPS_COLUMN).any():
         raise ZeroVector("projection head produced a zero vector")
@@ -193,59 +139,64 @@ def projection_forward(p: ProjectionParams, emb: np.ndarray):
     return y, (e, z1, z2, y, r)
 
 
-def projection_backward(p: ProjectionParams, cache, g_y: np.ndarray):
+def projection_backward(params, prefix: str, cache, g_y: np.ndarray):
+    """(gradients of the projection parameters, d loss / d embeddings)."""
+    w1, w2, w3 = (params[f"{prefix}.projection.{k}"]
+                  for k in ("w1", "w2", "w3"))
     e, z1, z2, y, r = cache
     g_z3 = (g_y - y * np.einsum("bp,bp->b", y, g_y)[:, None]) / r
     g_w3 = z2.T @ g_z3
     g_b3 = g_z3.sum(axis=0)
-    g_a2 = (g_z3 @ p.w3.T) * (1.0 - z2 * z2)
+    g_a2 = (g_z3 @ w3.T) * (1.0 - z2 * z2)
     g_w2 = z1.T @ g_a2
     g_b2 = g_a2.sum(axis=0)
-    g_a1 = (g_a2 @ p.w2.T) * (1.0 - z1 * z1)
+    g_a1 = (g_a2 @ w2.T) * (1.0 - z1 * z1)
     g_w1 = e.T @ g_a1
     g_b1 = g_a1.sum(axis=0)
-    g_e = g_a1 @ p.w1.T
-    grads = {"w1": g_w1, "b1": g_b1, "w2": g_w2, "b2": g_b2,
-             "w3": g_w3, "b3": g_b3}
+    g_e = g_a1 @ w1.T
+    grads = {f"{prefix}.projection.{k}": v for k, v in
+             (("w1", g_w1), ("b1", g_b1), ("w2", g_w2), ("b2", g_b2),
+              ("w3", g_w3), ("b3", g_b3))}
     return grads, g_e
 
 
-def network_forward(net: Network, frames: np.ndarray):
-    emb, enc_cache = encoder_forward(net.encoder, frames)
-    proj, proj_cache = projection_forward(net.projection, emb)
+def network_forward(params, prefix: str, frames: np.ndarray):
+    emb, enc_cache = encoder_forward(params, prefix, frames)
+    proj, proj_cache = projection_forward(params, prefix, emb)
     return emb, proj, (enc_cache, proj_cache)
 
 
-def network_backward(net: Network, caches, g_proj: np.ndarray) -> dict:
-    """Gradients for every parameter, keyed encoder.* / projection.*.
+def network_backward(params, prefix: str, caches, g_proj: np.ndarray) -> dict:
+    """Gradients of every ``<prefix>.*`` parameter, encoder first.
     Consumes ``caches`` (see ``encoder_backward``)."""
     enc_cache, proj_cache = caches
-    proj_grads, g_emb = projection_backward(net.projection, proj_cache, g_proj)
-    enc_grads = encoder_backward(net.encoder, enc_cache, g_emb)
-    out = {f"projection.{k}": v for k, v in proj_grads.items()}
-    out.update({f"encoder.{k}": v for k, v in enc_grads.items()})
-    return out
+    proj_grads, g_emb = projection_backward(params, prefix, proj_cache,
+                                            g_proj)
+    grads = encoder_backward(params, prefix, enc_cache, g_emb)
+    grads.update(proj_grads)
+    return grads
 
 
-def forward_embed(net: Network, frames_list) -> np.ndarray:
+def forward_embed(params, prefix: str, frames_list) -> np.ndarray:
     """Backbone embeddings (N, E) of N utterances of (T, F) frames each, in
-    input order. Utterances of one length go through ``encoder_forward``
-    together, in blocks of about EMBED_BLOCK_ELEMENTS frame activations."""
+    input order; reads only the ``<prefix>.encoder.*`` tensors. Utterances
+    of one length go through ``encoder_forward`` together, in blocks of
+    about EMBED_BLOCK_ELEMENTS frame activations."""
     utts = [np.asarray(f, dtype=np.float64) for f in frames_list]
-    feature_dim, hidden = net.encoder.w1.shape
+    feature_dim, hidden = params[f"{prefix}.encoder.w1"].shape
     by_length: dict[int, list[int]] = {}
     for i, x in enumerate(utts):
         if x.ndim != 2 or x.shape[1] != feature_dim:
             raise ShapeMismatch(f"utterance {i}: expected (T, {feature_dim}) "
                                 f"frames, got shape {x.shape}")
         by_length.setdefault(x.shape[0], []).append(i)
-    out = np.empty((len(utts), net.encoder.w2.shape[1]))
+    out = np.empty((len(utts), params[f"{prefix}.encoder.w2"].shape[1]))
     for t, rows in by_length.items():
         step = max(1, EMBED_BLOCK_ELEMENTS // max(1, t * hidden))
         for lo in range(0, len(rows), step):
             block = rows[lo:lo + step]
             out[block], _ = encoder_forward(
-                net.encoder, np.stack([utts[i] for i in block]))
+                params, prefix, np.stack([utts[i] for i in block]))
     return out
 
 
@@ -272,19 +223,20 @@ def normalize_prototypes(prototypes: np.ndarray):
     return prototypes
 
 
-def ema_update(pair: TeacherStudentPair, momentum: float) -> TeacherStudentPair:
-    """teacher <- momentum * teacher + (1 - momentum) * student, in place.
+def ema_update(params, momentum: float):
+    """teacher <- momentum * teacher + (1 - momentum) * student, in place,
+    for every ``teacher.*`` tensor of ``params``.
 
     The only sanctioned way to move teacher parameters; the optimizer never
     touches them. Prototypes are shared, not averaged.
     """
     if not 0.0 <= momentum < 1.0:
         raise InvalidConfig(f"ema momentum must be in [0, 1), got {momentum}")
-    for (_, t_arr), (_, s_arr) in zip(pair.teacher.named_arrays("t"),
-                                      pair.student.named_arrays("s")):
-        t_arr *= momentum
-        t_arr += (1.0 - momentum) * s_arr
-    return pair
+    for name, t_arr in params.items():
+        if name.startswith("teacher."):
+            t_arr *= momentum
+            t_arr += (1.0 - momentum) * params["student" + name[7:]]
+    return params
 
 
 def ema_momentum_at(step: int, total_steps: int, base: float) -> float:
@@ -321,6 +273,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray], fingerprint: str):
 
 
 def load_checkpoint(path):
+    """(tensors by name, fingerprint) of the checkpoint at ``path``."""
     r = BinaryReader(path)
     r.expect_magic(CHECKPOINT_MAGIC, "a checkpoint")
     (version,) = r.unpack("<H", "version")
@@ -330,40 +283,20 @@ def load_checkpoint(path):
     fingerprint = r.text(fp_len, "fingerprint")
     (count,) = r.unpack("<I", "tensor count")
     tensors = {}
+    name = None
     for _ in range(count):
+        record = r.off
         (nlen,) = r.unpack("<H", "name length")
-        name = r.text(nlen, "name")
+        previous, name = name, r.text(nlen, "name")
+        if previous is not None and name <= previous:
+            raise MalformedFile(path, record, f"tensor '{name}' is repeated "
+                                "or out of name order")
         (ndim,) = r.unpack("<B", "rank")
         shape = tuple(r.unpack("<I", "dim")[0] for _ in range(ndim))
-        size = int(np.prod(shape)) if shape else 1
-        tensors[name] = r.float64s(size, f"tensor '{name}'").reshape(shape)
+        if ndim == 0 or 0 in shape:
+            raise MalformedFile(path, record,
+                                f"tensor '{name}' has empty shape {shape}")
+        tensors[name] = r.float64s(math.prod(shape),
+                                   f"tensor '{name}'").reshape(shape)
     r.expect_end("last tensor")
     return tensors, fingerprint
-
-
-def pair_tensors(pair: TeacherStudentPair) -> dict[str, np.ndarray]:
-    return {name: arr for name, arr in pair.named_arrays()}
-
-
-def checkpoint_tensor(tensors: dict[str, np.ndarray], key: str) -> np.ndarray:
-    """A copy of ``tensors[key]``; MalformedFile names a missing tensor."""
-    if key not in tensors:
-        raise MalformedFile("<checkpoint>", 0, f"missing tensor '{key}'")
-    return tensors[key].copy()
-
-
-def _params_from(tensors, prefix, cls):
-    return cls(**{f.name: checkpoint_tensor(tensors, f"{prefix}.{f.name}")
-                  for f in fields(cls)})
-
-
-def pair_from_tensors(tensors: dict[str, np.ndarray]) -> TeacherStudentPair:
-    def network(prefix):
-        return Network(
-            _params_from(tensors, f"{prefix}.encoder", EncoderParams),
-            _params_from(tensors, f"{prefix}.projection", ProjectionParams),
-        )
-
-    prototypes = checkpoint_tensor(tensors, "prototypes")
-    return TeacherStudentPair(network("student"), network("teacher"),
-                              prototypes)

@@ -7,6 +7,7 @@ score files with six-decimal values, and the binary embedding store.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -81,15 +82,30 @@ class EmbeddingStore:
         if version != STORE_VERSION:
             raise MalformedFile(path, 4, f"unsupported version {version}")
         vectors = {}
+        store_dim = None
+        offsets = []
         for _ in range(count):
             record = r.off
+            offsets.append(record)
             (klen,) = r.unpack("<H", "id length")
             key = r.text(klen, "id")
             if key in vectors:
                 raise MalformedFile(path, record, f"repeated id '{key}'")
             (dim,) = r.unpack("<I", "dim")
+            if store_dim is None:
+                store_dim = dim
+            elif dim != store_dim:
+                raise MalformedFile(
+                    path, record,
+                    f"vector '{key}' has dim {dim}, the store has {store_dim}")
             vectors[key] = r.float64s(dim, f"vector '{key}'")
         r.expect_end("last record")
+        values = list(vectors.values())
+        if values and not np.isfinite(np.concatenate(values)).all():
+            i = next(i for i, v in enumerate(values)
+                     if not np.isfinite(v).all())
+            raise MalformedFile(path, offsets[i],
+                                f"vector '{list(vectors)[i]}' is not finite")
         return cls(vectors)
 
 
@@ -146,17 +162,21 @@ def write_scores(trials, raw, normalized, path, header: str):
 
 def read_scores(path) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
     """Columns (enroll ids, test ids, raw, normalized) of a score file; the
-    scores are float64 arrays parsed with Python ``float``."""
+    scores are float64 arrays parsed with Python ``float``. A row that is
+    not four fields, or a score that is not a finite number, is a
+    MalformedFile naming its line."""
     lines = read_lines(path)
     rows = [line for line in lines if line and not line.startswith("#")]
     if {row.count("\t") for row in rows} <= {3}:
         fields = "\t".join(rows).split("\t") if rows else []
         try:
-            return (fields[0::4], fields[1::4],
-                    *(np.array(list(map(float, fields[k::4])))
-                      for k in (2, 3)))
+            raw, normalized = (np.array(list(map(float, fields[k::4])))
+                               for k in (2, 3))
         except ValueError:
             pass
+        else:
+            if np.isfinite(raw).all() and np.isfinite(normalized).all():
+                return fields[0::4], fields[1::4], raw, normalized
     for lineno, line in enumerate(lines, 1):  # name the first bad line
         if not line or line.startswith("#"):
             continue
@@ -165,10 +185,13 @@ def read_scores(path) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
             raise MalformedFile(path, lineno,
                                 "expected enroll<TAB>test<TAB>raw<TAB>normalized")
         try:
-            float(parts[2]), float(parts[3])
+            scores = float(parts[2]), float(parts[3])
         except ValueError:
             raise MalformedFile(path, lineno,
                                 "raw and normalized must be numbers") from None
+        if not all(map(math.isfinite, scores)):
+            raise MalformedFile(path, lineno,
+                                "raw and normalized must be finite")
 
 
 def cosine_score(e, t):

@@ -7,6 +7,11 @@ the student and the shared prototypes; the teacher moves only through the
 EMA update; prototype rows are re-normalized after every step; the teacher
 center follows the batch mean of teacher prototype scores.
 
+The training state is one dict of float64 arrays keyed by checkpoint tensor
+name: the weights of ``model.init_params`` plus the ``optimizer.*`` tensors
+of ``init_state`` (momentum buffers, teacher center, epoch and global-step
+counters). ``train`` updates it in place, and saving it is the checkpoint.
+
 Randomness is re-derived per epoch from (seed, epoch), which makes resuming
 from an epoch checkpoint bit-identical to the uninterrupted run.
 """
@@ -22,7 +27,7 @@ import numpy as np
 from . import data as data_mod
 from . import losses, model, numerics
 from .config import RunConfig
-from .errors import DivergedLoss, InvalidConfig
+from .errors import DivergedLoss, InvalidConfig, ShapeMismatch
 
 REGULARIZERS = {
     "none": None,
@@ -101,49 +106,41 @@ def diagnostics(student_global_embeddings, teacher_distributions
     return CollapseDiagnostics(mean_abs, emb_std, entropy)
 
 
-@dataclass
-class TrainerState:
-    velocities: dict
-    center: np.ndarray
-    epoch: int = 0
-    global_step: int = 0
-
-    def copy(self) -> "TrainerState":
-        return TrainerState({k: v.copy() for k, v in self.velocities.items()},
-                            self.center.copy(), self.epoch, self.global_step)
-
-
-def _student_param_arrays(pair: model.TeacherStudentPair) -> dict:
-    arrays = dict(pair.student.named_arrays("student"))
-    arrays["prototypes"] = pair.prototypes
-    return arrays
+def init_state(params: dict) -> dict:
+    """The training state: ``params`` (see ``model.init_params``) plus the
+    optimizer tensors ``optimizer.velocity.<name>`` (zero) for every
+    student tensor and the prototypes, the teacher ``optimizer.center``
+    (zero), and ``optimizer.epoch`` and ``optimizer.global_step`` as
+    shape-(1,) counters, as a checkpoint stores them."""
+    state = dict(params)
+    trained = [n for n in params if n.startswith("student.")] + ["prototypes"]
+    for name in trained:
+        state[f"optimizer.velocity.{name}"] = np.zeros_like(params[name])
+    state["optimizer.center"] = np.zeros(params["prototypes"].shape[0])
+    state["optimizer.epoch"] = np.zeros(1)
+    state["optimizer.global_step"] = np.zeros(1)
+    return state
 
 
-def init_state(pair: model.TeacherStudentPair) -> TrainerState:
-    velocities = {name: np.zeros_like(arr)
-                  for name, arr in _student_param_arrays(pair).items()}
-    center = np.zeros(pair.prototypes.shape[0])
-    return TrainerState(velocities, center)
-
-
-def batch_loss_and_grads(pair: model.TeacherStudentPair, global_views,
-                         local_views, cfg: RunConfig, center):
+def batch_loss_and_grads(params, global_views, local_views, cfg: RunConfig,
+                         center):
     """Multi-view forward and backward of one batch: the teacher sees the
     global views only, the student the local views (distillation) and the
     global views (diversity, covariance). Reads the temperatures from
     ``cfg.model`` and the loss weights and regularizer from ``cfg.train``.
-    Returns (terms, grads, aux), grads keyed like _student_param_arrays;
-    aux's teacher outputs are read-only.
+    Returns (terms, grads, aux): grads of the student tensors (encoder, then
+    projection) and the prototypes, keyed by name; aux's teacher outputs
+    are read-only.
     """
     model_cfg = cfg.model
     gv = np.asarray(global_views, dtype=np.float64)
     lv = np.asarray(local_views, dtype=np.float64)
     b, g = gv.shape[:2]
     l = lv.shape[1]
-    protos = pair.prototypes
+    protos = params["prototypes"]
 
     # teacher path: constants as far as gradients are concerned
-    _, t_proj, _ = model.network_forward(pair.teacher,
+    _, t_proj, _ = model.network_forward(params, "teacher",
                                          gv.reshape(-1, *gv.shape[2:]))
     t_scores = model.prototype_scores(t_proj, protos)
     p_tea = numerics.softmax(t_scores - center, model_cfg.teacher_temp)
@@ -152,7 +149,7 @@ def batch_loss_and_grads(pair: model.TeacherStudentPair, global_views,
 
     # student distillation path over local views
     _, s_proj_l, caches_l = model.network_forward(
-        pair.student, lv.reshape(-1, *lv.shape[2:]))
+        params, "student", lv.reshape(-1, *lv.shape[2:]))
     p_stu = model.prototype_distribution(s_proj_l, protos,
                                          model_cfg.student_temp)
 
@@ -166,18 +163,17 @@ def batch_loss_and_grads(pair: model.TeacherStudentPair, global_views,
 
     # student covariance/diversity path over global views
     _, s_proj_g, caches_g = model.network_forward(
-        pair.student, gv.reshape(-1, *gv.shape[2:]))
+        params, "student", gv.reshape(-1, *gv.shape[2:]))
     re = losses.diversity_regularization(s_proj_g)
     kind = REGULARIZERS[cfg.train.regularizer]
     dr = None if kind is None else kind(t_proj, s_proj_g)
     total = losses.sdpn_objective(ce_value, re, dr, cfg.train.mu,
                                   cfg.train.lam)
 
-    grads = {f"student.{k}": v for k, v in
-             model.network_backward(pair.student, caches_l, g_proj_l).items()}
-    for key, val in model.network_backward(pair.student, caches_g,
+    grads = model.network_backward(params, "student", caches_l, g_proj_l)
+    for key, val in model.network_backward(params, "student", caches_g,
                                            total.gradient).items():
-        grads[f"student.{key}"] += val
+        grads[key] += val
     grads["prototypes"] = g_protos
 
     terms = {
@@ -195,43 +191,48 @@ def batch_loss_and_grads(pair: model.TeacherStudentPair, global_views,
     return terms, grads, aux
 
 
-def train_step(pair: model.TeacherStudentPair, global_views, local_views,
-               cfg: RunConfig, state: TrainerState, lr: float):
-    """One SGD+momentum update of the student and prototypes. The teacher is
-    untouched here; the loop moves it via ema_update afterwards.
+def train_step(state: dict, global_views, local_views, cfg: RunConfig,
+               lr: float):
+    """One SGD+momentum update of the student and prototypes in ``state``.
+    The teacher is untouched here; the loop moves it via ema_update
+    afterwards.
 
     Raises DivergedLoss, naming the first non-finite loss term or else
-    gradient group, before anything is updated.
+    gradient (encoder, projection, prototypes), before anything is updated.
     """
-    terms, grads, aux = batch_loss_and_grads(pair, global_views, local_views,
-                                             cfg, state.center)
+    terms, grads, aux = batch_loss_and_grads(
+        state, global_views, local_views, cfg, state["optimizer.center"])
     for key in ("loss_ce", "loss_re", "loss_dr", "loss"):
         if not math.isfinite(terms[key]):
             raise DivergedLoss(f"non-finite {key} {terms[key]}")
-    params = _student_param_arrays(pair)
-    for name in params:
-        if not np.isfinite(grads[name]).all():
+    for name, grad in grads.items():
+        if not np.isfinite(grad).all():
             raise DivergedLoss(f"non-finite gradient {name}")
-    for name, arr in params.items():
-        vel = state.velocities[name]
+    for name, grad in grads.items():
+        vel = state[f"optimizer.velocity.{name}"]
         vel *= cfg.train.momentum
-        vel += grads[name]
-        arr -= lr * vel
-    model.normalize_prototypes(pair.prototypes)
+        vel += grad
+        state[name] -= lr * vel
+    model.normalize_prototypes(state["prototypes"])
     return terms, aux
 
 
-def train(corpus, pair: model.TeacherStudentPair, cfg: RunConfig, *,
-          resume: TrainerState | None = None, on_step=None, log_path=None):
+def train(corpus, state: dict, cfg: RunConfig, *, on_step=None,
+          log_path=None):
     """Run the loop under ``cfg`` (its ``train``, ``model``, ``crops``,
-    ``augment`` and ``seed``); returns (pair, epoch_records, state).
+    ``augment`` and ``seed``) from ``state`` (see ``init_state``; a loaded
+    checkpoint resumes at its ``optimizer.epoch``), updating it in place.
+    Returns (state, epoch_records).
 
     ``on_step`` (if given) receives a dict per step with the batch as
     ``data.iter_crop_sets`` wrote it, the loss terms, and the projected
     globals — the tests use it to recompute losses independently. Every
-    step overwrites the same batch arrays; copy them to keep them. Raises InvalidConfig before the first
-    step if ``validate_config`` rejects ``cfg``, and DivergedLoss (carrying
-    the last finite state) if a loss term or a gradient leaves the reals.
+    step overwrites the same batch arrays; copy them to keep them. Raises
+    InvalidConfig before the first step if ``validate_config`` rejects
+    ``cfg``, ShapeMismatch if an utterance's feature width is not the
+    encoder's input width, and DivergedLoss (carrying a copy of the state
+    at the end of the last finished epoch) if a loss term or a gradient
+    leaves the reals.
     """
     validate_config(cfg)
     batch_size, epochs = cfg.train.batch_size, cfg.train.epochs
@@ -239,15 +240,23 @@ def train(corpus, pair: model.TeacherStudentPair, cfg: RunConfig, *,
     if epochs > 0 and steps_per_epoch < 1:
         raise InvalidConfig(
             f"corpus of {len(corpus)} cannot fill a batch of {batch_size}")
+    feature_dim = state["student.encoder.w1"].shape[0]
+    for utt in corpus:
+        if utt.frames.shape[1] != feature_dim:
+            raise ShapeMismatch(
+                f"utterance '{utt.utterance_id}' has {utt.frames.shape[1]} "
+                f"features per frame; the model takes {feature_dim} "
+                "(data.feature_dim)")
     total_steps = steps_per_epoch * epochs
+    num_prototypes = state["prototypes"].shape[0]
+    global_step = state["optimizer.global_step"]  # shape (1,), in place
 
-    state = resume.copy() if resume is not None else init_state(pair)
-    last_good = (pair.copy(), state.copy())
+    last_good = {k: v.copy() for k, v in state.items()}
     batch = None  # the view arrays every step overwrites
     records = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
-        for epoch in range(state.epoch, epochs):
+        for epoch in range(int(state["optimizer.epoch"][0]), epochs):
             rng = np.random.default_rng([cfg.seed, epoch])
             order = rng.permutation(len(corpus))
             sums = {"loss": 0.0, "loss_ce": 0.0, "loss_re": 0.0, "loss_dr": 0.0}
@@ -261,28 +270,29 @@ def train(corpus, pair: model.TeacherStudentPair, cfg: RunConfig, *,
                                                 cfg.crops, rng, cfg.augment,
                                                 batch)
                 gv, lv = batch
-                last_lr = lr_at(state.global_step, total_steps, cfg)
+                step = int(global_step[0])
+                last_lr = lr_at(step, total_steps, cfg)
                 try:
-                    terms, aux = train_step(pair, gv, lv, cfg, state, last_lr)
+                    terms, aux = train_step(state, gv, lv, cfg, last_lr)
                 except DivergedLoss as exc:
                     raise DivergedLoss(
                         f"{exc} at epoch {epoch} step {step_in_epoch}",
                         last_good=last_good) from None
-                momentum = model.ema_momentum_at(state.global_step, total_steps,
+                momentum = model.ema_momentum_at(step, total_steps,
                                                  cfg.model.ema_momentum)
-                model.ema_update(pair, momentum)
+                model.ema_update(state, momentum)
                 cm = cfg.model.center_momentum
-                state.center = cm * state.center + \
+                state["optimizer.center"] = cm * state["optimizer.center"] + \
                     (1.0 - cm) * aux["teacher_scores"].mean(axis=0)
-                state.global_step += 1
+                global_step += 1
                 for key in sums:
                     sums[key] += terms[key]
                 epoch_globals.append(aux["student_global"])
                 epoch_teacher_p.append(aux["teacher_distributions"]
-                                       .reshape(-1, pair.prototypes.shape[0]))
+                                       .reshape(-1, num_prototypes))
                 if on_step is not None:
                     on_step({"epoch": epoch, "step": step_in_epoch,
-                             "global_step": state.global_step - 1,
+                             "global_step": step,
                              "lr": last_lr, "terms": terms,
                              "global_views": gv, "local_views": lv,
                              "aux": aux})
@@ -303,37 +313,9 @@ def train(corpus, pair: model.TeacherStudentPair, cfg: RunConfig, *,
             if log_fh is not None:
                 log_fh.write(json.dumps(record) + "\n")
                 log_fh.flush()
-            state.epoch = epoch + 1
-            last_good = (pair.copy(), state.copy())
+            state["optimizer.epoch"][0] = epoch + 1
+            last_good = {k: v.copy() for k, v in state.items()}
     finally:
         if log_fh is not None:
             log_fh.close()
-    return pair, records, state
-
-
-# ----------------------------------------------------------------------
-# checkpoint plumbing shared by the CLI and tests
-
-
-def state_tensors(pair: model.TeacherStudentPair, state: TrainerState) -> dict:
-    tensors = model.pair_tensors(pair)
-    for name, vel in state.velocities.items():
-        tensors[f"optimizer.velocity.{name}"] = vel
-    tensors["optimizer.center"] = state.center
-    tensors["optimizer.epoch"] = np.array(float(state.epoch))
-    tensors["optimizer.global_step"] = np.array(float(state.global_step))
-    return tensors
-
-
-def state_from_tensors(tensors: dict, pair: model.TeacherStudentPair
-                       ) -> TrainerState:
-    def tensor(key):
-        return model.checkpoint_tensor(tensors, f"optimizer.{key}")
-
-    velocities = {name: tensor(f"velocity.{name}")
-                  for name in _student_param_arrays(pair)}
-    center = tensor("center")
-    # scalars come back from checkpoints as shape-(1,) arrays
-    epoch = int(np.ravel(tensor("epoch"))[0])
-    global_step = int(np.ravel(tensor("global_step"))[0])
-    return TrainerState(velocities, center, epoch, global_step)
+    return state, records

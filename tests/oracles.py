@@ -195,29 +195,31 @@ def identity_covariance_scale(instances):
 # encoder reference: fresh temporaries and an einsum weight gradient
 
 
-def encoder_reference(p, frames, g_emb):
-    """Embeddings of ``frames`` (B, T, F) under encoder params ``p`` and the
-    parameter gradients for d loss / d embeddings ``g_emb``, written out
-    term by term with a new array per step and ``np.einsum`` for the
-    frame-layer weights."""
+def encoder_reference(params, prefix, frames, g_emb):
+    """Embeddings of ``frames`` (B, T, F) under the ``<prefix>.encoder.*``
+    tensors of ``params`` and their gradients for d loss / d embeddings
+    ``g_emb``, written out term by term with a new array per step and
+    ``np.einsum`` for the frame-layer weights."""
+    w1, b1, w2, b2 = (params[f"{prefix}.encoder.{k}"]
+                      for k in ("w1", "b1", "w2", "b2"))
     x = np.asarray(frames, dtype=np.float64)
-    h1 = np.tanh(x @ p.w1 + p.b1)
+    h1 = np.tanh(x @ w1 + b1)
     t, hidden = h1.shape[1:]
     mu = h1.mean(axis=1)
     sd = np.sqrt(h1.var(axis=1) + model.EPS_POOL_VAR)
     pooled = np.concatenate([mu, sd], axis=1)
-    emb = pooled @ p.w2 + p.b2
-    g_pooled = g_emb @ p.w2.T
+    emb = pooled @ w2 + b2
+    g_pooled = g_emb @ w2.T
     g_mu = g_pooled[:, :hidden]
     g_sd = g_pooled[:, hidden:]
     centered = h1 - mu[:, None, :]
     g_h1 = g_mu[:, None, :] / t \
         + g_sd[:, None, :] * centered / (t * sd[:, None, :])
     g_a1 = g_h1 * (1.0 - h1 * h1)
-    grads = {"w1": np.einsum("btf,bth->fh", x, g_a1),
-             "b1": g_a1.sum(axis=(0, 1)),
-             "w2": pooled.T @ g_emb,
-             "b2": g_emb.sum(axis=0)}
+    grads = {f"{prefix}.encoder.w1": np.einsum("btf,bth->fh", x, g_a1),
+             f"{prefix}.encoder.b1": g_a1.sum(axis=(0, 1)),
+             f"{prefix}.encoder.w2": pooled.T @ g_emb,
+             f"{prefix}.encoder.b2": g_emb.sum(axis=0)}
     return emb, grads
 
 
@@ -286,14 +288,13 @@ def paired_regularizer_runs(seed, *, num_speakers, utts_per_speaker,
                 lr_final=lr_peak if lr_final is None else lr_final,
                 warmup_epochs=max(1, epochs // 20), mu=mu, lam=lam,
                 regularizer=kind))
-        rng = np.random.default_rng(seed)
-        pair = model.TeacherStudentPair.create(
-            rng, feature_dim=feature_dim,
+        params = model.init_params(
+            np.random.default_rng(seed), feature_dim=feature_dim,
             encoder_hidden=model_cfg.encoder_hidden,
             embed_dim=model_cfg.embed_dim, proj_hidden=model_cfg.proj_hidden,
             proj_dim=model_cfg.proj_dim,
             num_prototypes=model_cfg.num_prototypes)
-        _, records, _ = trainer.train(corpus, pair, cfg)
+        _, records = trainer.train(corpus, trainer.init_state(params), cfg)
         out[kind] = records[-1]["mean_abs_offdiag"]
     return out
 

@@ -154,8 +154,9 @@ def test_criterion_6_anti_collapse_experiment():
 E2E_SEED = 1234
 
 
-def _embed_store(net, corpus, prefix=""):
-    embeddings = model.forward_embed(net, [u.frames for u in corpus])
+def _embed_store(params, corpus, prefix=""):
+    embeddings = model.forward_embed(params, "teacher",
+                                     [u.frames for u in corpus])
     return scoring.EmbeddingStore(
         {prefix + u.utterance_id: e for u, e in zip(corpus, embeddings)})
 
@@ -177,18 +178,18 @@ def test_criterion_7_end_to_end():
         train=TrainSection(epochs=120, batch_size=32, lr_peak=0.05,
                            lr_final=1e-5, warmup_epochs=6, mu=0.1, lam=0.05,
                            regularizer="frobenius"))
-    pair = model.TeacherStudentPair.create(
+    params = model.init_params(
         np.random.default_rng(E2E_SEED), feature_dim=24, encoder_hidden=48,
         embed_dim=48, proj_hidden=64, proj_dim=16, num_prototypes=32)
-    pair, _, _ = trainer.train(train_corpus, pair, cfg)
+    state, _ = trainer.train(train_corpus, trainer.init_state(params), cfg)
 
-    store = _embed_store(pair.teacher, held)
+    store = _embed_store(state, held)
     trials = scoring.build_trial_list(held)
     labels = [t.label == "1" for t in trials]
     _, cosine = scoring.TrialScorer(store, None).score_trials(trials)
     eer_cos, _ = metrics.eer(metrics.det_sweep(cosine, labels))
 
-    cohort_store = _embed_store(pair.teacher, cohort_corpus, prefix="c_")
+    cohort_store = _embed_store(state, cohort_corpus, prefix="c_")
     cohort = scoring.Cohort.from_store(
         cohort_store, {t.enroll for t in trials} | {t.test for t in trials})
     _, adaptive = scoring.TrialScorer(

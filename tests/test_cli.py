@@ -109,12 +109,39 @@ def test_embed_interleaved_lengths_in_manifest_order(world, tmp_path,
     assert len(calls) == 1
     store = scoring.EmbeddingStore.load(out)
     assert store.ids() == [u.utterance_id for u in corpus]
-    teacher = model.pair_from_tensors(model.load_checkpoint(world["ckpt"])[0]
-                                      ).teacher
+    tensors, _ = model.load_checkpoint(world["ckpt"])
     for u in corpus:
-        want, _, _ = model.network_forward(teacher, u.frames[None])
+        want, _, _ = model.network_forward(tensors, "teacher", u.frames[None])
         np.testing.assert_allclose(store.get(u.utterance_id), want[0],
                                    rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("branch", ["teacher", "student"])
+def test_embed_reads_only_its_branch_encoder(world, tmp_path, capsys,
+                                             branch):
+    tensors, fp = model.load_checkpoint(world["ckpt"])
+    prefix = f"{branch}.encoder."
+    encoder_only = tmp_path / "encoder.sdck"
+    model.save_checkpoint(encoder_only, {k: v for k, v in tensors.items()
+                                         if k.startswith(prefix)}, fp)
+    out = tmp_path / "emb.store"
+    assert cli.main(["embed", "--checkpoint", str(encoder_only),
+                     "--manifest", str(world["manifest"]),
+                     "--branch", branch, "--out", str(out)]) == 0
+    full = tmp_path / "full.store"
+    assert cli.main(["embed", "--checkpoint", str(world["ckpt"]),
+                     "--manifest", str(world["manifest"]),
+                     "--branch", branch, "--out", str(full)]) == 0
+    assert out.read_bytes() == full.read_bytes()
+
+    no_b2 = tmp_path / "no_b2.sdck"
+    model.save_checkpoint(no_b2, {k: v for k, v in tensors.items()
+                                  if k != prefix + "b2"}, fp)
+    assert cli.main(["embed", "--checkpoint", str(no_b2),
+                     "--manifest", str(world["manifest"]),
+                     "--branch", branch, "--out", str(out)]) == 2
+    assert f"{no_b2} @ 0: missing tensor '{prefix}b2'" \
+        in capsys.readouterr().err
 
 
 def test_cosine_scores_file_shape(world):
@@ -515,6 +542,65 @@ def test_resume_without_optimizer_state_exits_2(world, tmp_path, capsys,
                      "--resume", str(weights_only), "--out", str(out)]) == 2
     assert f"missing tensor '{dropped}" in capsys.readouterr().err
     assert not (out / "checkpoint.sdck").exists()
+
+
+def _resume_from(world, tmp_path, tensors, fp):
+    crafted = tmp_path / "crafted.sdck"
+    model.save_checkpoint(crafted, tensors, fp)
+    out = tmp_path / "resumed"
+    code = cli.main(["train", "--config", str(world["config"]),
+                     "--manifest", str(world["manifest"]),
+                     "--resume", str(crafted), "--out", str(out)])
+    assert not (out / "checkpoint.sdck").exists()
+    return code, crafted
+
+
+def test_resume_checks_tensor_shapes_and_names(world, tmp_path, capsys):
+    tensors, fp = model.load_checkpoint(world["ckpt"])
+    wrong = dict(tensors, **{"teacher.projection.b2": np.zeros(3)})
+    code, crafted = _resume_from(world, tmp_path, wrong, fp)
+    assert code == 2
+    assert f"{crafted} @ 0: tensor 'teacher.projection.b2' has shape (3,), " \
+        "the config gives (10,)" in capsys.readouterr().err
+
+    extra = dict(tensors, **{"teacher.extra": np.zeros(1)})
+    code, crafted = _resume_from(world, tmp_path, extra, fp)
+    assert code == 2
+    assert f"{crafted} @ 0: unexpected tensor 'teacher.extra'" \
+        in capsys.readouterr().err
+
+    missing = {k: v for k, v in tensors.items() if k != "prototypes"}
+    code, crafted = _resume_from(world, tmp_path, missing, fp)
+    assert code == 2
+    assert f"{crafted} @ 0: missing tensor 'prototypes'" \
+        in capsys.readouterr().err
+
+
+def test_train_on_mixed_feature_widths_exits_2(world, tmp_path, capsys):
+    rng = np.random.default_rng(71)
+    corpus = [data.Utterance(f"u{i}", None,
+                             rng.standard_normal((40, 7 if i == 5 else 6)))
+              for i in range(8)]
+    manifest = data.save_corpus(corpus, tmp_path / "corpus")
+    assert cli.main(["train", "--config", str(world["config"]),
+                     "--manifest", str(manifest),
+                     "--out", str(tmp_path / "run")]) == 2
+    assert "utterance 'u5' has 7 features per frame; the model takes 6 " \
+        "(data.feature_dim)" in capsys.readouterr().err
+
+
+def test_zero_frame_feature_file_exits_2(world, tmp_path, capsys):
+    # a (0, F) utterance pooled to a NaN embedding that score and eval
+    # carried through to a report; it is refused where it is read
+    corpus = [data.Utterance("a", None, np.ones((5, 6))),
+              data.Utterance("b", None, np.ones((0, 6)))]
+    manifest = data.save_corpus(corpus, tmp_path / "corpus")
+    out = tmp_path / "emb.store"
+    assert cli.main(["embed", "--checkpoint", str(world["ckpt"]),
+                     "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert f"{tmp_path / 'corpus' / 'b.sdfk'} @ 6: empty 0x6 frame matrix" \
+        in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nan_checkpoint_resume_exits_3(world, tmp_path, capsys):

@@ -311,6 +311,8 @@ ATOMIC_WRITERS = {
     "trials": lambda path: scoring.write_trials(
         [scoring.Trial("1", "a", "b")], path),
     "eval_report": _write_eval_report,
+    "manifest": lambda path: data.save_corpus(
+        [data.Utterance("a", "s", np.ones((2, 2)))], path.parent, path.name),
 }
 
 

@@ -1,5 +1,6 @@
 """Cosine backend, cohort statistics, and the Z/T/S/AS normalizations."""
 
+import math
 import struct
 import tempfile
 from pathlib import Path
@@ -280,6 +281,7 @@ def test_trials_roundtrip_property(trials):
 @given(st.lists(st.tuples(TRIAL, SCORE, SCORE), max_size=8))
 @example([(Trial("1", "é", "字"), 0.1234565, -2.5)])
 @example([(Trial("0", "a", "b"), 0.5, 0.5), (Trial("1", "#c", "d"), 1.0, 1.0)])
+@example([(Trial("0", "a", "b"), 0.5, 0.5), (Trial("1", "c", "d"), 1.0, float("nan"))])
 def test_scores_roundtrip_property(rows):
     trials = [t for t, _, _ in rows]
     raw = np.array([r for _, r, _ in rows])
@@ -293,6 +295,13 @@ def test_scores_roundtrip_property(rows):
         # such a row would read back as a comment, so it is not written
         with pytest.raises(DataError):
             _in_tmp(roundtrip)
+        return
+    finite = np.isfinite(raw) & np.isfinite(normalized)
+    if not finite.all():
+        # written as nan/inf, and refused on reading, naming its line
+        with pytest.raises(MalformedFile) as err:
+            _in_tmp(roundtrip)
+        assert err.value.offset == 2 + int(np.flatnonzero(~finite)[0])
         return
     enroll, test, raw_back, normalized_back = _in_tmp(roundtrip)
     assert enroll == [t.enroll for t in trials]
@@ -308,12 +317,15 @@ BAD_TRIAL_LINE = st.one_of(
 ).map(" ".join)
 NOT_A_NUMBER = ID.filter(lambda s: not _parses_as_float(s))
 ENROLL = ID.filter(lambda s: not s.startswith("#"))  # "#" opens a comment
-NUMBER = SCORE.map("{:.6f}".format)
+NUMBER = SCORE.filter(math.isfinite).map("{:.6f}".format)
+NOT_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
 BAD_SCORE_LINE = st.one_of(
     st.lists(ENROLL, min_size=1, max_size=3),
     st.lists(ENROLL, min_size=5, max_size=6),
     st.tuples(ENROLL, ID, NOT_A_NUMBER, NUMBER),
     st.tuples(ENROLL, ID, NUMBER, NOT_A_NUMBER),
+    st.tuples(ENROLL, ID, NOT_FINITE, NUMBER),
+    st.tuples(ENROLL, ID, NUMBER, NOT_FINITE),
 ).map("\t".join)
 
 

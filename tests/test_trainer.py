@@ -36,9 +36,19 @@ def tiny_world(seed=21, epochs=4, batch_size=4, **train_kw):
               lr_final=0.0, warmup_epochs=1)
     kw.update(train_kw)
     cfg = train_run_config(seed, **kw)
-    pair = model.TeacherStudentPair.create(
-        np.random.default_rng(seed), feature_dim=FEATURE_DIM, **DIMS)
-    return corpus, pair, cfg
+    params = model.init_params(np.random.default_rng(seed),
+                               feature_dim=FEATURE_DIM, **DIMS)
+    return corpus, trainer.init_state(params), cfg
+
+
+def copy_state(state):
+    return {name: arr.copy() for name, arr in state.items()}
+
+
+def assert_states_equal(got, want):
+    assert list(got) == list(want)
+    for name, arr in want.items():
+        npt.assert_array_equal(got[name], arr, err_msg=name)
 
 
 def tiny_batch(corpus, crops, seed=3):
@@ -123,17 +133,16 @@ WEIGHTS_AT_ZERO = dict(mu=0.0, lam=0.0)  # the boundary is allowed
 ])
 def test_train_config_validation(bad):
     train_kw = {k: v for k, v in bad.items() if k != "center_momentum"}
-    corpus, pair, cfg = tiny_world(**train_kw)
+    corpus, state, cfg = tiny_world(**train_kw)
     if "center_momentum" in bad:
         cfg.model.center_momentum = bad["center_momentum"]
     if bad is WEIGHTS_AT_ZERO:
-        trainer.train(corpus, pair, cfg)
+        trainer.train(corpus, state, cfg)
         return
-    before = {k: v.copy() for k, v in pair.named_arrays()}
+    before = copy_state(state)
     with pytest.raises(InvalidConfig):
-        trainer.train(corpus, pair, cfg)
-    for name, arr in pair.named_arrays():
-        npt.assert_array_equal(arr, before[name])
+        trainer.train(corpus, state, cfg)
+    assert_states_equal(state, before)
 
 
 # ----------------------------------------------------------------------
@@ -145,8 +154,8 @@ RECORD_KEYS = {"epoch", "loss", "loss_ce", "loss_re", "loss_dr", "lr",
 
 
 def test_loss_falls_and_records_are_sane():
-    corpus, pair, cfg = tiny_world(epochs=6)
-    pair, records, state = trainer.train(corpus, pair, cfg)
+    corpus, state, cfg = tiny_world(epochs=6)
+    state, records = trainer.train(corpus, state, cfg)
     assert len(records) == 6
     assert records[-1]["loss"] < records[0]["loss"]
     for r in records:
@@ -155,96 +164,88 @@ def test_loss_falls_and_records_are_sane():
         assert r["mean_abs_offdiag"] >= 0.0
         assert 0.0 <= r["prototype_usage_entropy"] <= math.log(
             cfg.model.num_prototypes) + 1e-12
-    npt.assert_allclose(np.linalg.norm(pair.prototypes, axis=1), 1.0,
+    npt.assert_allclose(np.linalg.norm(state["prototypes"], axis=1), 1.0,
                         atol=1e-12)
-    assert state.epoch == 6
-    assert state.global_step == 6 * (len(corpus) // cfg.train.batch_size)
+    assert state["optimizer.epoch"].tolist() == [6.0]
+    assert state["optimizer.global_step"].tolist() \
+        == [6 * (len(corpus) // cfg.train.batch_size)]
 
 
 def test_zero_lr_step_changes_nothing():
-    corpus, pair, cfg = tiny_world()
+    corpus, state, cfg = tiny_world()
     gv, lv = tiny_batch(corpus, cfg.crops)
-    before = {k: v.copy() for k, v in pair.named_arrays()}
-    state = trainer.init_state(pair)
-    trainer.train_step(pair, gv, lv, cfg, state, lr=0.0)
-    for name, arr in pair.named_arrays():
+    before = copy_state(state)
+    trainer.train_step(state, gv, lv, cfg, lr=0.0)
+    for name in (n for n in state if not n.startswith("optimizer.")):
         if name == "prototypes":
-            npt.assert_allclose(arr, before[name], rtol=0, atol=1e-14)
+            npt.assert_allclose(state[name], before[name], rtol=0, atol=1e-14)
         else:
-            npt.assert_array_equal(arr, before[name])
+            npt.assert_array_equal(state[name], before[name])
 
 
 def test_zero_epochs_is_a_noop():
-    corpus, pair, cfg = tiny_world(epochs=0, warmup_epochs=0)
-    before = {k: v.copy() for k, v in pair.named_arrays()}
-    pair, records, state = trainer.train(corpus, pair, cfg)
+    corpus, state, cfg = tiny_world(epochs=0, warmup_epochs=0)
+    before = copy_state(state)
+    state, records = trainer.train(corpus, state, cfg)
     assert records == []
-    assert state.global_step == 0
-    for name, arr in pair.named_arrays():
-        npt.assert_array_equal(arr, before[name])
+    assert_states_equal(state, before)
 
 
 def test_corpus_smaller_than_batch_rejected():
-    corpus, pair, cfg = tiny_world(batch_size=32)
+    corpus, state, cfg = tiny_world(batch_size=32)
     with pytest.raises(InvalidConfig):
-        trainer.train(corpus, pair, cfg)
+        trainer.train(corpus, state, cfg)
 
 
 def test_two_runs_are_bit_identical(tmp_path):
     blobs = []
     for run in range(2):
-        corpus, pair, cfg = tiny_world(epochs=3)
-        pair, _, state = trainer.train(corpus, pair, cfg)
+        corpus, state, cfg = tiny_world(epochs=3)
+        state, _ = trainer.train(corpus, state, cfg)
         path = tmp_path / f"run{run}.sdck"
-        model.save_checkpoint(path, trainer.state_tensors(pair, state), "fp")
+        model.save_checkpoint(path, state, "fp")
         blobs.append(path.read_bytes())
     assert blobs[0] == blobs[1]
 
 
 def test_resume_replays_the_uninterrupted_run(tmp_path):
     # reference: a clean 5-epoch run
-    corpus, pair_a, cfg = tiny_world(epochs=5)
-    pair_a, records_a, state_a = trainer.train(corpus, pair_a, cfg)
+    corpus, state_a, cfg = tiny_world(epochs=5)
+    state_a, records_a = trainer.train(corpus, state_a, cfg)
 
     # doomed twin: poison a student weight right after epoch 2 begins, so
     # the next step goes non-finite and training aborts with the end-of-
     # epoch-1 snapshot as last_good
-    corpus, pair_b, cfg = tiny_world(epochs=5)
+    corpus, state_b, cfg = tiny_world(epochs=5)
 
     def poison(rec):
         if rec["epoch"] == 2 and rec["step"] == 0:
-            dict(pair_b.student.named_arrays("s"))["s.encoder.w1"].flat[0] \
-                = np.nan
+            state_b["student.encoder.w1"].flat[0] = np.nan
 
     with pytest.raises(DivergedLoss) as exc_info:
-        trainer.train(corpus, pair_b, cfg, on_step=poison)
+        trainer.train(corpus, state_b, cfg, on_step=poison)
     # the student forward goes NaN, and the cross-entropy is the first term
     assert str(exc_info.value).startswith("non-finite loss_ce nan ")
-    good_pair, good_state = exc_info.value.last_good
-    assert good_state.epoch == 2
-    assert np.isfinite(good_pair.prototypes).all()
+    good = exc_info.value.last_good
+    assert good["optimizer.epoch"].tolist() == [2.0]
+    assert all(np.isfinite(arr).all() for arr in good.values())
 
-    # persist, reload, resume under the same config
+    # persist, reload (in the checkpoint's sorted key order), resume under
+    # the same config
     path = tmp_path / "lastgood.sdck"
-    model.save_checkpoint(path, trainer.state_tensors(good_pair, good_state),
-                          "fp")
-    tensors, _ = model.load_checkpoint(path)
-    pair_c = model.pair_from_tensors(tensors)
-    state_c = trainer.state_from_tensors(tensors, pair_c)
-    pair_c, records_c, state_c = trainer.train(corpus, pair_c, cfg,
-                                               resume=state_c)
+    model.save_checkpoint(path, good, "fp")
+    state_c, _ = model.load_checkpoint(path)
+    state_c, records_c = trainer.train(corpus, state_c, cfg)
 
     assert [r["epoch"] for r in records_c] == [2, 3, 4]
     assert records_c == records_a[2:]
-    final_a = trainer.state_tensors(pair_a, state_a)
-    final_c = trainer.state_tensors(pair_c, state_c)
-    assert final_a.keys() == final_c.keys()
-    for name in final_a:
-        npt.assert_array_equal(final_a[name], final_c[name], err_msg=name)
+    assert sorted(state_c) == sorted(state_a)
+    for name in state_a:
+        npt.assert_array_equal(state_c[name], state_a[name], err_msg=name)
 
 
 def test_non_finite_gradient_names_its_group(monkeypatch):
-    corpus, pair, cfg = tiny_world(epochs=3)
+    corpus, state, cfg = tiny_world(epochs=3)
     real = trainer.batch_loss_and_grads
     calls = []
 
@@ -257,22 +258,20 @@ def test_non_finite_gradient_names_its_group(monkeypatch):
 
     monkeypatch.setattr(trainer, "batch_loss_and_grads", poisoned)
     with pytest.raises(DivergedLoss) as exc_info:
-        trainer.train(corpus, pair, cfg)
+        trainer.train(corpus, state, cfg)
     assert str(exc_info.value) \
         == "non-finite gradient student.encoder.w1 at epoch 1 step 0"
-    good_pair, good_state = exc_info.value.last_good
-    assert good_state.epoch == 1
-    # the NaN was never applied: the pair is still the end-of-epoch-0 one
-    for (name, arr), (_, good) in zip(pair.named_arrays(),
-                                      good_pair.named_arrays()):
-        npt.assert_array_equal(arr, good, err_msg=name)
-        assert np.isfinite(arr).all()
+    good = exc_info.value.last_good
+    assert good["optimizer.epoch"].tolist() == [1.0]
+    # the NaN was never applied: the state is still the end-of-epoch-0 one
+    assert_states_equal(state, good)
+    assert all(np.isfinite(arr).all() for arr in state.values())
 
 
 def test_on_step_terms_are_recomputable():
-    corpus, pair, cfg = tiny_world(epochs=1, warmup_epochs=0)
+    corpus, state, cfg = tiny_world(epochs=1, warmup_epochs=0)
     seen = []
-    trainer.train(corpus, pair, cfg,
+    trainer.train(corpus, state, cfg,
                   on_step=lambda rec: seen.append(rec))
     assert len(seen) == len(corpus) // cfg.train.batch_size
     total = len(seen) * cfg.train.epochs
@@ -290,36 +289,38 @@ def test_on_step_terms_are_recomputable():
 
 
 def test_center_is_ema_of_teacher_score_means():
-    corpus, pair, cfg = tiny_world(epochs=2)
+    corpus, state, cfg = tiny_world(epochs=2)
     means = []
-    _, _, state = trainer.train(
-        corpus, pair, cfg,
+    state, _ = trainer.train(
+        corpus, state, cfg,
         on_step=lambda rec: means.append(
             rec["aux"]["teacher_scores"].mean(axis=0)))
     mc = cfg.model
     expect = np.zeros(mc.num_prototypes)
     for m in means:
         expect = mc.center_momentum * expect + (1 - mc.center_momentum) * m
-    npt.assert_allclose(state.center, expect, atol=1e-15)
+    npt.assert_allclose(state["optimizer.center"], expect, atol=1e-15)
 
 
 def test_log_file_mirrors_records(tmp_path):
-    corpus, pair, cfg = tiny_world(epochs=3)
+    corpus, state, cfg = tiny_world(epochs=3)
     log = tmp_path / "metrics.jsonl"
-    _, records, _ = trainer.train(corpus, pair, cfg, log_path=log)
+    _, records = trainer.train(corpus, state, cfg, log_path=log)
     lines = log.read_text().splitlines()
     assert [json.loads(line) for line in lines] == records
 
 
-def test_state_tensor_roundtrip():
-    corpus, pair, cfg = tiny_world(epochs=2)
-    pair, _, state = trainer.train(corpus, pair, cfg)
-    back = trainer.state_from_tensors(trainer.state_tensors(pair, state), pair)
-    assert back.epoch == state.epoch
-    assert back.global_step == state.global_step
-    npt.assert_array_equal(back.center, state.center)
-    for name, vel in state.velocities.items():
-        npt.assert_array_equal(back.velocities[name], vel)
+def test_state_tensor_roundtrip(tmp_path):
+    corpus, state, cfg = tiny_world(epochs=2)
+    state, _ = trainer.train(corpus, state, cfg)
+    path = tmp_path / "state.sdck"
+    model.save_checkpoint(path, state, "fp")
+    back, _ = model.load_checkpoint(path)
+    assert sorted(back) == sorted(state)
+    for name, arr in state.items():  # counters stay shape (1,)
+        assert back[name].shape == arr.shape, name
+        npt.assert_array_equal(back[name], arr, err_msg=name)
+    assert back["optimizer.epoch"].tolist() == [2.0]
 
 
 # ----------------------------------------------------------------------
