@@ -215,11 +215,27 @@ def _require_tensors(tensors: dict, names, path):
             raise MalformedFile(path, 0, f"missing tensor '{name}'")
 
 
+def _check_encoder_tensors(tensors: dict, branch: str, path):
+    """The ``<branch>.encoder.*`` tensors exist and fit each other: w1
+    (F, H), b1 (H,), w2 (2H, E), b2 (E,)."""
+    names = [f"{branch}.encoder.{k}" for k in ("w1", "b1", "w2", "b2")]
+    _require_tensors(tensors, names, path)
+    w1, b1, w2, b2 = (tensors[name] for name in names)
+    hidden = w1.shape[-1]
+    embed = w2.shape[-1]
+    for name, fits, want in (
+            (names[0], w1.ndim == 2, "(F, H)"),
+            (names[1], b1.shape == (hidden,), f"({hidden},)"),
+            (names[2], w2.shape[:-1] == (2 * hidden,), f"({2 * hidden}, E)"),
+            (names[3], b2.shape == (embed,), f"({embed},)")):
+        if not fits:
+            raise MalformedFile(path, 0, f"tensor '{name}' has shape "
+                                f"{tensors[name].shape}, expected {want}")
+
+
 def cmd_embed(args) -> int:
     tensors, _ = model.load_checkpoint(args.checkpoint)
-    _require_tensors(tensors, [f"{args.branch}.encoder.{k}"
-                               for k in ("w1", "b1", "w2", "b2")],
-                     args.checkpoint)
+    _check_encoder_tensors(tensors, args.branch, args.checkpoint)
     corpus = data_mod.load_corpus(args.manifest)
     embeddings = model.forward_embed(tensors, args.branch,
                                      [u.frames for u in corpus])

@@ -73,38 +73,48 @@ def generate_synthetic_corpus(num_speakers: int, utts_per_speaker: int,
     return corpus
 
 
-def mask_in_place(x: np.ndarray, num_time_masks: int, num_freq_masks: int,
-                  max_width: int, rng) -> np.ndarray:
+def mask_in_place(views: np.ndarray, num_time_masks: int,
+                  num_freq_masks: int, max_width: int, rng) -> np.ndarray:
     """Set ``num_time_masks`` runs of frames and ``num_freq_masks`` runs of
-    features of the (T, F) float64 array ``x`` to its mean, in place, and
-    return ``x``. Runs may overlap; widths are uniform in 1..max_width."""
+    features of every view of the (N, T, F) float64 array ``views`` to that
+    view's mean, in place, and return ``views``. Runs may overlap; widths
+    are uniform in 1..max_width. ``rng`` draws the (N, num_time_masks) time
+    widths, then their starts, then the same for the feature runs."""
     if num_time_masks < 0 or num_freq_masks < 0:
         raise InvalidConfig("mask counts must be >= 0")
     if num_time_masks == 0 and num_freq_masks == 0:
-        return x
-    t, f = x.shape
+        return views
+    n, t, f = views.shape
     if not 1 <= max_width < min(t, f):
-        raise InvalidConfig(
-            f"max_width must be in [1, min(T, F)), got {max_width} for {x.shape}")
-    fill = x.mean()
-    for _ in range(num_time_masks):
-        width = int(rng.integers(1, max_width + 1))
-        start = int(rng.integers(0, t - width + 1))
-        x[start:start + width, :] = fill
-    for _ in range(num_freq_masks):
-        width = int(rng.integers(1, max_width + 1))
-        start = int(rng.integers(0, f - width + 1))
-        x[:, start:start + width] = fill
-    return x
+        raise InvalidConfig(f"max_width must be in [1, min(T, F)), got "
+                            f"{max_width} for {views.shape[1:]}")
+    fill = views.mean(axis=(1, 2))
+    in_time, in_freq = (_mask_runs(rng, n, count, size, max_width)
+                        for count, size in ((num_time_masks, t),
+                                            (num_freq_masks, f)))
+    np.copyto(views, fill[:, None, None],
+              where=in_time[:, :, None] | in_freq[:, None, :])
+    return views
+
+
+def _mask_runs(rng, n: int, count: int, size: int, max_width: int):
+    """(n, size) bool: which of ``size`` positions ``count`` random runs
+    per row cover. ``rng`` draws all widths, then all starts."""
+    width = rng.integers(1, max_width + 1, size=(n, count))
+    start = rng.integers(0, size - width + 1)[..., None]
+    pos = np.arange(size)
+    return ((pos >= start) & (pos < start + width[..., None])).any(axis=1)
 
 
 def iter_crop_sets(utterances, crops, rng, mask=None, out=None):
     """Crop the CropConfig ``crops`` views of every utterance into a
     (B, G, Tg, F) and a (B, L, Tl, F) float64 array: ``out`` if given, else
     a fresh pair. Returns the pair. Each view is a uniform random contiguous
-    slice, masked in place if the MaskConfig ``mask`` is enabled. Per
-    utterance, ``rng`` draws the G global starts, the L local starts, then
-    each view's mask draws. Only frames reach the arrays, no id or label.
+    slice; with an enabled MaskConfig ``mask``, each kind of view is then
+    masked as a whole (see ``mask_in_place``). ``rng`` draws the (B, G+L)
+    starts in one call (per utterance, its G global starts, then its L
+    local ones), then the global views' mask draws, then the local ones'.
+    Only frames reach the arrays, no id or label.
     """
     g, l = crops.num_global, crops.num_local
     len_g, len_l = crops.len_global, crops.len_local
@@ -113,23 +123,28 @@ def iter_crop_sets(utterances, crops, rng, mask=None, out=None):
             f"need 0 < len_local < len_global, got {len_l}/{len_g}")
     if g < 1 or l < 1:
         raise InvalidConfig("need at least one global and one local view")
+    lengths = np.array([utt.frames.shape[0] for utt in utterances])
+    short = np.flatnonzero(lengths < len_g)
+    if short.size:
+        utt = utterances[short[0]]
+        raise UtteranceTooShort(f"utterance '{utt.utterance_id}' has "
+                                f"{utt.frames.shape[0]} frames < {len_g}")
+    frames = np.concatenate([utt.frames for utt in utterances])
     if out is None:
-        b, f = len(utterances), utterances[0].frames.shape[1]
+        b, f = len(utterances), frames.shape[1]
         out = (np.empty((b, g, len_g, f)), np.empty((b, l, len_l, f)))
-    for utt, global_views, local_views in zip(utterances, *out):
-        t = utt.frames.shape[0]
-        if t < len_g:
-            raise UtteranceTooShort(
-                f"utterance '{utt.utterance_id}' has {t} frames < {len_g}")
-        for views in (global_views, local_views):
-            length = views.shape[1]
-            for view in views:
-                start = int(rng.integers(0, t - length + 1))
-                view[...] = utt.frames[start:start + length]
+    view_len = np.repeat([len_g, len_l], [g, l])
+    starts = rng.integers(0, lengths[:, None] - view_len + 1)
+    starts += (np.cumsum(lengths) - lengths)[:, None]  # rows of ``frames``
+    for views, first in zip(out, (starts[:, :g], starts[:, g:])):
+        length = views.shape[2]
+        # mode="clip" writes ``out`` directly; "raise" would buffer it
+        np.take(frames, first[..., None] + np.arange(length), axis=0,
+                out=views, mode="clip")
         if mask is not None and mask.enabled:
-            for view in (*global_views, *local_views):
-                mask_in_place(view, mask.num_time_masks, mask.num_freq_masks,
-                              mask.max_width, rng)
+            mask_in_place(views.reshape(-1, *views.shape[2:]),
+                          mask.num_time_masks, mask.num_freq_masks,
+                          mask.max_width, rng)
     return out
 
 

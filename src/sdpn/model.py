@@ -10,10 +10,11 @@ embedding. Projection head: two tanh layers plus a linear output, L2
 normalized per row. Prototype scores are dot products against unit-norm
 prototype rows; the teacher path subtracts a running center before its
 softmax. Forward passes cache what the hand-written backward passes need;
-there is no autodiff anywhere. The encoder backward consumes its cache: it
-builds the frame-level gradient in place inside the forward's (B, T, H)
-buffers, so one training step allocates no new array of that size in the
-backward, and each forward cache serves exactly one backward.
+there is no autodiff anywhere. The encoder forward can write its (B, T, H)
+activations into buffers its caller owns, and the encoder backward consumes
+its cache: it builds the frame-level gradient in place inside those
+buffers. So a training step that reuses its buffers allocates no array of
+that size, and each forward cache serves exactly one backward.
 
 Checkpoints are a single self-describing binary container (see
 docs/formats.md): magic ``SDCK``, version, a config fingerprint string, then
@@ -74,8 +75,14 @@ def init_params(rng, *, feature_dim, encoder_hidden, embed_dim, proj_hidden,
 # gradients come back under the same full names.
 
 
-def encoder_forward(params, prefix: str, frames: np.ndarray):
-    """frames (B, T, F) -> embeddings (B, E) plus the backward cache."""
+def encoder_forward(params, prefix: str, frames: np.ndarray, out=None):
+    """frames (B, T, F) -> embeddings (B, E) plus the backward cache.
+
+    ``out``, if given, is a pair of (B, T, H) float64 buffers that receive
+    the frame activations and their centered copy, which the cache then
+    holds; without it both are fresh arrays. The result does not depend on
+    what the buffers held before, so a consumed cache's pair can be reused.
+    """
     w1, b1, w2, b2 = (params[f"{prefix}.encoder.{k}"]
                       for k in ("w1", "b1", "w2", "b2"))
     x = np.asarray(frames, dtype=np.float64)
@@ -85,11 +92,12 @@ def encoder_forward(params, prefix: str, frames: np.ndarray):
         raise ShapeMismatch(
             f"feature dim {x.shape[-1]} != encoder input dim {w1.shape[0]}")
     t = x.shape[1]
-    h1 = x @ w1
+    h1, centered = out if out is not None else (None, None)
+    h1 = np.matmul(x, w1, out=h1)
     h1 += b1
     np.tanh(h1, out=h1)
     mu = h1.mean(axis=1)
-    centered = h1 - mu[:, None, :]
+    centered = np.subtract(h1, mu[:, None, :], out=centered)
     var = np.einsum("bth,bth->bh", centered, centered) / t
     sd = np.sqrt(var + EPS_POOL_VAR)
     pooled = np.concatenate([mu, sd], axis=1)
@@ -160,8 +168,9 @@ def projection_backward(params, prefix: str, cache, g_y: np.ndarray):
     return grads, g_e
 
 
-def network_forward(params, prefix: str, frames: np.ndarray):
-    emb, enc_cache = encoder_forward(params, prefix, frames)
+def network_forward(params, prefix: str, frames: np.ndarray, out=None):
+    """Encoder then projection head; ``out`` as in ``encoder_forward``."""
+    emb, enc_cache = encoder_forward(params, prefix, frames, out)
     proj, proj_cache = projection_forward(params, prefix, emb)
     return emb, proj, (enc_cache, proj_cache)
 

@@ -101,11 +101,16 @@ class EmbeddingStore:
             vectors[key] = r.float64s(dim, f"vector '{key}'")
         r.expect_end("last record")
         values = list(vectors.values())
-        if values and not np.isfinite(np.concatenate(values)).all():
-            i = next(i for i, v in enumerate(values)
-                     if not np.isfinite(v).all())
+        # a non-finite entry makes the norm non-finite too; a finite vector
+        # whose norm overflows would score as a wrong cosine of 0
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(np.stack(values), axis=1) if values else []
+        if not np.isfinite(norms).all():
+            i = int(np.flatnonzero(~np.isfinite(norms))[0])
+            what = "is not finite" if not np.isfinite(values[i]).all() \
+                else "has an L2 norm that overflows float64"
             raise MalformedFile(path, offsets[i],
-                                f"vector '{list(vectors)[i]}' is not finite")
+                                f"vector '{list(vectors)[i]}' {what}")
         return cls(vectors)
 
 

@@ -122,8 +122,16 @@ def init_state(params: dict) -> dict:
     return state
 
 
+def encoder_workspace(global_views, local_views, hidden: int):
+    """The encoder buffers of one step (see ``batch_loss_and_grads``): a
+    (B·G, Tg, H) pair for the global views and a (B·L, Tl, H) pair for the
+    local views of batch arrays shaped like these."""
+    return tuple((np.empty((n * k, t, hidden)), np.empty((n * k, t, hidden)))
+                 for n, k, t, _ in (global_views.shape, local_views.shape))
+
+
 def batch_loss_and_grads(params, global_views, local_views, cfg: RunConfig,
-                         center):
+                         center, workspace=None):
     """Multi-view forward and backward of one batch: the teacher sees the
     global views only, the student the local views (distillation) and the
     global views (diversity, covariance). Reads the temperatures from
@@ -131,6 +139,11 @@ def batch_loss_and_grads(params, global_views, local_views, cfg: RunConfig,
     Returns (terms, grads, aux): grads of the student tensors (encoder, then
     projection) and the prototypes, keyed by name; aux's teacher outputs
     are read-only.
+
+    ``workspace`` (see ``encoder_workspace``), if given, holds the encoder
+    activations: the teacher pass writes the global pair and drops its
+    cache, then the student global pass overwrites it; the student local
+    pass writes the local pair. Without it every pass allocates its own.
     """
     model_cfg = cfg.model
     gv = np.asarray(global_views, dtype=np.float64)
@@ -138,10 +151,11 @@ def batch_loss_and_grads(params, global_views, local_views, cfg: RunConfig,
     b, g = gv.shape[:2]
     l = lv.shape[1]
     protos = params["prototypes"]
+    buf_g, buf_l = workspace if workspace is not None else (None, None)
 
     # teacher path: constants as far as gradients are concerned
     _, t_proj, _ = model.network_forward(params, "teacher",
-                                         gv.reshape(-1, *gv.shape[2:]))
+                                         gv.reshape(-1, *gv.shape[2:]), buf_g)
     t_scores = model.prototype_scores(t_proj, protos)
     p_tea = numerics.softmax(t_scores - center, model_cfg.teacher_temp)
     for arr in (t_proj, p_tea):
@@ -149,7 +163,7 @@ def batch_loss_and_grads(params, global_views, local_views, cfg: RunConfig,
 
     # student distillation path over local views
     _, s_proj_l, caches_l = model.network_forward(
-        params, "student", lv.reshape(-1, *lv.shape[2:]))
+        params, "student", lv.reshape(-1, *lv.shape[2:]), buf_l)
     p_stu = model.prototype_distribution(s_proj_l, protos,
                                          model_cfg.student_temp)
 
@@ -163,7 +177,7 @@ def batch_loss_and_grads(params, global_views, local_views, cfg: RunConfig,
 
     # student covariance/diversity path over global views
     _, s_proj_g, caches_g = model.network_forward(
-        params, "student", gv.reshape(-1, *gv.shape[2:]))
+        params, "student", gv.reshape(-1, *gv.shape[2:]), buf_g)
     re = losses.diversity_regularization(s_proj_g)
     kind = REGULARIZERS[cfg.train.regularizer]
     dr = None if kind is None else kind(t_proj, s_proj_g)
@@ -192,16 +206,17 @@ def batch_loss_and_grads(params, global_views, local_views, cfg: RunConfig,
 
 
 def train_step(state: dict, global_views, local_views, cfg: RunConfig,
-               lr: float):
-    """One SGD+momentum update of the student and prototypes in ``state``.
-    The teacher is untouched here; the loop moves it via ema_update
-    afterwards.
+               lr: float, workspace=None):
+    """One SGD+momentum update of the student and prototypes in ``state``,
+    with ``workspace`` as in ``batch_loss_and_grads``. The teacher is
+    untouched here; the loop moves it via ema_update afterwards.
 
     Raises DivergedLoss, naming the first non-finite loss term or else
     gradient (encoder, projection, prototypes), before anything is updated.
     """
     terms, grads, aux = batch_loss_and_grads(
-        state, global_views, local_views, cfg, state["optimizer.center"])
+        state, global_views, local_views, cfg, state["optimizer.center"],
+        workspace)
     for key in ("loss_ce", "loss_re", "loss_dr", "loss"):
         if not math.isfinite(terms[key]):
             raise DivergedLoss(f"non-finite {key} {terms[key]}")
@@ -253,6 +268,7 @@ def train(corpus, state: dict, cfg: RunConfig, *, on_step=None,
 
     last_good = {k: v.copy() for k, v in state.items()}
     batch = None  # the view arrays every step overwrites
+    workspace = None  # the encoder buffers every step overwrites
     records = []
     log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
@@ -270,10 +286,14 @@ def train(corpus, state: dict, cfg: RunConfig, *, on_step=None,
                                                 cfg.crops, rng, cfg.augment,
                                                 batch)
                 gv, lv = batch
+                if workspace is None:
+                    workspace = encoder_workspace(
+                        gv, lv, state["student.encoder.w1"].shape[1])
                 step = int(global_step[0])
                 last_lr = lr_at(step, total_steps, cfg)
                 try:
-                    terms, aux = train_step(state, gv, lv, cfg, last_lr)
+                    terms, aux = train_step(state, gv, lv, cfg, last_lr,
+                                            workspace)
                 except DivergedLoss as exc:
                     raise DivergedLoss(
                         f"{exc} at epoch {epoch} step {step_in_epoch}",

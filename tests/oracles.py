@@ -1,7 +1,7 @@
 """Independent checks the tests call directly: brute-force metric oracles,
 algebraic identities of the normalizations and the covariance, a plain
-reference of the encoder's forward and backward, a per-utterance reference
-of the crop sampler, and a miniature paired anti-collapse run.
+reference of the encoder's forward and backward, a per-view reference of
+the crop sampler and its masking, and a miniature paired anti-collapse run.
 
 The oracles are naive counting loops that share no code with
 ``sdpn.metrics``. Each case draws instance ``i`` from
@@ -224,31 +224,50 @@ def encoder_reference(params, prefix, frames, g_emb):
 
 
 # ----------------------------------------------------------------------
-# crop sampler reference: one utterance at a time, copies, np.stack
+# crop sampler reference: one view at a time, scalar draws, copies,
+# np.stack
 
 
 def stacked_crop_batch(utterances, crops, rng, mask=None):
-    """What ``data.iter_crop_sets`` returns, built one utterance at a time:
-    each view a fresh slice copy (the global starts drawn first, then the
-    local ones), then, with an enabled ``mask``, each view masked on a copy
-    in the same order, and the views stacked per kind and per batch with
-    ``np.stack``."""
+    """What ``data.iter_crop_sets`` returns, built one view at a time with
+    one scalar draw per number: every view's start, utterance by utterance
+    (its global starts, then its local ones), each view a fresh slice copy;
+    then, with an enabled ``mask``, the global views and then the local
+    views masked by ``masked_views``; the views of each kind stacked with
+    ``np.stack`` into (B, count, length, F)."""
+    kinds = ((crops.num_global, crops.len_global),
+             (crops.num_local, crops.len_local))
     batch = ([], [])
     for utt in utterances:
         t = utt.frames.shape[0]
-        kinds = []
-        for count, length in ((crops.num_global, crops.len_global),
-                              (crops.num_local, crops.len_local)):
-            starts = [int(rng.integers(0, t - length + 1))
-                      for _ in range(count)]
-            kinds.append([utt.frames[s:s + length].copy() for s in starts])
-        for views, stacked in zip(kinds, batch):
-            if mask is not None and mask.enabled:
-                views = [data.mask_in_place(
-                    v.copy(), mask.num_time_masks, mask.num_freq_masks,
-                    mask.max_width, rng) for v in views]
-            stacked.append(np.stack(views))
-    return tuple(np.stack(stacked) for stacked in batch)
+        for (count, length), views in zip(kinds, batch):
+            for _ in range(count):
+                start = int(rng.integers(0, t - length + 1))
+                views.append(utt.frames[start:start + length].copy())
+    if mask is not None and mask.enabled:
+        batch = tuple(masked_views(views, mask, rng) for views in batch)
+    return tuple(np.stack(views).reshape(len(utterances), count, length, -1)
+                 for views, (count, length) in zip(batch, kinds))
+
+
+def masked_views(views, mask, rng):
+    """Copies of the (T, F) ``views`` with the MaskConfig ``mask``'s runs set
+    to each view's own pre-mask mean. The time runs are drawn first: the
+    widths of all views, view by view, then their starts in the same order;
+    then the same for the feature runs."""
+    fills = [v.mean() for v in views]
+    out = [v.copy() for v in views]
+    for axis, count in ((0, mask.num_time_masks), (1, mask.num_freq_masks)):
+        widths = [[int(rng.integers(1, mask.max_width + 1))
+                   for _ in range(count)] for _ in views]
+        for v, fill, row in zip(out, fills, widths):
+            for width in row:
+                start = int(rng.integers(0, v.shape[axis] - width + 1))
+                if axis == 0:
+                    v[start:start + width, :] = fill
+                else:
+                    v[:, start:start + width] = fill
+    return out
 
 
 # ----------------------------------------------------------------------

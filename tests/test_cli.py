@@ -144,6 +144,31 @@ def test_embed_reads_only_its_branch_encoder(world, tmp_path, capsys,
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, shape, want", [
+    ("b1", (3,), "(10,)"),
+    ("w1", (6, 10, 1), "(F, H)"),
+    ("w2", (10, 16), "(20, E)"),
+    ("b2", (16, 1), "(16,)"),
+], ids=["b1", "w1", "w2", "b2"])
+def test_embed_mismatched_encoder_tensors_exit_2(world, tmp_path, capsys,
+                                                 name, shape, want):
+    # w1 (F, H) = (6, 10), b1 (H,), w2 (2H, E) = (20, 16), b2 (E,)
+    tensors, fp = model.load_checkpoint(world["ckpt"])
+    encoder = {f"teacher.encoder.{k}": v for k, v in (
+        ("w1", np.ones((6, 10))), ("b1", np.ones(10)),
+        ("w2", np.ones((20, 16))), ("b2", np.ones(16)))}
+    encoder[f"teacher.encoder.{name}"] = np.ones(shape)
+    bad = tmp_path / "bad.sdck"
+    model.save_checkpoint(bad, encoder, fp)
+    assert cli.main(["embed", "--checkpoint", str(bad),
+                     "--manifest", str(world["manifest"]),
+                     "--out", str(tmp_path / "emb.store")]) == 2
+    assert capsys.readouterr().err.strip().endswith(
+        f"{bad} @ 0: tensor 'teacher.encoder.{name}' has shape {shape}, "
+        f"expected {want}")
+    assert not (tmp_path / "emb.store").exists()
+
+
 def test_cosine_scores_file_shape(world):
     text = world["scores"].read_text().splitlines()
     assert text[0] == "# method=cosine"

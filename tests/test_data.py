@@ -2,10 +2,14 @@
 
 import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sdpn import cli, data, model, scoring
 from sdpn.config import CropConfig, MaskConfig
@@ -117,7 +121,7 @@ def test_crop_errors():
 
 def test_mask_zero_masks_is_identity_copy():
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((12, 8))
+    x = rng.standard_normal((3, 12, 8))
     copy = x.copy()
     out = data.mask_in_place(copy, 0, 0, 3, rng)
     npt.assert_array_equal(out, x)
@@ -125,27 +129,28 @@ def test_mask_zero_masks_is_identity_copy():
 
 
 def test_mask_fill_is_matrix_mean_and_bounds_hold():
+    # every view of the stack is filled with its own pre-mask mean
     rng = np.random.default_rng(10)
-    x = rng.standard_normal((20, 10))
-    fill = x.mean()
+    x = rng.standard_normal((4, 20, 10)) + np.arange(4)[:, None, None]
     out = data.mask_in_place(x.copy(), 2, 1, 3, rng)
-    changed = out != x
-    assert changed.any()
-    npt.assert_allclose(out[changed], fill, atol=1e-15)
+    for view, before in zip(out, x):
+        changed = view != before
+        assert changed.any()
+        npt.assert_allclose(view[changed], before.mean(), atol=1e-15)
 
 
 def test_mask_leaves_most_entries_untouched():
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((30, 20))
+    x = rng.standard_normal((5, 30, 20))
     k, w = 2, 4
     out = data.mask_in_place(x.copy(), k, k, w, rng)
-    unchanged = (out == x).sum()
-    assert unchanged >= (30 - k * w) * (20 - k * w)
+    for view, before in zip(out, x):
+        assert (view == before).sum() >= (30 - k * w) * (20 - k * w)
 
 
 def test_mask_width_validation():
     rng = np.random.default_rng(12)
-    x = np.zeros((5, 9))
+    x = np.zeros((2, 5, 9))
     with pytest.raises(InvalidConfig):
         data.mask_in_place(x.copy(), 1, 1, 5, rng)  # max_width >= min(T, F)
     with pytest.raises(InvalidConfig):
@@ -380,6 +385,53 @@ def test_manifest_paths_relative_to_manifest_dir(tmp_path):
     manifest = data.save_corpus(corpus, tmp_path / "deep" / "nested")
     entries = data.read_manifest(manifest)
     assert entries[0].path.parent == tmp_path / "deep" / "nested"
+
+
+# A manifest field: any text without a tab or a line end; no "/" or NUL
+# either, because save_corpus names each feature file after its id.
+FIELD = st.text(st.characters(blacklist_categories=("Cs",),
+                              blacklist_characters="\t\n\r/\x00"),
+                max_size=6)
+# (utterance id, speaker id or None: a line without the speaker column)
+ENTRIES = st.lists(st.tuples(FIELD, st.none() | FIELD), max_size=5,
+                   unique_by=lambda e: e[0])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(ENTRIES)
+@example([("é字", "spk字"), ("", None), ("x\x85y\u2028", "")])
+def test_manifest_roundtrip_property(entries):
+    corpus = [data.Utterance(uid, spk, np.zeros((1, 1)))
+              for uid, spk in entries]
+    with tempfile.TemporaryDirectory() as tmp:
+        back = data.read_manifest(data.save_corpus(corpus, tmp))
+    assert [(e.utterance_id, e.path, e.speaker_id) for e in back] == \
+        [(uid, Path(tmp) / f"{uid}.sdfk", spk) for uid, spk in entries]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ENTRIES, st.sampled_from(["one field", "four fields", "repeat"]),
+       st.data())
+def test_manifest_bad_line_is_named_property(entries, kind, draw):
+    assume(entries or kind != "repeat")
+    lines = [f"{uid}\tp" if spk is None else f"{uid}\tp\t{spk}"
+             for uid, spk in entries]
+    at = draw.draw(st.integers(int(kind == "repeat"), len(lines)))
+    reason = "expected utterance_id<TAB>path[<TAB>speaker_id]"
+    if kind == "one field":  # a blank line would be skipped
+        bad = draw.draw(FIELD.filter(bool))
+    elif kind == "four fields":
+        bad = "\t".join(draw.draw(st.lists(FIELD, min_size=4, max_size=4)))
+    else:
+        uid = entries[draw.draw(st.integers(0, at - 1))][0]
+        bad, reason = f"{uid}\tq", f"repeated utterance id '{uid}'"
+    lines.insert(at, bad)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.tsv"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        with pytest.raises(MalformedFile) as err:
+            data.read_manifest(path)
+    assert (err.value.offset, err.value.reason) == (at + 1, reason)
 
 
 # ----------------------------------------------------------------------

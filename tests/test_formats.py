@@ -35,8 +35,17 @@ def matrices(rows, cols):
 
 UTTERANCE = st.builds(data.Utterance, TEXT, st.none(),
                       matrices(st.integers(1, 4), st.integers(1, 3)))
+
+
+def finite_norm(v):
+    with np.errstate(over="ignore"):
+        return np.isfinite(np.linalg.norm(v))
+
+
+# a store holds only vectors whose L2 norm is finite (cosine needs it)
 STORE = st.integers(1, 4).flatmap(lambda dim: st.dictionaries(
-    TEXT, arrays(np.float64, dim, elements=FINITE), max_size=4))
+    TEXT, arrays(np.float64, dim, elements=FINITE).filter(finite_norm),
+    max_size=4))
 TENSORS = st.dictionaries(
     TEXT.filter(bool),
     arrays(np.float64, st.lists(st.integers(1, 3), min_size=1, max_size=3)
@@ -132,7 +141,7 @@ def test_feature_file_roundtrip_property(utt):
 @PROPERTY
 @given(STORE)
 @example({"é": np.array([1.0, -0.0]), "字": np.array([2.0, 3.0]),
-          "": np.zeros(2)})
+          "": np.zeros(2), "big": np.array([9e153, -9e153])})
 def test_store_roundtrip_property(vectors):
     back = _read("store", _written("store", vectors))
     assert back.ids() == list(vectors)
@@ -260,6 +269,19 @@ def test_store_non_finite_vector(tmp_path, bad):
         scoring.EmbeddingStore.load(path)
     assert err.value.offset == offsets[1]
     assert err.value.reason == "vector 'b' is not finite"
+
+
+def test_store_vector_with_overflowing_norm(tmp_path):
+    # every entry is finite, but the sum of squares is not
+    blob, offsets = _store_blob((b"a", [1.0, 2.0]), (b"b", [3e154, 1.0]),
+                                (b"c", [1e200, 1e200]))
+    path = tmp_path / "huge.emb"
+    path.write_bytes(blob)
+    with pytest.raises(MalformedFile) as err:
+        scoring.EmbeddingStore.load(path)
+    assert err.value.offset == offsets[1]
+    assert err.value.reason == \
+        "vector 'b' has an L2 norm that overflows float64"
 
 
 @pytest.mark.parametrize("t, f", [(0, 3), (2, 0), (0, 0)])

@@ -281,6 +281,29 @@ def test_encoder_matches_einsum_reference(shape):
                             atol=1e-12 * np.abs(ref).max(), err_msg=name)
 
 
+def test_encoder_forward_into_buffers_matches_fresh_arrays():
+    # the buffers' old contents, a consumed cache's included, do not reach
+    # the result
+    rng = np.random.default_rng(98)
+    params = tiny_params(seed=98)
+    params["student.encoder.b1"] += 0.3 * rng.standard_normal(6)
+    first, second = rng.standard_normal((2, 9, 11, 5))
+    g_emb = rng.standard_normal((9, 4))
+    buffers = (np.full((9, 11, 6), np.nan), np.full((9, 11, 6), 7.0))
+    for frames in (first, second):
+        emb, cache = model.encoder_forward(params, "student", frames)
+        emb_b, cache_b = model.encoder_forward(params, "student", frames,
+                                               buffers)
+        assert cache_b[1] is buffers[0] and cache_b[2] is buffers[1]
+        assert emb_b.tobytes() == emb.tobytes()
+        for fresh, buffered in zip(cache, cache_b):
+            assert buffered.tobytes() == fresh.tobytes()
+        grads = model.encoder_backward(params, "student", cache, g_emb)
+        grads_b = model.encoder_backward(params, "student", cache_b, g_emb)
+        for name, grad in grads.items():
+            assert grads_b[name].tobytes() == grad.tobytes(), name
+
+
 # ----------------------------------------------------------------------
 # checkpoints
 

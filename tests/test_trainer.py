@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -72,6 +73,61 @@ def test_assembled_batch_is_byte_identical_to_stacked_crop_sets(masked):
             assert got.dtype == np.float64
             assert got.tobytes() == ref.tobytes()
     assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+
+@pytest.mark.parametrize("masked", [True, False])
+def test_unequal_lengths_batch_is_byte_identical_to_stacked_crop_sets(
+        masked):
+    # each utterance's starts are bounded by its own length
+    rng = np.random.default_rng(23)
+    corpus = [data.Utterance(f"u{t}", None,
+                             rng.standard_normal((t, FEATURE_DIM)))
+              for t in (24, 61, 25, 40, 33)]
+    crops = CropConfig(num_global=2, num_local=3, len_global=24,
+                       len_local=10)
+    mask = MaskConfig(enabled=masked, num_time_masks=1, num_freq_masks=2,
+                      max_width=4)
+    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    got = data.iter_crop_sets(corpus, crops, rng, mask)
+    want = oracles.stacked_crop_batch(corpus, crops, ref_rng, mask)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    if not masked:  # a 24-frame utterance has one global crop: itself
+        npt.assert_array_equal(got[0][0, 0], corpus[0].frames)
+    assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
+
+
+def test_training_step_after_the_first_allocates_no_activation_array():
+    # numpy reports its buffers to tracemalloc; a step that allocated its
+    # encoder activations would peak at two (B·L, Tl, H) arrays or more
+    hidden, b, l, len_l = 48, 8, 4, 30
+    corpus = data.generate_synthetic_corpus(4, 4, 80, FEATURE_DIM, 0.5, 31)
+    cfg = RunConfig(
+        seed=31,
+        crops=CropConfig(num_global=1, num_local=l, len_global=60,
+                         len_local=len_l),
+        augment=MaskConfig(enabled=True, max_width=3),
+        model=ModelConfig(**dict(DIMS, encoder_hidden=hidden)),
+        train=TrainSection(epochs=2, batch_size=b, warmup_epochs=0))
+    params = model.init_params(np.random.default_rng(31),
+                               feature_dim=FEATURE_DIM,
+                               **dict(DIMS, encoder_hidden=hidden))
+    base, peaks = [0], []
+
+    def on_step(info):
+        if info["global_step"] > 0:
+            peaks.append(tracemalloc.get_traced_memory()[1] - base[0])
+        base[0] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+
+    tracemalloc.start()
+    try:
+        trainer.train(corpus, trainer.init_state(params), cfg,
+                      on_step=on_step)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 3
+    assert max(peaks) < 8 * b * l * len_l * hidden
 
 
 # ----------------------------------------------------------------------
