@@ -141,6 +141,9 @@ def cmd_gen_data(args) -> int:
                                      args.prefix + u.speaker_id, u.frames)
                   for u in corpus]
     if args.trials_out:  # fail before the corpus is written
+        # the all-pairs trial list holds every utterance id
+        scoring.check_trial_ids([u.utterance_id for u in corpus],
+                                args.trials_out)
         trials_dir = Path(args.trials_out).resolve().parent
         # save_corpus creates --out and its parents
         if not (trials_dir.is_dir()
@@ -239,8 +242,8 @@ def cmd_embed(args) -> int:
     corpus = data_mod.load_corpus(args.manifest)
     embeddings = model.forward_embed(tensors, args.branch,
                                      [u.frames for u in corpus])
-    scoring.EmbeddingStore(dict(zip((u.utterance_id for u in corpus),
-                                    embeddings))).save(args.out)
+    scoring.EmbeddingStore([u.utterance_id for u in corpus],
+                           embeddings).save(args.out)
     print(args.out)
     return 0
 

@@ -76,12 +76,14 @@ def diversity_regularization(batch) -> LossValue:
     safe = d_min >= numerics.EPS_DUPLICATE
     value = -float(np.log(np.maximum(d_min, numerics.EPS_DUPLICATE)).sum()) / n
 
+    # row u gets -pull and its nearest v gets +pull; the interleaved scatter
+    # adds them in the order of a loop over u
+    u = np.flatnonzero(safe)
+    v = nearest[u]
+    pull = (x[u] - x[v]) / (d_min[u] * d_min[u] * n)[:, None]
     grad = np.zeros_like(x)
-    for u in np.flatnonzero(safe):
-        v = nearest[u]
-        pull = (x[u] - x[v]) / (d_min[u] * d_min[u] * n)
-        grad[u] -= pull
-        grad[v] += pull
+    np.add.at(grad, np.stack([u, v], 1).ravel(),
+              np.stack([-pull, pull], 1).reshape(-1, x.shape[1]))
     return LossValue(value, grad)
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -36,42 +38,38 @@ STORE_VERSION = 1
 
 
 class EmbeddingStore:
-    """Utterance-id -> float64 vector map with a binary file format."""
+    """Utterance ids and their embeddings, the rows of one (N, E) float64
+    matrix in id order, with a binary file format."""
 
-    def __init__(self, vectors: dict[str, np.ndarray]):
-        self.vectors: dict[str, np.ndarray] = {}
-        self.dim = None
-        for key, vec in vectors.items():
-            v = np.asarray(vec, dtype=np.float64).reshape(-1)
-            if self.dim is None:
-                self.dim = v.size
-            elif v.size != self.dim:
-                raise InvalidConfig(
-                    f"embedding '{key}' has dim {v.size}, store has {self.dim}"
-                )
-            self.vectors[key] = v
+    def __init__(self, ids, matrix):
+        self.ids = list(ids)
+        self.matrix = np.asarray(matrix, dtype=np.float64)
+        self._row = {key: i for i, key in enumerate(self.ids)}
+        if not (self.matrix.ndim == 2
+                and len(self.matrix) == len(self._row) == len(self.ids)):
+            raise InvalidConfig(
+                "a store needs a 2-d matrix with one row per distinct id, got "
+                f"{len(self.ids)} ids and shape {self.matrix.shape}")
 
     def __len__(self):
-        return len(self.vectors)
+        return len(self.ids)
 
-    def ids(self) -> list[str]:
-        return list(self.vectors)
-
-    def get(self, key: str) -> np.ndarray:
+    def rows(self, keys) -> np.ndarray:
+        """Matrix row of each id in ``keys``, as an intp array; the first
+        id the store lacks is a MissingEmbedding."""
         try:
-            return self.vectors[key]
-        except KeyError:
-            raise MissingEmbedding(f"no embedding for utterance '{key}'") from None
+            return np.fromiter(map(self._row.__getitem__, keys), dtype=np.intp)
+        except KeyError as exc:
+            raise MissingEmbedding(
+                f"no embedding for utterance '{exc.args[0]}'") from None
 
     def save(self, path):
         payload = bytearray(STORE_MAGIC)
-        payload += struct.pack("<HI", STORE_VERSION, len(self.vectors))
-        for key, vec in self.vectors.items():
+        payload += struct.pack("<HI", STORE_VERSION, len(self.ids))
+        dim = struct.pack("<I", self.matrix.shape[1])
+        for key, vec in zip(self.ids, self.matrix.astype("<f8", copy=False)):
             raw = key.encode("utf-8")
-            payload += struct.pack("<H", len(raw))
-            payload += raw
-            payload += struct.pack("<I", vec.size)
-            payload += vec.astype("<f8").tobytes()
+            payload += struct.pack("<H", len(raw)) + raw + dim + vec.tobytes()
         atomic_write(path, payload)
 
     @classmethod
@@ -81,16 +79,14 @@ class EmbeddingStore:
         version, count = r.unpack("<HI", "header")
         if version != STORE_VERSION:
             raise MalformedFile(path, 4, f"unsupported version {version}")
-        vectors = {}
-        store_dim = None
-        offsets = []
+        offsets, chunks, store_dim = {}, [], None  # id -> record offset
         for _ in range(count):
             record = r.off
-            offsets.append(record)
             (klen,) = r.unpack("<H", "id length")
             key = r.text(klen, "id")
-            if key in vectors:
+            if key in offsets:
                 raise MalformedFile(path, record, f"repeated id '{key}'")
+            offsets[key] = record
             (dim,) = r.unpack("<I", "dim")
             if store_dim is None:
                 store_dim = dim
@@ -98,20 +94,22 @@ class EmbeddingStore:
                 raise MalformedFile(
                     path, record,
                     f"vector '{key}' has dim {dim}, the store has {store_dim}")
-            vectors[key] = r.float64s(dim, f"vector '{key}'")
+            chunks.append(r.take(8 * dim, f"vector '{key}'"))
         r.expect_end("last record")
-        values = list(vectors.values())
+        ids = list(offsets)
+        matrix = np.frombuffer(b"".join(chunks), dtype="<f8").astype(
+            np.float64).reshape(count, store_dim or 0)
         # a non-finite entry makes the norm non-finite too; a finite vector
         # whose norm overflows would score as a wrong cosine of 0
         with np.errstate(over="ignore"):
-            norms = np.linalg.norm(np.stack(values), axis=1) if values else []
-        if not np.isfinite(norms).all():
-            i = int(np.flatnonzero(~np.isfinite(norms))[0])
-            what = "is not finite" if not np.isfinite(values[i]).all() \
+            bad = np.flatnonzero(~np.isfinite(np.linalg.norm(matrix, axis=1)))
+        if bad.size:
+            i = bad[0]
+            what = "is not finite" if not np.isfinite(matrix[i]).all() \
                 else "has an L2 norm that overflows float64"
-            raise MalformedFile(path, offsets[i],
-                                f"vector '{list(vectors)[i]}' {what}")
-        return cls(vectors)
+            raise MalformedFile(path, offsets[ids[i]],
+                                f"vector '{ids[i]}' {what}")
+        return cls(ids, matrix)
 
 
 class Trial(NamedTuple):
@@ -147,7 +145,18 @@ def build_trial_list(corpus) -> list[Trial]:
     return list(map(Trial, labels.tolist(), ids[i].tolist(), ids[j].tolist()))
 
 
+def check_trial_ids(ids, path):
+    """DataError for an id that is empty or holds whitespace, which a trial
+    list written to ``path`` would not read back as one field."""
+    bad = next((k for k in ids if k.split() != [k]), None)
+    if bad is not None:
+        raise DataError(f"cannot write {path}: trial id {bad!r} is empty or "
+                        "holds whitespace, which separates trial list fields")
+
+
 def write_trials(trials, path):
+    ids = chain.from_iterable(map(itemgetter(1, 2), trials))  # enroll, test
+    check_trial_ids(dict.fromkeys(ids), path)
     text = "".join(f"{t.label} {t.enroll} {t.test}\n" for t in trials)
     atomic_write(path, text.encode("utf-8"))
 
@@ -233,20 +242,15 @@ class Cohort:
                    overlap: str = "error") -> "Cohort":
         """Build from a store; ids overlapping the trial list are rejected
         or dropped depending on ``overlap`` ('error' or 'drop')."""
-        ids = store.ids()
-        if trial_ids:
-            trial_set = set(trial_ids)
-            overlapping = [i for i in ids if i in trial_set]
-            if overlapping:
-                if overlap == "drop":
-                    ids = [i for i in ids if i not in trial_set]
-                else:
-                    raise InvalidConfig(
-                        f"{len(overlapping)} cohort id(s) appear in the trial "
-                        f"list (first: '{overlapping[0]}'); use drop mode or "
-                        "a disjoint cohort"
-                    )
-        return cls(ids, np.stack([store.get(i) for i in ids]))
+        trial_set = set(trial_ids or ())
+        overlapping = [i for i in store.ids if i in trial_set]
+        if overlapping and overlap != "drop":
+            raise InvalidConfig(
+                f"{len(overlapping)} cohort id(s) appear in the trial list "
+                f"(first: '{overlapping[0]}'); use drop mode or a disjoint "
+                "cohort")
+        ids = [i for i in store.ids if i not in trial_set]
+        return cls(ids, store.matrix[store.rows(ids)])
 
 
 def cohort_scores(x, cohort: Cohort) -> np.ndarray:
@@ -318,7 +322,7 @@ def _blocks(rows: int, width: int):
 class TrialScorer:
     """Scores a trial list against a store as whole arrays.
 
-    Each distinct utterance id becomes one row; cohort statistics are
+    Trial ids index the rows of the store's matrix; cohort statistics are
     computed once per id that the method reads (enroll ids for z, test ids
     for t, both for s and as). ``cohort_computes`` counts those ids.
     """
@@ -344,27 +348,25 @@ class TrialScorer:
 
     def score_trials(self, trials) -> tuple[np.ndarray, np.ndarray]:
         """(raw cosine, normalized) float64 arrays in trial order."""
-        rows: dict[str, int] = {}
-        pairs = np.array([rows.setdefault(i, len(rows))
-                          for _, e, t in trials for i in (e, t)],
-                         dtype=np.intp).reshape(-1, 2)
-        vectors = np.array([self.store.get(i) for i in rows])
+        matrix = self.store.matrix
+        pairs = self.store.rows(
+            i for _, e, t in trials for i in (e, t)).reshape(-1, 2)
         raw = np.empty(len(pairs))
-        for b in _blocks(len(pairs), 2 * vectors.shape[-1]):
-            raw[b] = cosine_score(vectors[pairs[b, 0]], vectors[pairs[b, 1]])
+        for b in _blocks(len(pairs), 2 * matrix.shape[1]):
+            raw[b] = cosine_score(matrix[pairs[b, 0]], matrix[pairs[b, 1]])
         if self.method == "cosine":
             return raw, raw.copy()
 
         sides = {"z": [0], "t": [1]}.get(self.method, [0, 1])
-        ids = np.unique(pairs[:, sides])
-        self.cohort_computes += ids.size
-        mu, sigma = np.zeros((2, len(rows)))
+        rows = np.unique(pairs[:, sides])
+        self.cohort_computes += rows.size
+        mu, sigma = np.zeros((2, len(matrix)))
         top_k = self.top_k if self.method == "as" else None
-        for b in _blocks(ids.size, len(self.cohort)):
-            stats = cohort_stats(cohort_scores(vectors[ids[b]], self.cohort),
+        for b in _blocks(rows.size, len(self.cohort)):
+            stats = cohort_stats(cohort_scores(matrix[rows[b]], self.cohort),
                                  top_k=top_k, sample_stddev=self.sample_stddev)
-            mu[ids[b]] = stats.mu
-            sigma[ids[b]] = stats.sigma
+            mu[rows[b]] = stats.mu
+            sigma[rows[b]] = stats.sigma
 
         enroll, test = (CohortStats(mu[pairs[:, i]], sigma[pairs[:, i]])
                         for i in (0, 1))

@@ -157,8 +157,8 @@ E2E_SEED = 1234
 def _embed_store(params, corpus, prefix=""):
     embeddings = model.forward_embed(params, "teacher",
                                      [u.frames for u in corpus])
-    return scoring.EmbeddingStore(
-        {prefix + u.utterance_id: e for u, e in zip(corpus, embeddings)})
+    return scoring.EmbeddingStore([prefix + u.utterance_id for u in corpus],
+                                  embeddings)
 
 
 def test_criterion_7_end_to_end():

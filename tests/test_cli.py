@@ -48,7 +48,7 @@ def world(tmp_path_factory):
                      "--out", str(w["store"])]) == 0
 
     # trials over the first six utterances; the other six act as cohort
-    ids = sorted(scoring.EmbeddingStore.load(w["store"]).ids())
+    ids = sorted(scoring.EmbeddingStore.load(w["store"]).ids)
     trial_ids, cohort_ids = set(ids[:6]), ids[6:]
     keep = [t for t in scoring.read_trials(w["trials_all"])
             if t.enroll in trial_ids and t.test in trial_ids]
@@ -60,7 +60,7 @@ def world(tmp_path_factory):
     full = scoring.EmbeddingStore.load(w["store"])
     w["cohort"] = root / "cohort.emb"
     scoring.EmbeddingStore(
-        {i: full.get(i) for i in cohort_ids}).save(w["cohort"])
+        cohort_ids, full.matrix[full.rows(cohort_ids)]).save(w["cohort"])
 
     w["scores"] = root / "scores_cosine.tsv"
     assert cli.main(["score", "--store", str(w["store"]),
@@ -84,7 +84,7 @@ def test_train_outputs(world):
 def test_embed_store_covers_corpus(world):
     store = scoring.EmbeddingStore.load(world["store"])
     assert len(store) == 12
-    assert store.dim == CONFIG_DOC["model"]["embed_dim"]
+    assert store.matrix.shape == (12, CONFIG_DOC["model"]["embed_dim"])
 
 
 @pytest.mark.parametrize("block_elements", [1, model.EMBED_BLOCK_ELEMENTS])
@@ -108,12 +108,11 @@ def test_embed_interleaved_lengths_in_manifest_order(world, tmp_path,
                      "--manifest", str(manifest), "--out", str(out)]) == 0
     assert len(calls) == 1
     store = scoring.EmbeddingStore.load(out)
-    assert store.ids() == [u.utterance_id for u in corpus]
+    assert store.ids == [u.utterance_id for u in corpus]
     tensors, _ = model.load_checkpoint(world["ckpt"])
-    for u in corpus:
+    for u, got in zip(corpus, store.matrix):
         want, _, _ = model.network_forward(tensors, "teacher", u.frames[None])
-        np.testing.assert_allclose(store.get(u.utterance_id), want[0],
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, want[0], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("branch", ["teacher", "student"])
@@ -274,9 +273,9 @@ def test_gen_data_prefix_disjoins_cohort_ids(world, tmp_path):
         assert entry.speaker_id.startswith("c_")  # the manifest holds them
     # the point of the flag: embeddings of this corpus pass the cohort
     # overlap check against the unprefixed world's trial list
-    store = scoring.EmbeddingStore(
-        {u.utterance_id: u.frames.mean(axis=0)
-         for u in data.load_corpus(out / "manifest.tsv")})
+    corpus = data.load_corpus(out / "manifest.tsv")
+    store = scoring.EmbeddingStore([u.utterance_id for u in corpus],
+                                   [u.frames.mean(axis=0) for u in corpus])
     trials = scoring.read_trials(world["trials"])
     ids = {t.enroll for t in trials} | {t.test for t in trials}
     scoring.Cohort.from_store(store, ids)  # must not raise
@@ -489,6 +488,40 @@ def test_unwritable_output_exits_2(world, tmp_path, capsys, command):
     assert not list(tmp_path.rglob("*.tmp"))
     # gen-data checks --trials-out before it writes the corpus
     assert not (tmp_path / "corpus").exists()
+
+
+def test_gen_data_whitespace_in_trial_ids_exits_2(world, tmp_path, capsys):
+    out, trials = tmp_path / "corpus", tmp_path / "t.txt"
+    assert cli.main(["gen-data", "--config", str(world["config"]),
+                     "--prefix", "a b", "--out", str(out),
+                     "--trials-out", str(trials)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {trials}: trial id 'a butt00000' is empty or " \
+        "holds whitespace" in err
+    # checked before the corpus is written
+    assert not out.exists() and not trials.exists()
+
+
+def test_cohort_emptied_by_overlap_drop_exits_2(world, tmp_path, capsys):
+    trials = scoring.read_trials(world["trials"])
+    ids = sorted({t.enroll for t in trials} | {t.test for t in trials})
+    full = scoring.EmbeddingStore.load(world["store"])
+    cohort = tmp_path / "cohort.emb"
+    scoring.EmbeddingStore(ids, full.matrix[full.rows(ids)]).save(cohort)
+    argv = _argv_with(world, tmp_path, "normalize", "--cohort", cohort)
+    assert cli.main(argv + ["--cohort-overlap", "drop"]) == 2
+    assert "cohort needs >= 2 entries, got 0" in capsys.readouterr().err
+
+
+def test_empty_cohort_store_exits_2(world, tmp_path, capsys):
+    manifest = data.save_corpus([], tmp_path / "empty")
+    cohort = tmp_path / "cohort.emb"
+    assert cli.main(["embed", "--checkpoint", str(world["ckpt"]),
+                     "--manifest", str(manifest), "--out", str(cohort)]) == 0
+    assert len(scoring.EmbeddingStore.load(cohort)) == 0
+    assert cli.main(_argv_with(world, tmp_path, "normalize", "--cohort",
+                               cohort)) == 2
+    assert "cohort needs >= 2 entries, got 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["gen-data", "train"])

@@ -249,7 +249,8 @@ def _write_feature(path):
 
 
 def _write_store(path):
-    scoring.EmbeddingStore({"a": np.ones(3), "bc": np.arange(3.0)}).save(path)
+    scoring.EmbeddingStore(["a", "bc"],
+                           [np.ones(3), np.arange(3.0)]).save(path)
 
 
 def _write_checkpoint(path):

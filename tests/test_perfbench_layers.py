@@ -64,10 +64,11 @@ def test_score_trials_counter_sees_trial_rows(tmp_path):
     that ``normalize`` passes: its length and each row's enroll/test."""
     rng = np.random.default_rng(0)
     ids = [f"u{i}" for i in range(5)]
-    scoring.EmbeddingStore({i: rng.standard_normal(4) for i in ids}).save(
+    scoring.EmbeddingStore(ids, rng.standard_normal((5, 4))).save(
         tmp_path / "e.store")
-    scoring.EmbeddingStore({f"c{i}": rng.standard_normal(4)
-                            for i in range(6)}).save(tmp_path / "c.store")
+    cohort = scoring.EmbeddingStore([f"c{i}" for i in range(6)],
+                                    rng.standard_normal((6, 4)))
+    cohort.save(tmp_path / "c.store")
     trials = [scoring.Trial("1", ids[i], ids[(i + 2) % 5]) for i in range(5)]
     scoring.write_trials(trials, tmp_path / "trials.txt")
 

@@ -39,8 +39,8 @@ from sdpn.scoring import (
 
 def unit_rng_store(n, dim, seed):
     rng = np.random.default_rng(seed)
-    return EmbeddingStore({f"u{i:03d}": rng.standard_normal(dim)
-                           for i in range(n)})
+    return EmbeddingStore([f"u{i:03d}" for i in range(n)],
+                          rng.standard_normal((n, dim)))
 
 
 # ----------------------------------------------------------------------
@@ -161,9 +161,20 @@ def test_store_roundtrip(tmp_path):
     path = tmp_path / "emb.bin"
     store.save(path)
     loaded = EmbeddingStore.load(path)
-    assert loaded.ids() == store.ids()
-    for i in store.ids():
-        npt.assert_array_equal(loaded.get(i), store.get(i))
+    assert loaded.ids == store.ids
+    npt.assert_array_equal(loaded.matrix, store.matrix)
+
+
+def test_empty_store_roundtrip(tmp_path):
+    path = tmp_path / "emb.bin"
+    EmbeddingStore([], np.empty((0, 4))).save(path)
+    loaded = EmbeddingStore.load(path)
+    assert loaded.ids == [] and len(loaded) == 0
+    assert loaded.matrix.ndim == 2 and len(loaded.matrix) == 0
+    npt.assert_array_equal(loaded.rows([]), [])
+    raw = path.read_bytes()
+    loaded.save(path)
+    assert path.read_bytes() == raw
 
 
 def test_store_truncated_file(tmp_path):
@@ -192,10 +203,14 @@ def test_store_rejects_repeated_id(tmp_path):
 
 def test_store_missing_id_and_dim_check():
     store = unit_rng_store(3, 4, seed=66)
-    with pytest.raises(MissingEmbedding):
-        store.get("nope")
-    with pytest.raises(InvalidConfig):
-        EmbeddingStore({"a": np.ones(3), "b": np.ones(4)})
+    npt.assert_array_equal(store.rows(["u002", "u000", "u002"]), [2, 0, 2])
+    with pytest.raises(MissingEmbedding, match="'nope'"):
+        store.rows(["u001", "nope", "gone"])
+    for ids, matrix in ((["a", "b"], np.ones((3, 4))),  # rows != ids
+                        (["a", "b"], np.ones(2)),  # not 2-d
+                        (["a", "a"], np.ones((2, 4)))):  # repeated id
+        with pytest.raises(InvalidConfig):
+            EmbeddingStore(ids, matrix)
 
 
 # ----------------------------------------------------------------------
@@ -208,6 +223,22 @@ def test_trials_roundtrip(tmp_path):
     path = tmp_path / "trials.txt"
     scoring.write_trials(trials, path)
     assert scoring.read_trials(path) == trials
+
+
+@pytest.mark.parametrize("bad", ["", " ", "a b", "a\tb", "a\nb", "a\u00a0b",
+                                 "a\u3000b", "a\x1cb", "a\u2029"])
+@pytest.mark.parametrize("side", ["enroll", "test"])
+def test_write_trials_refuses_id_that_would_not_read_back(tmp_path, bad,
+                                                          side):
+    # str.split() would not return the id whole, so read_trials could not
+    bad_trial = Trial("1", "x", "y")._replace(**{side: bad})
+    path = tmp_path / "trials.txt"
+    with pytest.raises(DataError) as err:
+        scoring.write_trials([Trial("0", "a", "b"), bad_trial], path)
+    assert str(err.value) == (f"cannot write {path}: trial id {bad!r} is "
+                              "empty or holds whitespace, which separates "
+                              "trial list fields")
+    assert not path.exists()
 
 
 def test_trials_bad_label(tmp_path):
@@ -383,14 +414,14 @@ def test_cohort_scores_are_cosines():
     cohort = Cohort.from_store(store)
     probe = np.ones(5)
     got = cohort_scores(probe, cohort)
-    want = [cosine_score(probe, store.get(i)) for i in cohort.ids]
+    want = cosine_score(probe, store.matrix[store.rows(cohort.ids)])
     npt.assert_allclose(got, want, atol=1e-12)
 
 
 def make_scorer_setup(seed, n_utts=10, n_cohort=8, dim=6):
     rng = np.random.default_rng(seed)
-    store = EmbeddingStore({f"u{i:03d}": rng.standard_normal(dim)
-                            for i in range(n_utts)})
+    store = EmbeddingStore([f"u{i:03d}" for i in range(n_utts)],
+                           rng.standard_normal((n_utts, dim)))
     cohort = Cohort([f"c{i}" for i in range(n_cohort)],
                     rng.standard_normal((n_cohort, dim)))
     trials = [Trial("1", "u000", "u001"), Trial("0", "u000", "u002"),
@@ -422,8 +453,11 @@ def naive_scores(store, cohort, trials, method, top_k, sample_stddev):
     def cos(a, b):
         return np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
 
+    def vec(utt):
+        return store.matrix[store.rows([utt])[0]]
+
     def stats(utt):
-        v = store.get(utt)
+        v = vec(utt)
         s = np.array([cos(v, c) for c in cohort.unit])
         if method == "as":
             s = np.sort(s)[::-1][:top_k]
@@ -431,7 +465,7 @@ def naive_scores(store, cohort, trials, method, top_k, sample_stddev):
 
     raw, normalized = [], []
     for t in trials:
-        r = cos(store.get(t.enroll), store.get(t.test))
+        r = cos(vec(t.enroll), vec(t.test))
         z = (r - stats(t.enroll)[0]) / stats(t.enroll)[1]
         tt = (r - stats(t.test)[0]) / stats(t.test)[1]
         raw.append(r)
@@ -451,7 +485,7 @@ def test_scorer_matches_naive_loop(monkeypatch, method, sample_stddev, block):
     # three distinct rows repeated 4/3/3 times: every top-5 cuts a tie
     cohort = Cohort([f"c{i}" for i in range(10)],
                     cohort.unit[[0, 0, 0, 0, 1, 1, 1, 2, 2, 2]])
-    ids = store.ids()
+    ids = store.ids
     trials = [Trial("1", ids[i % 12], ids[(3 * i + 1) % 12])
               for i in range(20)]
     top_k = 5 if method == "as" else None
