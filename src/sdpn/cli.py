@@ -25,6 +25,7 @@ from .errors import (
     MalformedFile,
     MissingLabels,
     SdpnError,
+    ShapeMismatch,
 )
 
 
@@ -262,6 +263,11 @@ def cmd_score(args) -> int:
         trial_ids = {t.enroll for t in trials} | {t.test for t in trials}
         cohort = scoring.Cohort.from_store(cohort_store, trial_ids,
                                            overlap=args.cohort_overlap)
+        width, cohort_width = store.matrix.shape[1], cohort.unit.shape[1]
+        if len(store) and width != cohort_width:  # empty: no width to match
+            raise ShapeMismatch(
+                f"store {args.store} holds {width}-dim embeddings, cohort "
+                f"{args.cohort} {cohort_width}-dim")
     scorer = scoring.TrialScorer(store, cohort, method=args.method,
                                  top_k=args.top_k,
                                  sample_stddev=args.sample_stddev)

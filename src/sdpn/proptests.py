@@ -13,7 +13,8 @@ import time
 
 import numpy as np
 
-from . import losses, numerics
+from . import losses, model, numerics, trainer
+from .config import RunConfig, TrainSection
 from .data import atomic_write
 
 FD_STEP = 1e-5
@@ -35,24 +36,22 @@ def _random_distributions(rng, rows, k):
     return numerics.softmax(rng.standard_normal((rows, k)), 1.0)
 
 
-def _well_separated_batch(rng, n, d, margin=1e-3, floor=1e-2,
-                          unit_rows=False):
-    """Random batch whose nearest-neighbour structure is stable under the
-    finite-difference perturbation (no min-distance ties near the step).
+def _well_separated(x, margin=1e-3, floor=1e-2) -> bool:
+    """Whether the nearest-neighbour structure of the rows of ``x`` is
+    stable under the finite-difference perturbation (no min-distance ties
+    near the step)."""
+    dist = numerics.pairwise_distances(x)
+    np.fill_diagonal(dist, np.inf)
+    ordered = np.sort(dist, axis=1)
+    return ordered[:, 0].min() > floor and \
+        (ordered[:, 1] - ordered[:, 0]).min() > margin
 
-    With ``unit_rows`` the rows are L2-normalized first (separation is
-    re-checked afterwards): prototype scores of a unit batch stay in [-1, 1],
-    which keeps even a sharply tempered softmax well clear of the
-    probability floor that would flatten the finite differences.
-    """
+
+def _well_separated_batch(rng, n, d):
+    """Random (n, d) batch that passes ``_well_separated``."""
     while True:
         x = rng.standard_normal((n, d))
-        if unit_rows:
-            x /= np.linalg.norm(x, axis=1, keepdims=True)
-        dist = numerics.pairwise_distances(x)
-        np.fill_diagonal(dist, np.inf)
-        ordered = np.sort(dist, axis=1)
-        if ordered[:, 0].min() > floor and (ordered[:, 1] - ordered[:, 0]).min() > margin:
+        if _well_separated(x):
             return x
 
 
@@ -115,39 +114,51 @@ def _fd_dimreg(loss_fn):
     return run
 
 
+# The composite check's tiny model, and its batch: (B, G, Tg) global and
+# (B, L, Tl) local views.
+COMPOSITE_DIMS = dict(feature_dim=4, encoder_hidden=4, embed_dim=4,
+                      proj_hidden=4, proj_dim=3, num_prototypes=5)
+COMPOSITE_VIEWS = ((4, 1, 6), (4, 2, 3))
+
+
 def _fd_composite(seed, instances):
-    """Full objective through a prototype-scoring forward: one input batch
-    feeds the distillation softmax, the diversity term, and the dimension
-    regularizer, so the chain rule across all three must agree with FD."""
-    mu, lam = 0.1, 0.05
-    temp = 0.1
+    """The trainer's own objective, ``trainer.student_objective``: the
+    gradient of every student tensor and of the prototypes against central
+    differences of its total loss, with the teacher targets of the batch
+    held fixed. The regularizer cycles through none, off_diagonal and
+    frobenius by instance. An instance whose student global projections
+    are near a nearest-neighbour tie is redrawn."""
+    feature_dim = COMPOSITE_DIMS["feature_dim"]
     worst = 0.0
     for i in range(instances):
         rng = np.random.default_rng([seed, i])
-        n, d = _dims(rng)
-        k = int(rng.integers(3, 9))
-        protos = rng.standard_normal((k, d))
-        protos /= np.linalg.norm(protos, axis=1, keepdims=True)
-        p_tea = _random_distributions(rng, int(rng.integers(1, 3)), k)
-        z_tea = rng.standard_normal((n, d))
-        x = _well_separated_batch(rng, n, d, unit_rows=True)
-        reg = (losses.frobenius_regularization if i % 2 == 0
-               else losses.off_diagonal_regularization)
+        cfg = RunConfig(train=TrainSection(regularizer=(
+            "none", "off_diagonal", "frobenius")[i % 3]))
+        while True:
+            params = model.init_params(rng, **COMPOSITE_DIMS)
+            # nonzero biases, and a teacher apart from the student
+            for arr in params.values():
+                arr += 0.1 * rng.standard_normal(arr.shape)
+            model.normalize_prototypes(params["prototypes"])
+            gv, lv = (rng.standard_normal((*shape, feature_dim))
+                      for shape in COMPOSITE_VIEWS)
+            _, s_proj_g, _ = model.network_forward(
+                params, "student", gv.reshape(-1, *gv.shape[2:]))
+            if _well_separated(s_proj_g):
+                break
+        targets = trainer.teacher_targets(
+            params, gv, np.zeros(COMPOSITE_DIMS["num_prototypes"]), cfg)
+        _, grads, _ = trainer.student_objective(params, gv, lv, targets, cfg)
+        for name, grad in grads.items():
+            def loss(value, name=name):
+                terms, _, _ = trainer.student_objective(
+                    {**params, name: value}, gv, lv, targets, cfg)
+                return terms["loss"]
 
-        def objective(z):
-            ce = losses.cross_entropy_loss(
-                p_tea, numerics.softmax(z @ protos.T, temp))
-            total = losses.sdpn_objective(
-                ce.value, losses.diversity_regularization(z), reg(z_tea, z),
-                mu, lam)
-            return ce, total
-
-        ce, total = objective(x)
-        analytic = (ce.gradient / temp) @ protos + total.gradient
-        fd = numerics.finite_diff_gradient(
-            lambda z: objective(z)[1].value, x, FD_STEP)
-        worst = max(worst, rel_error(analytic, fd))
-    return worst, f"{instances} instances, alternating regularizers"
+            fd = numerics.finite_diff_gradient(loss, params[name], FD_STEP)
+            worst = max(worst, rel_error(grad, fd))
+    return worst, (f"{instances} instances, every student tensor and the "
+                   "prototypes, alternating regularizers")
 
 
 def _random_unit_diagonal(rng, d):

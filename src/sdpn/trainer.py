@@ -1,11 +1,16 @@
 """Teacher-student training loop at desk scale.
 
-Per step: the teacher scores global views (centered, sharp softmax), the
-student scores local views for the distillation term and global views for
-the diversity and dimension-regularization terms; SGD with momentum updates
-the student and the shared prototypes; the teacher moves only through the
-EMA update; prototype rows are re-normalized after every step; the teacher
-center follows the batch mean of teacher prototype scores.
+A step has two halves. ``teacher_targets`` runs the teacher over the
+global views (centered, sharp softmax) and returns read-only targets.
+``student_objective`` holds them fixed and is the one definition of the
+training objective: the student scores local views for the distillation
+term and global views for the diversity and dimension-regularization
+terms, and the function returns the loss terms with the gradients of every
+student tensor and the shared prototypes. ``grad-check --loss composite``
+checks that function against finite differences. SGD with momentum applies
+the gradients; the teacher moves only through the EMA update; prototype
+rows are re-normalized after every step; the teacher center follows the
+batch mean of teacher prototype scores.
 
 The training state is one dict of float64 arrays keyed by checkpoint tensor
 name: the weights of ``model.init_params`` plus the ``optimizer.*`` tensors
@@ -21,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,9 +43,9 @@ REGULARIZERS = {
 
 
 def validate_config(cfg: RunConfig):
-    """Reject a ``train`` section, or a teacher-center momentum, that the
-    loop cannot run. Called by ``train`` itself, because CLI flag overrides
-    are set on the loaded config after its sections were built."""
+    """Reject a ``train`` section, or a teacher-center or EMA momentum,
+    that the loop cannot run. Called by ``train`` itself, because CLI flag
+    overrides are set on the loaded config after its sections were built."""
     t = cfg.train
     if t.epochs < 0:
         raise InvalidConfig(f"epochs must be >= 0, got {t.epochs}")
@@ -62,6 +68,9 @@ def validate_config(cfg: RunConfig):
         raise InvalidConfig(
             f"center_momentum must be in [0, 1), got "
             f"{cfg.model.center_momentum}")
+    if not 0 <= cfg.model.ema_momentum < 1:
+        raise InvalidConfig(
+            f"ema_momentum must be in [0, 1), got {cfg.model.ema_momentum}")
     if t.regularizer not in REGULARIZERS:
         raise InvalidConfig(
             f"regularizer must be one of {sorted(REGULARIZERS)}, "
@@ -123,64 +132,82 @@ def init_state(params: dict) -> dict:
 
 
 def encoder_workspace(global_views, local_views, hidden: int):
-    """The encoder buffers of one step (see ``batch_loss_and_grads``): a
+    """The encoder buffers of one step (see ``student_objective``): a
     (B·G, Tg, H) pair for the global views and a (B·L, Tl, H) pair for the
     local views of batch arrays shaped like these."""
     return tuple((np.empty((n * k, t, hidden)), np.empty((n * k, t, hidden)))
                  for n, k, t, _ in (global_views.shape, local_views.shape))
 
 
-def batch_loss_and_grads(params, global_views, local_views, cfg: RunConfig,
-                         center, workspace=None):
-    """Multi-view forward and backward of one batch: the teacher sees the
-    global views only, the student the local views (distillation) and the
-    global views (diversity, covariance). Reads the temperatures from
-    ``cfg.model`` and the loss weights and regularizer from ``cfg.train``.
-    Returns (terms, grads, aux): grads of the student tensors (encoder, then
-    projection) and the prototypes, keyed by name; aux's teacher outputs
-    are read-only.
+class TeacherTargets(NamedTuple):
+    """What the teacher makes of a batch's (B, G, T, F) global views, all
+    read-only: unit projections (B·G, P), prototype scores (B·G, K) and the
+    centered, sharpened distributions (B, G, K)."""
+
+    projections: np.ndarray
+    scores: np.ndarray
+    distributions: np.ndarray
+
+
+def teacher_targets(params, global_views, center, cfg: RunConfig,
+                    buffers=None) -> TeacherTargets:
+    """The teacher's forward over the global views at ``center`` and
+    ``cfg.model.teacher_temp``. ``buffers``, if given, is the global pair
+    of ``encoder_workspace``; the teacher drops its cache, so the student
+    global pass may overwrite it."""
+    gv = np.asarray(global_views, dtype=np.float64)
+    _, proj, _ = model.network_forward(params, "teacher",
+                                       gv.reshape(-1, *gv.shape[2:]), buffers)
+    scores = model.prototype_scores(proj, params["prototypes"])
+    p = numerics.softmax(scores - center, cfg.model.teacher_temp)
+    targets = TeacherTargets(proj, scores, p.reshape(*gv.shape[:2], -1))
+    for arr in targets:
+        arr.flags.writeable = False
+    return targets
+
+
+def student_objective(params, global_views, local_views,
+                      targets: TeacherTargets, cfg: RunConfig,
+                      workspace=None):
+    """The training objective against fixed teacher ``targets``: the
+    student scores the local views for the distillation term and the
+    global views for the diversity and dimension-regularization terms.
+    Reads the student temperature from ``cfg.model`` and the loss weights
+    and regularizer from ``cfg.train``. Returns (terms, grads,
+    student_global): the loss terms, the gradients of the student tensors
+    (encoder, then projection) and the prototypes keyed by name, and the
+    student's global projections (B·G, P).
 
     ``workspace`` (see ``encoder_workspace``), if given, holds the encoder
-    activations: the teacher pass writes the global pair and drops its
-    cache, then the student global pass overwrites it; the student local
-    pass writes the local pair. Without it every pass allocates its own.
+    activations: the student local pass writes the local pair and the
+    global pass the global pair. Without it every pass allocates its own.
     """
     model_cfg = cfg.model
     gv = np.asarray(global_views, dtype=np.float64)
     lv = np.asarray(local_views, dtype=np.float64)
-    b, g = gv.shape[:2]
-    l = lv.shape[1]
+    b, l = gv.shape[0], lv.shape[1]
     protos = params["prototypes"]
     buf_g, buf_l = workspace if workspace is not None else (None, None)
 
-    # teacher path: constants as far as gradients are concerned
-    _, t_proj, _ = model.network_forward(params, "teacher",
-                                         gv.reshape(-1, *gv.shape[2:]), buf_g)
-    t_scores = model.prototype_scores(t_proj, protos)
-    p_tea = numerics.softmax(t_scores - center, model_cfg.teacher_temp)
-    for arr in (t_proj, p_tea):
-        arr.flags.writeable = False
-
-    # student distillation path over local views
+    # distillation path over local views
     _, s_proj_l, caches_l = model.network_forward(
         params, "student", lv.reshape(-1, *lv.shape[2:]), buf_l)
     p_stu = model.prototype_distribution(s_proj_l, protos,
                                          model_cfg.student_temp)
-
-    p_tea_b = p_tea.reshape(b, g, -1)
-    ce = losses.cross_entropy_loss(p_tea_b, p_stu.reshape(b, l, -1))
+    ce = losses.cross_entropy_loss(targets.distributions,
+                                   p_stu.reshape(b, l, -1))
     ce_value = ce.value / b
     d_scores_l = (ce.gradient / b).reshape(p_stu.shape) \
         / model_cfg.student_temp
     g_proj_l = d_scores_l @ protos
     g_protos = d_scores_l.T @ s_proj_l
 
-    # student covariance/diversity path over global views
+    # covariance/diversity path over global views
     _, s_proj_g, caches_g = model.network_forward(
         params, "student", gv.reshape(-1, *gv.shape[2:]), buf_g)
     re = losses.diversity_regularization(s_proj_g)
     kind = REGULARIZERS[cfg.train.regularizer]
-    dr = None if kind is None else kind(t_proj, s_proj_g)
+    dr = None if kind is None else kind(targets.projections, s_proj_g)
     total = losses.sdpn_objective(ce_value, re, dr, cfg.train.mu,
                                   cfg.train.lam)
 
@@ -196,27 +223,24 @@ def batch_loss_and_grads(params, global_views, local_views, cfg: RunConfig,
         "loss_dr": 0.0 if dr is None else dr.value,
         "loss": total.value,
     }
-    aux = {
-        "teacher_scores": t_scores,
-        "teacher_distributions": p_tea_b,
-        "student_global": s_proj_g,
-        "teacher_global": t_proj,
-    }
-    return terms, grads, aux
+    return terms, grads, s_proj_g
 
 
 def train_step(state: dict, global_views, local_views, cfg: RunConfig,
                lr: float, workspace=None):
     """One SGD+momentum update of the student and prototypes in ``state``,
-    with ``workspace`` as in ``batch_loss_and_grads``. The teacher is
-    untouched here; the loop moves it via ema_update afterwards.
+    with ``workspace`` as in ``student_objective``. The teacher is
+    untouched here; the loop moves it via ema_update afterwards. Returns
+    (terms, targets, student_global) as ``teacher_targets`` and
+    ``student_objective`` gave them.
 
     Raises DivergedLoss, naming the first non-finite loss term or else
     gradient (encoder, projection, prototypes), before anything is updated.
     """
-    terms, grads, aux = batch_loss_and_grads(
-        state, global_views, local_views, cfg, state["optimizer.center"],
-        workspace)
+    targets = teacher_targets(state, global_views, state["optimizer.center"],
+                              cfg, None if workspace is None else workspace[0])
+    terms, grads, student_global = student_objective(
+        state, global_views, local_views, targets, cfg, workspace)
     for key in ("loss_ce", "loss_re", "loss_dr", "loss"):
         if not math.isfinite(terms[key]):
             raise DivergedLoss(f"non-finite {key} {terms[key]}")
@@ -229,7 +253,7 @@ def train_step(state: dict, global_views, local_views, cfg: RunConfig,
         vel += grad
         state[name] -= lr * vel
     model.normalize_prototypes(state["prototypes"])
-    return terms, aux
+    return terms, targets, student_global
 
 
 def train(corpus, state: dict, cfg: RunConfig, *, on_step=None,
@@ -240,8 +264,9 @@ def train(corpus, state: dict, cfg: RunConfig, *, on_step=None,
     Returns (state, epoch_records).
 
     ``on_step`` (if given) receives a dict per step with the batch as
-    ``data.iter_crop_sets`` wrote it, the loss terms, and the projected
-    globals — the tests use it to recompute losses independently. Every
+    ``data.iter_crop_sets`` wrote it, the loss terms, the teacher
+    ``targets`` and the ``student_global`` projections — the tests use it
+    to recompute losses independently. Every
     step overwrites the same batch arrays; copy them to keep them. Raises
     InvalidConfig before the first step if ``validate_config`` rejects
     ``cfg``, ShapeMismatch if an utterance's feature width is not the
@@ -292,8 +317,8 @@ def train(corpus, state: dict, cfg: RunConfig, *, on_step=None,
                 step = int(global_step[0])
                 last_lr = lr_at(step, total_steps, cfg)
                 try:
-                    terms, aux = train_step(state, gv, lv, cfg, last_lr,
-                                            workspace)
+                    terms, targets, student_global = train_step(
+                        state, gv, lv, cfg, last_lr, workspace)
                 except DivergedLoss as exc:
                     raise DivergedLoss(
                         f"{exc} at epoch {epoch} step {step_in_epoch}",
@@ -303,19 +328,20 @@ def train(corpus, state: dict, cfg: RunConfig, *, on_step=None,
                 model.ema_update(state, momentum)
                 cm = cfg.model.center_momentum
                 state["optimizer.center"] = cm * state["optimizer.center"] + \
-                    (1.0 - cm) * aux["teacher_scores"].mean(axis=0)
+                    (1.0 - cm) * targets.scores.mean(axis=0)
                 global_step += 1
                 for key in sums:
                     sums[key] += terms[key]
-                epoch_globals.append(aux["student_global"])
-                epoch_teacher_p.append(aux["teacher_distributions"]
+                epoch_globals.append(student_global)
+                epoch_teacher_p.append(targets.distributions
                                        .reshape(-1, num_prototypes))
                 if on_step is not None:
                     on_step({"epoch": epoch, "step": step_in_epoch,
                              "global_step": step,
                              "lr": last_lr, "terms": terms,
                              "global_views": gv, "local_views": lv,
-                             "aux": aux})
+                             "targets": targets,
+                             "student_global": student_global})
             diag = diagnostics(np.concatenate(epoch_globals),
                                np.concatenate(epoch_teacher_p))
             record = {

@@ -22,9 +22,11 @@ def verdict(num, name, ok, detail):
 
 
 # ----------------------------------------------------------------------
-# 1. analytic gradients of every loss term and the composite match central
-#    finite differences (h=1e-5) within 1e-4 relative error, >= 50 random
-#    instances each, under 30 seconds
+# 1. analytic gradients of every loss term and of the trainer's whole
+#    student objective (``composite``: every student tensor and the
+#    prototypes, teacher targets fixed, each regularizer in turn) match
+#    central finite differences (h=1e-5) within 1e-4 relative error, >= 50
+#    random instances each, under 30 seconds
 
 
 def test_criterion_1_gradient_oracle():

@@ -524,6 +524,21 @@ def test_empty_cohort_store_exits_2(world, tmp_path, capsys):
     assert "cohort needs >= 2 entries, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["as", "z"])
+def test_cohort_of_another_width_exits_2(world, tmp_path, capsys, method):
+    cohort = tmp_path / "cohort.emb"
+    scoring.EmbeddingStore(
+        [f"c{i}" for i in range(5)],
+        np.random.default_rng(5).standard_normal((5, 3))).save(cohort)
+    argv = _argv_with(world, tmp_path, "normalize", "--cohort", cohort)
+    assert cli.main(argv + ["--method", method]) == 2
+    err = capsys.readouterr().err
+    assert f"store {world['store']} holds 8-dim embeddings, cohort " \
+        f"{cohort} 3-dim" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["gen-data", "train"])
 def test_out_naming_a_file_exits_2(world, tmp_path, capsys, command):
     taken = tmp_path / "taken"

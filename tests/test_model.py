@@ -162,15 +162,17 @@ def test_ema_momentum_schedule_endpoints():
 
 
 # ----------------------------------------------------------------------
-# multi-view forward (trainer.batch_loss_and_grads)
+# multi-view forward (trainer.teacher_targets, trainer.student_objective)
 
 
 def multi_view(params, gv, lv, student_temp=0.1, teacher_temp=0.04):
-    """The trainer's multi-view forward at a zero teacher center."""
+    """The trainer's two step halves at a zero teacher center: (targets,
+    terms, grads, student_global)."""
     cfg = RunConfig(model=ModelConfig(student_temp=student_temp,
                                       teacher_temp=teacher_temp))
-    return trainer.batch_loss_and_grads(
-        params, gv, lv, cfg, np.zeros(params["prototypes"].shape[0]))
+    targets = trainer.teacher_targets(
+        params, gv, np.zeros(params["prototypes"].shape[0]), cfg)
+    return (targets, *trainer.student_objective(params, gv, lv, targets, cfg))
 
 
 def test_multi_view_shapes_and_distributions():
@@ -178,12 +180,13 @@ def test_multi_view_shapes_and_distributions():
     rng = np.random.default_rng(89)
     gv = rng.standard_normal((3, 1, 12, 5))
     lv = rng.standard_normal((3, 4, 6, 5))
-    terms, grads, aux = multi_view(params, gv, lv)
-    p_teacher = aux["teacher_distributions"]
+    targets, terms, grads, student_global = multi_view(params, gv, lv)
+    p_teacher = targets.distributions
     assert p_teacher.shape == (3, 1, 4)
     npt.assert_allclose(p_teacher.sum(axis=-1), 1.0, atol=1e-9)
-    assert aux["teacher_global"].shape == (3, 3)  # (B*G, proj_dim)
-    assert aux["student_global"].shape == (3, 3)
+    assert targets.projections.shape == (3, 3)  # (B*G, proj_dim)
+    assert targets.scores.shape == (3, 4)  # (B*G, num_prototypes)
+    assert student_global.shape == (3, 3)
     # the distillation term is taken against the student's local-view
     # prototype distributions
     _, s_proj_l, _ = model.network_forward(params, "student",
@@ -203,18 +206,26 @@ def test_multi_view_shapes_and_distributions():
 def test_multi_view_teacher_outputs_are_read_only():
     params = tiny_params(seed=90)
     rng = np.random.default_rng(91)
-    _, _, aux = multi_view(params, rng.standard_normal((2, 1, 8, 5)),
-                           rng.standard_normal((2, 2, 5, 5)))
+    targets, _, _, _ = multi_view(params, rng.standard_normal((2, 1, 8, 5)),
+                                  rng.standard_normal((2, 2, 5, 5)))
     with pytest.raises(ValueError):
-        aux["teacher_distributions"][0, 0, 0] = 1.0
+        targets.distributions[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        aux["teacher_global"][0, 0] = 1.0
+        targets.projections[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        targets.scores[0, 0] = 1.0
 
 
 def test_multi_view_rejects_flat_views():
     params = tiny_params(seed=92)
     with pytest.raises(ShapeMismatch):
         multi_view(params, np.zeros((2, 8, 5)), np.zeros((2, 2, 5, 5)))
+    cfg = RunConfig()
+    gv = np.zeros((2, 1, 8, 5))
+    targets = trainer.teacher_targets(params, gv, np.zeros(4), cfg)
+    with pytest.raises(ShapeMismatch):
+        trainer.student_objective(params, gv, np.zeros((2, 2, 5)), targets,
+                                  cfg)
 
 
 def test_identical_branches_equal_temps_ce_is_teacher_entropy():
@@ -222,9 +233,9 @@ def test_identical_branches_equal_temps_ce_is_teacher_entropy():
     rng = np.random.default_rng(94)
     # two utterances: the diversity term needs at least two global rows
     view = rng.standard_normal((2, 1, 9, 5))
-    terms, _, aux = multi_view(params, view, view, student_temp=0.1,
-                               teacher_temp=0.1)
-    p = aux["teacher_distributions"][:, 0]
+    targets, terms, _, _ = multi_view(params, view, view, student_temp=0.1,
+                                      teacher_temp=0.1)
+    p = targets.distributions[:, 0]
     entropy = -float((p * np.log(p)).sum(axis=1).mean())
     assert terms["loss_ce"] == pytest.approx(entropy, abs=1e-9)
 

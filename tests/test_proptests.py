@@ -4,7 +4,7 @@ import argparse
 import json
 
 import oracles
-from sdpn import cli, proptests
+from sdpn import cli, proptests, trainer
 
 REPORT_KEYS = ["name", "kind", "max_deviation", "tolerance", "passed",
                "elapsed_sec", "detail"]
@@ -44,6 +44,22 @@ def test_gradient_cases_pass_at_reduced_instances():
         assert r["passed"], f"{r['name']}: {r['max_deviation']} > " \
                             f"{r['tolerance']}"
         assert r["max_deviation"] <= r["tolerance"]
+
+
+def test_composite_check_reads_the_trainer_objective(monkeypatch):
+    """A 1% error in one gradient that ``trainer.student_objective`` returns
+    fails the composite check: it checks the trainer's code, not a copy."""
+    real = trainer.student_objective
+
+    def skewed(*args, **kwargs):
+        terms, grads, student_global = real(*args, **kwargs)
+        grads["prototypes"] = grads["prototypes"] * 1.01
+        return terms, grads, student_global
+
+    monkeypatch.setattr(trainer, "student_objective", skewed)
+    r = proptests.run_check("composite", 5)
+    assert not r["passed"]
+    assert r["max_deviation"] > 1e-3
 
 
 def test_run_check_reports_fields():

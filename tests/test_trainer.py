@@ -186,12 +186,15 @@ WEIGHTS_AT_ZERO = dict(mu=0.0, lam=0.0)  # the boundary is allowed
     WEIGHTS_AT_ZERO,
     dict(center_momentum=1.0),
     dict(center_momentum=-0.5),
+    dict(ema_momentum=1.0),  # rejected before step 0 updates anything
+    dict(ema_momentum=-0.1),
 ])
 def test_train_config_validation(bad):
-    train_kw = {k: v for k, v in bad.items() if k != "center_momentum"}
+    model_keys = {"center_momentum", "ema_momentum"}
+    train_kw = {k: v for k, v in bad.items() if k not in model_keys}
     corpus, state, cfg = tiny_world(**train_kw)
-    if "center_momentum" in bad:
-        cfg.model.center_momentum = bad["center_momentum"]
+    for key in model_keys & bad.keys():
+        setattr(cfg.model, key, bad[key])
     if bad is WEIGHTS_AT_ZERO:
         trainer.train(corpus, state, cfg)
         return
@@ -302,17 +305,17 @@ def test_resume_replays_the_uninterrupted_run(tmp_path):
 
 def test_non_finite_gradient_names_its_group(monkeypatch):
     corpus, state, cfg = tiny_world(epochs=3)
-    real = trainer.batch_loss_and_grads
+    real = trainer.student_objective
     calls = []
 
     def poisoned(*args, **kwargs):
-        terms, grads, aux = real(*args, **kwargs)
+        terms, grads, student_global = real(*args, **kwargs)
         calls.append(None)
         if len(calls) == 5:  # epoch 1 step 0: four steps per epoch
             grads["student.encoder.w1"].flat[0] = np.nan
-        return terms, grads, aux
+        return terms, grads, student_global
 
-    monkeypatch.setattr(trainer, "batch_loss_and_grads", poisoned)
+    monkeypatch.setattr(trainer, "student_objective", poisoned)
     with pytest.raises(DivergedLoss) as exc_info:
         trainer.train(corpus, state, cfg)
     assert str(exc_info.value) \
@@ -332,10 +335,10 @@ def test_on_step_terms_are_recomputable():
     assert len(seen) == len(corpus) // cfg.train.batch_size
     total = len(seen) * cfg.train.epochs
     for rec in seen:
-        aux, terms = rec["aux"], rec["terms"]
-        re = losses.diversity_regularization(aux["student_global"])
+        student_global, terms = rec["student_global"], rec["terms"]
+        re = losses.diversity_regularization(student_global)
         dr = losses.frobenius_regularization(
-            aux["teacher_global"], aux["student_global"])
+            rec["targets"].projections, student_global)
         assert terms["loss_re"] == pytest.approx(re.value, rel=1e-12)
         assert terms["loss_dr"] == pytest.approx(dr.value, rel=1e-12)
         assert terms["loss"] == pytest.approx(
@@ -350,7 +353,7 @@ def test_center_is_ema_of_teacher_score_means():
     state, _ = trainer.train(
         corpus, state, cfg,
         on_step=lambda rec: means.append(
-            rec["aux"]["teacher_scores"].mean(axis=0)))
+            rec["targets"].scores.mean(axis=0)))
     mc = cfg.model
     expect = np.zeros(mc.num_prototypes)
     for m in means:
