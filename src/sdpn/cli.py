@@ -282,8 +282,15 @@ def cmd_score(args) -> int:
 
 def cmd_eval(args) -> int:
     enroll, test, _, normalized = scoring.read_scores(args.scores)
-    label_of = {(e, t): label for label, e, t
-                in scoring.read_trials(args.trials)}
+    trials = scoring.read_trials(args.trials)
+    label_of = {(e, t): label for label, e, t in trials}
+    if len(label_of) < len(trials):  # a pair repeats: its labels must agree
+        first = {}
+        for label, e, t in trials:
+            if first.setdefault((e, t), label) != label:
+                raise DataError(
+                    f"{args.trials} labels trial ({e}, {t}) both "
+                    f"{first[e, t]} and {label}")
     labels = list(map(label_of.get, zip(enroll, test)))
     unusable = set(labels) - {"1", "0"}  # None (not in the list) or "-"
     if unusable:

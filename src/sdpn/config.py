@@ -130,8 +130,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     return cfg
 
 
-def load_config(path=None, overrides: dict | None = None,
-                env=None) -> RunConfig:
+def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Resolve the effective config: file < SDPN_SEED env var < CLI flags."""
     if path is not None:
         try:
@@ -145,8 +144,7 @@ def load_config(path=None, overrides: dict | None = None,
     else:
         cfg = RunConfig()
 
-    env = os.environ if env is None else env
-    env_seed = env.get(SEED_ENV_VAR)
+    env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
             cfg.seed = int(env_seed)

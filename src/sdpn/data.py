@@ -106,11 +106,11 @@ def _mask_runs(rng, n: int, count: int, size: int, max_width: int):
     return ((pos >= start) & (pos < start + width[..., None])).any(axis=1)
 
 
-def iter_crop_sets(utterances, crops, rng, mask=None, out=None):
+def iter_crop_sets(utterances, crops, rng, mask, out=None):
     """Crop the CropConfig ``crops`` views of every utterance into a
     (B, G, Tg, F) and a (B, L, Tl, F) float64 array: ``out`` if given, else
     a fresh pair. Returns the pair. Each view is a uniform random contiguous
-    slice; with an enabled MaskConfig ``mask``, each kind of view is then
+    slice; if the MaskConfig ``mask`` is enabled, each kind of view is then
     masked as a whole (see ``mask_in_place``). ``rng`` draws the (B, G+L)
     starts in one call (per utterance, its G global starts, then its L
     local ones), then the global views' mask draws, then the local ones'.
@@ -141,7 +141,7 @@ def iter_crop_sets(utterances, crops, rng, mask=None, out=None):
         # mode="clip" writes ``out`` directly; "raise" would buffer it
         np.take(frames, first[..., None] + np.arange(length), axis=0,
                 out=views, mode="clip")
-        if mask is not None and mask.enabled:
+        if mask.enabled:
             mask_in_place(views.reshape(-1, *views.shape[2:]),
                           mask.num_time_masks, mask.num_freq_masks,
                           mask.max_width, rng)
@@ -264,12 +264,16 @@ def write_feature_file(utt: Utterance, path):
         raise InvalidConfig(f"frames must be 2-d, got shape {frames.shape}")
     t, f = frames.shape
     uid = utt.utterance_id.encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<HII", FEATURE_VERSION, t, f))
-        fh.write(frames.tobytes())
-        fh.write(struct.pack("<H", len(uid)))
-        fh.write(uid)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(FEATURE_MAGIC)
+            fh.write(struct.pack("<HII", FEATURE_VERSION, t, f))
+            fh.write(frames.tobytes())
+            fh.write(struct.pack("<H", len(uid)))
+            fh.write(uid)
+    except OSError as exc:
+        raise DataError(
+            f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def read_feature_file(path) -> Utterance:
@@ -293,9 +297,10 @@ def read_feature_file(path) -> Utterance:
     return Utterance(uid, None, frames)
 
 
-def save_corpus(corpus, out_dir, manifest_name: str = "manifest.tsv") -> Path:
-    """Write one feature file per utterance, then the manifest through
-    ``atomic_write``; returns the manifest path."""
+def save_corpus(corpus, out_dir) -> Path:
+    """Write one feature file per utterance, then ``manifest.tsv`` through
+    ``atomic_write``; returns the manifest path. A file that cannot be
+    written is a DataError naming it."""
     out = make_dir(out_dir)
     lines = []
     for utt in corpus:
@@ -305,7 +310,7 @@ def save_corpus(corpus, out_dir, manifest_name: str = "manifest.tsv") -> Path:
             lines.append(f"{utt.utterance_id}\t{rel}")
         else:
             lines.append(f"{utt.utterance_id}\t{rel}\t{utt.speaker_id}")
-    manifest = out / manifest_name
+    manifest = out / "manifest.tsv"
     atomic_write(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
     return manifest
 

@@ -1,5 +1,6 @@
-"""Training objective: distillation cross-entropy, batch diversity, and the
-two covariance-based dimension regularizers.
+"""Terms of the training objective: distillation cross-entropy, batch
+diversity, and the two covariance-based dimension regularizers.
+``trainer.student_objective`` weighs them into the objective.
 
 Every loss returns its value together with a hand-derived analytic gradient;
 ``grad-check`` (``proptests``) holds each of those gradients against central
@@ -137,17 +138,3 @@ def frobenius_regularization(teacher_batch, student_batch) -> LossValue:
     return LossValue(value, numerics.normalized_covariance_vjp(
         student_batch, frobenius_reg_covariance_grad(c_s)))
 
-
-def sdpn_objective(ce_value: float, re: LossValue, dr: LossValue | None,
-                   mu: float, lam: float) -> LossValue:
-    """Total ``ce + mu*re + lam*dr`` with its gradient w.r.t. the student
-    global projections, ``mu*re.gradient + lam*dr.gradient`` (the
-    distillation gradient flows through the local views instead). ``mu``
-    weights the diversity term, ``lam`` the dimension regularizer; ``dr`` is
-    None when no dimension regularizer runs."""
-    dr_value = 0.0 if dr is None else dr.value
-    value = ce_value + mu * re.value + lam * dr_value
-    gradient = mu * re.gradient
-    if dr is not None:
-        gradient = gradient + lam * dr.gradient
-    return LossValue(value, gradient)

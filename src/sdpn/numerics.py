@@ -25,12 +25,12 @@ EPS_COLUMN = 1e-12
 EPS_DUPLICATE = 1e-12
 
 
-def _as_batch(batch, min_rows: int = 2) -> np.ndarray:
+def _as_batch(batch) -> np.ndarray:
     z = np.asarray(batch, dtype=np.float64)
     if z.ndim != 2:
         raise ShapeMismatch(f"expected a 2-d batch, got shape {z.shape}")
-    if z.shape[0] < min_rows:
-        raise BatchTooSmall(f"need at least {min_rows} rows, got {z.shape[0]}")
+    if z.shape[0] < 2:
+        raise BatchTooSmall(f"need at least 2 rows, got {z.shape[0]}")
     return z
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
@@ -262,16 +261,11 @@ def cohort_scores(x, cohort: Cohort) -> np.ndarray:
     return (v / n) @ cohort.unit.T
 
 
-@dataclass(frozen=True)
-class CohortStats:
-    mu: float | np.ndarray
-    sigma: float | np.ndarray
-
-
 def cohort_stats(scores, top_k: int | None = None,
-                 sample_stddev: bool = False) -> CohortStats:
-    """Mean/stddev of cohort scores along the last axis, optionally over the
-    top-K largest; floats for one score list, one value per row for a matrix.
+                 sample_stddev: bool = False):
+    """(mu, sigma): mean and stddev of cohort scores along the last axis,
+    optionally over the top-K largest; floats for one score list, one value
+    per row for a matrix.
 
     The top K are taken from a descending sort, so they come in the same
     order whatever the cohort order, and ties cannot change which values are
@@ -288,29 +282,17 @@ def cohort_stats(scores, top_k: int | None = None,
     k = s.shape[-1]
     if k < 2:
         raise DegenerateCohort(f"need >= 2 cohort scores, got {k}")
-    return CohortStats(s.mean(axis=-1),
-                       s.std(axis=-1, ddof=1 if sample_stddev else 0))
+    return s.mean(axis=-1), s.std(axis=-1, ddof=1 if sample_stddev else 0)
 
 
-def _shift_scale(raw, stats: CohortStats):
-    if np.min(stats.sigma, initial=np.inf) <= EPS_SIGMA:
+def standardize(raw, mu, sigma):
+    """``(raw - mu) / sigma``, raw scores standardized by the cohort stats
+    of one side (see ``cohort_stats``); a sigma at or under EPS_SIGMA is a
+    DegenerateCohort."""
+    if np.min(sigma, initial=np.inf) <= EPS_SIGMA:
         raise DegenerateCohort(
-            f"cohort score spread {np.min(stats.sigma)} too small to normalize"
-        )
-    return (raw - stats.mu) / stats.sigma
-
-
-def znorm(raw, enroll_stats: CohortStats):
-    return _shift_scale(raw, enroll_stats)
-
-
-def tnorm(raw, test_stats: CohortStats):
-    return _shift_scale(raw, test_stats)
-
-
-def snorm(raw, enroll_stats: CohortStats, test_stats: CohortStats):
-    return 0.5 * (_shift_scale(raw, enroll_stats)
-                  + _shift_scale(raw, test_stats))
+            f"cohort score spread {np.min(sigma)} too small to normalize")
+    return (raw - mu) / sigma
 
 
 def _blocks(rows: int, width: int):
@@ -324,7 +306,10 @@ class TrialScorer:
 
     Trial ids index the rows of the store's matrix; cohort statistics are
     computed once per id that the method reads (enroll ids for z, test ids
-    for t, both for s and as). ``cohort_computes`` counts those ids.
+    for t, both for s and as), and ``cohort_computes`` counts those ids. A
+    normalized score is the mean of the raw score standardized by each
+    side the method reads; "as" differs from "s" only in taking its stats
+    over the top K.
     """
 
     def __init__(self, store: EmbeddingStore, cohort: Cohort | None,
@@ -363,15 +348,9 @@ class TrialScorer:
         mu, sigma = np.zeros((2, len(matrix)))
         top_k = self.top_k if self.method == "as" else None
         for b in _blocks(rows.size, len(self.cohort)):
-            stats = cohort_stats(cohort_scores(matrix[rows[b]], self.cohort),
-                                 top_k=top_k, sample_stddev=self.sample_stddev)
-            mu[rows[b]] = stats.mu
-            sigma[rows[b]] = stats.sigma
-
-        enroll, test = (CohortStats(mu[pairs[:, i]], sigma[pairs[:, i]])
-                        for i in (0, 1))
-        if self.method == "z":
-            return raw, znorm(raw, enroll)
-        if self.method == "t":
-            return raw, tnorm(raw, test)
-        return raw, snorm(raw, enroll, test)  # "as" differs only in top-K
+            mu[rows[b]], sigma[rows[b]] = cohort_stats(
+                cohort_scores(matrix[rows[b]], self.cohort),
+                top_k=top_k, sample_stddev=self.sample_stddev)
+        side_rows = pairs[:, sides].T  # one row of store rows per side
+        return raw, standardize(raw, mu[side_rows],
+                                sigma[side_rows]).mean(axis=0)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from . import data as data_mod
 from . import losses, model, numerics
 from .config import RunConfig
-from .errors import DivergedLoss, InvalidConfig, ShapeMismatch
+from .errors import DataError, DivergedLoss, InvalidConfig, ShapeMismatch
 
 REGULARIZERS = {
     "none": None,
@@ -92,18 +91,11 @@ def lr_at(step: int, total_steps: int, cfg: RunConfig) -> float:
         1.0 + math.cos(math.pi * progress))
 
 
-@dataclass(frozen=True)
-class CollapseDiagnostics:
-    mean_abs_offdiag: float
-    embedding_std: float
-    prototype_usage_entropy: float
-
-
-def diagnostics(student_global_embeddings, teacher_distributions
-                ) -> CollapseDiagnostics:
-    """Collapse indicators: mean |off-diagonal| of the student covariance,
-    mean per-dimension embedding spread, and the entropy of the average
-    teacher distribution (0 = one prototype eats everything)."""
+def diagnostics(student_global_embeddings, teacher_distributions) -> dict:
+    """Collapse indicators, keyed as an epoch record holds them:
+    ``mean_abs_offdiag`` of the student covariance, ``embedding_std`` (the
+    mean per-dimension spread) and ``prototype_usage_entropy`` of the
+    average teacher distribution (0 = one prototype eats everything)."""
     z = np.asarray(student_global_embeddings, dtype=np.float64)
     c = numerics.normalized_covariance(z)
     d = c.shape[0]
@@ -112,7 +104,8 @@ def diagnostics(student_global_embeddings, teacher_distributions
     p = np.atleast_2d(np.asarray(teacher_distributions, dtype=np.float64))
     p_mean = p.reshape(-1, p.shape[-1]).mean(axis=0)
     entropy = float(-(p_mean * np.log(np.maximum(p_mean, losses.PROB_FLOOR))).sum())
-    return CollapseDiagnostics(mean_abs, emb_std, entropy)
+    return {"mean_abs_offdiag": mean_abs, "embedding_std": emb_std,
+            "prototype_usage_entropy": entropy}
 
 
 def init_state(params: dict) -> dict:
@@ -205,23 +198,28 @@ def student_objective(params, global_views, local_views,
     # covariance/diversity path over global views
     _, s_proj_g, caches_g = model.network_forward(
         params, "student", gv.reshape(-1, *gv.shape[2:]), buf_g)
+    # total ce + mu*re + lam*dr: mu weighs the diversity term, lam the
+    # dimension regularizer, which is absent under "none"
+    mu, lam = cfg.train.mu, cfg.train.lam
     re = losses.diversity_regularization(s_proj_g)
     kind = REGULARIZERS[cfg.train.regularizer]
     dr = None if kind is None else kind(targets.projections, s_proj_g)
-    total = losses.sdpn_objective(ce_value, re, dr, cfg.train.mu,
-                                  cfg.train.lam)
+    dr_value = 0.0 if dr is None else dr.value
+    g_proj_g = mu * re.gradient
+    if dr is not None:
+        g_proj_g += lam * dr.gradient
 
     grads = model.network_backward(params, "student", caches_l, g_proj_l)
     for key, val in model.network_backward(params, "student", caches_g,
-                                           total.gradient).items():
+                                           g_proj_g).items():
         grads[key] += val
     grads["prototypes"] = g_protos
 
     terms = {
         "loss_ce": ce_value,
         "loss_re": re.value,
-        "loss_dr": 0.0 if dr is None else dr.value,
-        "loss": total.value,
+        "loss_dr": dr_value,
+        "loss": ce_value + mu * re.value + lam * dr_value,
     }
     return terms, grads, s_proj_g
 
@@ -256,23 +254,19 @@ def train_step(state: dict, global_views, local_views, cfg: RunConfig,
     return terms, targets, student_global
 
 
-def train(corpus, state: dict, cfg: RunConfig, *, on_step=None,
-          log_path=None):
+def train(corpus, state: dict, cfg: RunConfig, *, log_path=None):
     """Run the loop under ``cfg`` (its ``train``, ``model``, ``crops``,
     ``augment`` and ``seed``) from ``state`` (see ``init_state``; a loaded
     checkpoint resumes at its ``optimizer.epoch``), updating it in place.
-    Returns (state, epoch_records).
+    Returns (state, epoch_records); each record is also written as one
+    JSON line to ``log_path``, if given.
 
-    ``on_step`` (if given) receives a dict per step with the batch as
-    ``data.iter_crop_sets`` wrote it, the loss terms, the teacher
-    ``targets`` and the ``student_global`` projections — the tests use it
-    to recompute losses independently. Every
-    step overwrites the same batch arrays; copy them to keep them. Raises
-    InvalidConfig before the first step if ``validate_config`` rejects
-    ``cfg``, ShapeMismatch if an utterance's feature width is not the
-    encoder's input width, and DivergedLoss (carrying a copy of the state
-    at the end of the last finished epoch) if a loss term or a gradient
-    leaves the reals.
+    Raises InvalidConfig before the first step if ``validate_config``
+    rejects ``cfg``, ShapeMismatch if an utterance's feature width is not
+    the encoder's input width, DataError if ``log_path`` cannot be opened
+    for writing, and DivergedLoss (carrying a copy of the state at the end
+    of the last finished epoch) if a loss term or a gradient leaves the
+    reals.
     """
     validate_config(cfg)
     batch_size, epochs = cfg.train.batch_size, cfg.train.epochs
@@ -295,7 +289,11 @@ def train(corpus, state: dict, cfg: RunConfig, *, on_step=None,
     batch = None  # the view arrays every step overwrites
     workspace = None  # the encoder buffers every step overwrites
     records = []
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
+    try:
+        log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
+    except OSError as exc:
+        raise DataError(
+            f"cannot write {log_path}: {exc.strerror or exc}") from None
     try:
         for epoch in range(int(state["optimizer.epoch"][0]), epochs):
             rng = np.random.default_rng([cfg.seed, epoch])
@@ -335,15 +333,6 @@ def train(corpus, state: dict, cfg: RunConfig, *, on_step=None,
                 epoch_globals.append(student_global)
                 epoch_teacher_p.append(targets.distributions
                                        .reshape(-1, num_prototypes))
-                if on_step is not None:
-                    on_step({"epoch": epoch, "step": step_in_epoch,
-                             "global_step": step,
-                             "lr": last_lr, "terms": terms,
-                             "global_views": gv, "local_views": lv,
-                             "targets": targets,
-                             "student_global": student_global})
-            diag = diagnostics(np.concatenate(epoch_globals),
-                               np.concatenate(epoch_teacher_p))
             record = {
                 "epoch": epoch,
                 "loss": sums["loss"] / steps_per_epoch,
@@ -351,9 +340,8 @@ def train(corpus, state: dict, cfg: RunConfig, *, on_step=None,
                 "loss_re": sums["loss_re"] / steps_per_epoch,
                 "loss_dr": sums["loss_dr"] / steps_per_epoch,
                 "lr": last_lr,
-                "mean_abs_offdiag": diag.mean_abs_offdiag,
-                "embedding_std": diag.embedding_std,
-                "prototype_usage_entropy": diag.prototype_usage_entropy,
+                **diagnostics(np.concatenate(epoch_globals),
+                              np.concatenate(epoch_teacher_p)),
             }
             records.append(record)
             if log_fh is not None:

@@ -118,13 +118,18 @@ def identity_metric_monotone(instances):
 
 def asnorm(raw, enroll_scores, test_scores, top_k: int,
            sample_stddev: bool = False):
-    """Adaptive S-norm of one trial: both sides standardized by their top-K
-    cohort stats (``TrialScorer`` does the same over whole arrays)."""
-    se = scoring.cohort_stats(enroll_scores, top_k=top_k,
-                              sample_stddev=sample_stddev)
-    st = scoring.cohort_stats(test_scores, top_k=top_k,
-                              sample_stddev=sample_stddev)
-    return scoring.snorm(raw, se, st)
+    """Adaptive S-norm of one trial: the mean of the raw score standardized
+    by each side's top-K cohort stats (``TrialScorer`` does the same over
+    whole arrays)."""
+    return snorm(raw, *(scoring.cohort_stats(scores, top_k=top_k,
+                                             sample_stddev=sample_stddev)
+                        for scores in (enroll_scores, test_scores)))
+
+
+def snorm(raw, enroll_stats, test_stats):
+    """S-norm of one trial from each side's (mu, sigma)."""
+    return 0.5 * (scoring.standardize(raw, *enroll_stats)
+                  + scoring.standardize(raw, *test_stats))
 
 
 def identity_asnorm_snorm(instances):
@@ -137,8 +142,8 @@ def identity_asnorm_snorm(instances):
         e_scores = rng.standard_normal(n)
         t_scores = rng.standard_normal(n)
         raw = float(rng.standard_normal())
-        full = scoring.snorm(raw, scoring.cohort_stats(e_scores),
-                             scoring.cohort_stats(t_scores))
+        full = snorm(raw, scoring.cohort_stats(e_scores),
+                     scoring.cohort_stats(t_scores))
         adaptive = asnorm(raw, e_scores, t_scores, top_k=n)
         worst = max(worst, abs(full - adaptive))
     return worst
@@ -156,20 +161,20 @@ def identity_affine_invariance(instances):
         t_scores = rng.standard_normal(n)
         raw = float(rng.standard_normal())
         base = {
-            "z": scoring.znorm(raw, scoring.cohort_stats(e_scores)),
-            "t": scoring.tnorm(raw, scoring.cohort_stats(t_scores)),
-            "s": scoring.snorm(raw, scoring.cohort_stats(e_scores),
-                               scoring.cohort_stats(t_scores)),
+            "z": scoring.standardize(raw, *scoring.cohort_stats(e_scores)),
+            "t": scoring.standardize(raw, *scoring.cohort_stats(t_scores)),
+            "s": snorm(raw, scoring.cohort_stats(e_scores),
+                       scoring.cohort_stats(t_scores)),
             "as": asnorm(raw, e_scores, t_scores, top_k=k),
         }
         for a in (0.5, 3.0):
             for b in (-1.0, 2.0):
                 te, tt, tr = a * e_scores + b, a * t_scores + b, a * raw + b
                 got = {
-                    "z": scoring.znorm(tr, scoring.cohort_stats(te)),
-                    "t": scoring.tnorm(tr, scoring.cohort_stats(tt)),
-                    "s": scoring.snorm(tr, scoring.cohort_stats(te),
-                                       scoring.cohort_stats(tt)),
+                    "z": scoring.standardize(tr, *scoring.cohort_stats(te)),
+                    "t": scoring.standardize(tr, *scoring.cohort_stats(tt)),
+                    "s": snorm(tr, scoring.cohort_stats(te),
+                               scoring.cohort_stats(tt)),
                     "as": asnorm(tr, te, tt, top_k=k),
                 }
                 worst = max(worst, max(abs(got[m] - base[m]) for m in base))

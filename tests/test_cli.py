@@ -490,6 +490,31 @@ def test_unwritable_output_exits_2(world, tmp_path, capsys, command):
     assert not (tmp_path / "corpus").exists()
 
 
+def test_gen_data_unwritable_feature_file_exits_2(world, tmp_path, capsys):
+    out = tmp_path / "corpus"
+    blocked = out / "utt00003.sdfk"
+    blocked.mkdir(parents=True)
+    assert cli.main(["gen-data", "--config", str(world["config"]),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {blocked}: " in err
+    assert "Traceback" not in err
+    assert not (out / "manifest.tsv").exists()
+
+
+def test_train_unusable_metrics_log_exits_2(world, tmp_path, capsys):
+    run = tmp_path / "run"
+    log = run / "metrics.jsonl"
+    log.mkdir(parents=True)
+    assert cli.main(["train", "--config", str(world["config"]),
+                     "--manifest", str(world["manifest"]),
+                     "--out", str(run)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {log}: " in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in run.iterdir()) == ["metrics.jsonl"]
+
+
 def test_gen_data_whitespace_in_trial_ids_exits_2(world, tmp_path, capsys):
     out, trials = tmp_path / "corpus", tmp_path / "t.txt"
     assert cli.main(["gen-data", "--config", str(world["config"]),
@@ -596,6 +621,23 @@ def test_eval_with_unlabeled_trial_exits_2(world, tmp_path):
     scoring.write_trials(unlabeled, trials)
     assert cli.main(["eval", "--scores", str(world["scores"]),
                      "--trials", str(trials)]) == 2
+
+
+def test_eval_pair_with_two_labels_exits_2(world, tmp_path, capsys):
+    scored = scoring.read_trials(world["trials"])
+    label, enroll, test = scored[1]
+    other = "0" if label == "1" else "1"
+    trials = tmp_path / "two_labels.txt"
+    scoring.write_trials(scored + [scored[1]], trials)  # a repeat agrees
+    assert cli.main(["eval", "--scores", str(world["scores"]),
+                     "--trials", str(trials)]) == 0
+    capsys.readouterr()
+    scoring.write_trials(scored + [scoring.Trial(other, enroll, test)],
+                         trials)
+    assert cli.main(["eval", "--scores", str(world["scores"]),
+                     "--trials", str(trials)]) == 2
+    assert f"{trials} labels trial ({enroll}, {test}) both {label} and " \
+        f"{other}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dropped", ["optimizer.", "optimizer.center",

@@ -75,28 +75,32 @@ def test_load_config_missing_file_and_bad_json(tmp_path):
         load_config(bad)
 
 
-def test_env_seed_beats_file_and_flag_beats_env(tmp_path):
+def test_env_seed_beats_file_and_flag_beats_env(tmp_path, monkeypatch):
     path = write_config(tmp_path, {"seed": 1})
-    assert load_config(path, env={}).seed == 1
-    assert load_config(path, env={SEED_ENV_VAR: "42"}).seed == 42
-    cfg = load_config(path, overrides={"seed": 99}, env={SEED_ENV_VAR: "42"})
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    assert load_config(path).seed == 1
+    monkeypatch.setenv(SEED_ENV_VAR, "42")
+    assert load_config(path).seed == 42
+    cfg = load_config(path, overrides={"seed": 99})
     assert cfg.seed == 99
 
 
-def test_env_seed_must_be_integer(tmp_path):
+def test_env_seed_must_be_integer(tmp_path, monkeypatch):
     path = write_config(tmp_path, {"seed": 1})
+    monkeypatch.setenv(SEED_ENV_VAR, "lots")
     with pytest.raises(InvalidConfig):
-        load_config(path, env={SEED_ENV_VAR: "lots"})
+        load_config(path)
 
 
-def test_dotted_overrides(tmp_path):
+def test_dotted_overrides(tmp_path, monkeypatch):
     path = write_config(tmp_path, {"train": {"epochs": 10}})
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     cfg = load_config(path, overrides={"train.epochs": 2,
-                                       "train.batch_size": None}, env={})
+                                       "train.batch_size": None})
     assert cfg.train.epochs == 2
     assert cfg.train.batch_size == RunConfig().train.batch_size  # None skipped
     with pytest.raises(InvalidConfig):
-        load_config(path, overrides={"train.lr": 0.1}, env={})
+        load_config(path, overrides={"train.lr": 0.1})
 
 
 def test_fingerprint_stable_and_sensitive():

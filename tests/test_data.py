@@ -16,6 +16,8 @@ from sdpn.config import CropConfig, MaskConfig
 from sdpn.errors import (DataError, InvalidConfig, MalformedFile,
                          UtteranceTooShort)
 
+NO_MASK = MaskConfig(enabled=False)
+
 
 def small_corpus(seed=1, **kw):
     args = dict(num_speakers=4, utts_per_speaker=3, frames_per_utt=50,
@@ -77,7 +79,8 @@ def test_corpus_validation():
 def test_crops_have_requested_shapes():
     corpus = small_corpus()[:3]
     rng = np.random.default_rng(5)
-    gv, lv = data.iter_crop_sets(corpus, CropConfig(2, 4, 30, 10), rng)
+    gv, lv = data.iter_crop_sets(corpus, CropConfig(2, 4, 30, 10), rng,
+                                 NO_MASK)
     assert gv.shape == (3, 2, 30, 6) and gv.dtype == np.float64
     assert lv.shape == (3, 4, 10, 6) and lv.dtype == np.float64
 
@@ -85,7 +88,7 @@ def test_crops_have_requested_shapes():
 def test_crops_are_contiguous_slices():
     utt = small_corpus()[1]
     rng = np.random.default_rng(6)
-    gv, _ = data.iter_crop_sets([utt], CropConfig(1, 1, 20, 7), rng)
+    gv, _ = data.iter_crop_sets([utt], CropConfig(1, 1, 20, 7), rng, NO_MASK)
     g = gv[0, 0]
     # locate the crop in the source and confirm bit-identity
     for start in range(utt.frames.shape[0] - 20 + 1):
@@ -100,7 +103,8 @@ def test_crop_exact_length_has_single_offset():
     exact = data.Utterance("x", None, utt.frames[:30])
     rng = np.random.default_rng(7)
     for _ in range(5):
-        gv, _ = data.iter_crop_sets([exact], CropConfig(1, 1, 30, 10), rng)
+        gv, _ = data.iter_crop_sets([exact], CropConfig(1, 1, 30, 10), rng,
+                                    NO_MASK)
         npt.assert_array_equal(gv[0, 0], exact.frames)
 
 
@@ -108,11 +112,11 @@ def test_crop_errors():
     utt = small_corpus()[0]
     rng = np.random.default_rng(8)
     with pytest.raises(UtteranceTooShort):
-        data.iter_crop_sets([utt], CropConfig(1, 1, 51, 10), rng)
+        data.iter_crop_sets([utt], CropConfig(1, 1, 51, 10), rng, NO_MASK)
     with pytest.raises(InvalidConfig):
-        data.iter_crop_sets([utt], CropConfig(1, 1, 10, 10), rng)
+        data.iter_crop_sets([utt], CropConfig(1, 1, 10, 10), rng, NO_MASK)
     with pytest.raises(InvalidConfig):
-        data.iter_crop_sets([utt], CropConfig(0, 1, 20, 10), rng)
+        data.iter_crop_sets([utt], CropConfig(0, 1, 20, 10), rng, NO_MASK)
 
 
 # ----------------------------------------------------------------------
@@ -318,14 +322,15 @@ ATOMIC_WRITERS = {
         [scoring.Trial("1", "a", "b")], path),
     "eval_report": _write_eval_report,
     "manifest": lambda path: data.save_corpus(
-        [data.Utterance("a", "s", np.ones((2, 2)))], path.parent, path.name),
+        [data.Utterance("a", "s", np.ones((2, 2)))], path.parent),
 }
 
 
 @pytest.mark.parametrize("writer", sorted(ATOMIC_WRITERS))
 def test_failed_rename_leaves_existing_artifact_intact(tmp_path, monkeypatch,
                                                        writer):
-    path = tmp_path / "artifact"
+    # save_corpus names its manifest itself
+    path = tmp_path / ("manifest.tsv" if writer == "manifest" else "artifact")
     path.write_bytes(b"the previous artifact")
 
     def fail(src, dst):

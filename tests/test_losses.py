@@ -4,7 +4,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sdpn import losses, numerics
+from sdpn import losses, model, numerics, trainer
+from sdpn.config import RunConfig, TrainSection
 from sdpn.errors import (BatchTooSmall, DistributionLengthMismatch,
                          ShapeMismatch)
 
@@ -248,33 +249,59 @@ def test_dimreg_row_permutation_invariance():
 # composition
 
 
+def objective(mu, lam, regularizer="frobenius"):
+    """(terms, grads) of ``trainer.student_objective`` on one fixed tiny
+    batch under the loss weights ``mu`` and ``lam`` and ``regularizer``."""
+    params = model.init_params(np.random.default_rng(47), feature_dim=5,
+                               encoder_hidden=6, embed_dim=4, proj_hidden=7,
+                               proj_dim=3, num_prototypes=4)
+    rng = np.random.default_rng(48)
+    gv = rng.standard_normal((4, 1, 12, 5))
+    lv = rng.standard_normal((4, 2, 6, 5))
+    cfg = RunConfig(train=TrainSection(mu=mu, lam=lam,
+                                       regularizer=regularizer))
+    targets = trainer.teacher_targets(params, gv, np.zeros(4), cfg)
+    terms, grads, _ = trainer.student_objective(params, gv, lv, targets, cfg)
+    return terms, grads
+
+
 def test_sdpn_loss_arithmetic():
-    grad = np.ones((3, 2))
-    combined = losses.sdpn_objective(1.0, losses.LossValue(-1.0, grad),
-                                     None, 0.5, 0.0)
-    assert combined.value == pytest.approx(0.5)
-    unweighted = losses.sdpn_objective(1.0, losses.LossValue(-1.0, grad),
-                                       None, 0.0, 0.05)
-    assert unweighted.value == pytest.approx(1.0)
+    # regularizer "none" has no dimension term, whatever lam is
+    terms, _ = objective(0.5, 0.05, "none")
+    assert terms["loss_dr"] == 0.0
+    assert terms["loss"] == terms["loss_ce"] + 0.5 * terms["loss_re"]
+    unweighted, _ = objective(0.0, 0.05, "none")
+    assert unweighted["loss"] == unweighted["loss_ce"]
 
 
 def test_total_loss_arithmetic():
-    zero = np.zeros((3, 2))
-    re = losses.LossValue(0.0, zero)
-    dr = losses.LossValue(1.0, zero)
-    total = losses.sdpn_objective(2.0, re, dr, 0.0, 0.1)
-    assert total.value == pytest.approx(2.1)
-    frozen = losses.sdpn_objective(2.0, re, dr, 0.1, 0.0)
-    assert frozen.value == pytest.approx(2.0)
+    terms, _ = objective(0.0, 0.1)
+    assert terms["loss"] == terms["loss_ce"] + 0.1 * terms["loss_dr"]
+    frozen, grads = objective(0.1, 0.0)
+    assert frozen["loss_dr"] > 0.0  # computed, then weighted by zero
+    assert frozen["loss"] == frozen["loss_ce"] + 0.1 * frozen["loss_re"]
+    # lam 0 adds nothing to the gradient: the "none" run's bits exactly
+    none_terms, none_grads = objective(0.1, 0.0, "none")
+    assert none_terms["loss"] == frozen["loss"]
+    assert list(none_grads) == list(grads)
+    for name, grad in grads.items():
+        assert grad.tobytes() == none_grads[name].tobytes(), name
 
 
 def test_combined_gradient_linearity():
-    rng = np.random.default_rng(46)
-    g1, g2 = (rng.standard_normal((3, 2)) for _ in range(2))
-    re = losses.LossValue(1.0, g1)
-    dr = losses.LossValue(2.0, g2)
-    out = losses.sdpn_objective(3.0, re, dr, 0.25, 0.5)
-    npt.assert_allclose(out.gradient, 0.25 * g1 + 0.5 * g2, atol=1e-15)
-    no_reg = losses.sdpn_objective(3.0, re, None, 0.25, 0.5)
-    npt.assert_allclose(no_reg.gradient, 0.25 * g1, atol=1e-15)
-    assert no_reg.value == pytest.approx(3.25)
+    # mu and lam weigh the global-view gradient linearly; the distillation
+    # gradient of the local views does not depend on them
+    _, base = objective(0.0, 0.0)
+    _, re_only = objective(1.0, 0.0)
+    _, dr_only = objective(0.0, 1.0)
+    _, both = objective(0.25, 0.5)
+    no_reg_terms, no_reg = objective(0.25, 0.5, "none")
+    for name, grad in both.items():
+        g_re, g_dr = re_only[name] - base[name], dr_only[name] - base[name]
+        npt.assert_allclose(grad, base[name] + 0.25 * g_re + 0.5 * g_dr,
+                            rtol=1e-10, atol=1e-13, err_msg=name)
+        npt.assert_allclose(no_reg[name], base[name] + 0.25 * g_re,
+                            rtol=1e-10, atol=1e-13, err_msg=name)
+    npt.assert_array_equal(both["prototypes"], base["prototypes"])
+    assert no_reg_terms["loss"] \
+        == no_reg_terms["loss_ce"] + 0.25 * no_reg_terms["loss_re"]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import asnorm
+from oracles import asnorm, snorm
 from sdpn import scoring
 from sdpn.errors import (
     DataError,
@@ -24,16 +24,13 @@ from sdpn.errors import (
 )
 from sdpn.scoring import (
     Cohort,
-    CohortStats,
     EmbeddingStore,
     Trial,
     TrialScorer,
     cohort_scores,
     cohort_stats,
     cosine_score,
-    snorm,
-    tnorm,
-    znorm,
+    standardize,
 )
 
 
@@ -68,28 +65,28 @@ def test_cosine_scale_invariance_and_zero_rejection():
 
 
 def test_cohort_stats_plain_mean_std():
-    stats = cohort_stats([1.0, 2.0, 3.0, 4.0])
-    assert stats.mu == pytest.approx(2.5)
-    assert stats.sigma == pytest.approx(np.sqrt(1.25))  # population
+    mu, sigma = cohort_stats([1.0, 2.0, 3.0, 4.0])
+    assert mu == pytest.approx(2.5)
+    assert sigma == pytest.approx(np.sqrt(1.25))  # population
 
 
 def test_cohort_stats_sample_flag():
-    stats = cohort_stats([1.0, 2.0, 3.0, 4.0], sample_stddev=True)
-    assert stats.sigma == pytest.approx(np.sqrt(5.0 / 3.0))
+    _, sigma = cohort_stats([1.0, 2.0, 3.0, 4.0], sample_stddev=True)
+    assert sigma == pytest.approx(np.sqrt(5.0 / 3.0))
 
 
 def test_cohort_stats_top_k_selection():
-    stats = cohort_stats([0.9, 0.5, 0.1], top_k=2)
-    assert stats.mu == pytest.approx(0.7)
-    assert stats.sigma == pytest.approx(0.2)
+    mu, sigma = cohort_stats([0.9, 0.5, 0.1], top_k=2)
+    assert mu == pytest.approx(0.7)
+    assert sigma == pytest.approx(0.2)
 
 
 def test_cohort_stats_top_k_tie_break_is_stable():
     # two s=0.5 entries: the earlier one wins the last top-3 slot, which is
     # observable through the mean when the later duplicate is replaced
     scores = [0.9, 0.5, 0.7, 0.5]
-    stats = cohort_stats(scores, top_k=3)
-    assert stats.mu == pytest.approx((0.9 + 0.7 + 0.5) / 3.0)
+    mu, _ = cohort_stats(scores, top_k=3)
+    assert mu == pytest.approx((0.9 + 0.7 + 0.5) / 3.0)
 
 
 def test_cohort_stats_errors():
@@ -106,17 +103,22 @@ def test_cohort_stats_errors():
 
 
 def test_znorm_tnorm_snorm_shift_scale():
-    stats = CohortStats(mu=0.5, sigma=0.25)
-    assert znorm(1.0, stats) == pytest.approx(2.0)
-    assert tnorm(0.25, stats) == pytest.approx(-1.0)
-    other = CohortStats(mu=0.0, sigma=0.5)
+    stats = (0.5, 0.25)  # (mu, sigma)
+    assert standardize(1.0, *stats) == pytest.approx(2.0)
+    assert standardize(0.25, *stats) == pytest.approx(-1.0)
+    other = (0.0, 0.5)
     assert snorm(1.0, stats, other) == pytest.approx(0.5 * (2.0 + 2.0))
+    # one raw score per trial, one stat per trial and side
+    npt.assert_allclose(standardize(np.array([1.0, 0.25]),
+                                    *np.array([stats, other]).T),
+                        [2.0, 0.5])
 
 
 def test_snorm_degenerate_sigma():
-    flat = CohortStats(mu=0.5, sigma=0.0)
     with pytest.raises(DegenerateCohort):
-        znorm(1.0, flat)
+        standardize(1.0, 0.5, 0.0)
+    with pytest.raises(DegenerateCohort):
+        standardize(np.ones(2), np.zeros(2), np.array([0.5, 0.0]))
 
 
 def test_asnorm_hand_case():

@@ -12,7 +12,7 @@ import oracles
 from sdpn import data, losses, model, trainer
 from sdpn.config import (CropConfig, MaskConfig, ModelConfig, RunConfig,
                          TrainSection)
-from sdpn.errors import DivergedLoss, InvalidConfig
+from sdpn.errors import DataError, DivergedLoss, InvalidConfig
 
 FEATURE_DIM = 6
 DIMS = dict(encoder_hidden=8, embed_dim=8, proj_hidden=10, proj_dim=4,
@@ -53,7 +53,26 @@ def assert_states_equal(got, want):
 
 
 def tiny_batch(corpus, crops, seed=3):
-    return data.iter_crop_sets(corpus[:4], crops, np.random.default_rng(seed))
+    return data.iter_crop_sets(corpus[:4], crops, np.random.default_rng(seed),
+                               MaskConfig(enabled=False))
+
+
+def record_steps(monkeypatch):
+    """Wrap ``trainer.train_step`` so that each step the loop runs appends
+    a dict of its global step, learning rate, loss terms, teacher
+    ``targets`` and ``student_global`` projections to the returned list."""
+    real, seen = trainer.train_step, []
+
+    def recorded(state, global_views, local_views, cfg, lr, workspace=None):
+        step = int(state["optimizer.global_step"][0])
+        terms, targets, student_global = real(
+            state, global_views, local_views, cfg, lr, workspace)
+        seen.append({"global_step": step, "lr": lr, "terms": terms,
+                     "targets": targets, "student_global": student_global})
+        return terms, targets, student_global
+
+    monkeypatch.setattr(trainer, "train_step", recorded)
+    return seen
 
 
 @pytest.mark.parametrize("masked", [True, False])
@@ -97,7 +116,8 @@ def test_unequal_lengths_batch_is_byte_identical_to_stacked_crop_sets(
     assert rng.integers(1 << 62) == ref_rng.integers(1 << 62)
 
 
-def test_training_step_after_the_first_allocates_no_activation_array():
+def test_training_step_after_the_first_allocates_no_activation_array(
+        monkeypatch):
     # numpy reports its buffers to tracemalloc; a step that allocated its
     # encoder activations would peak at two (B·L, Tl, H) arrays or more
     hidden, b, l, len_l = 48, 8, 4, 30
@@ -112,18 +132,21 @@ def test_training_step_after_the_first_allocates_no_activation_array():
     params = model.init_params(np.random.default_rng(31),
                                feature_dim=FEATURE_DIM,
                                **dict(DIMS, encoder_hidden=hidden))
-    base, peaks = [0], []
+    real, base, peaks = trainer.train_step, [0], []
 
-    def on_step(info):
-        if info["global_step"] > 0:
+    def measured(state, *args):
+        step = int(state["optimizer.global_step"][0])
+        out = real(state, *args)
+        if step > 0:  # the peak since the previous step returned
             peaks.append(tracemalloc.get_traced_memory()[1] - base[0])
         base[0] = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
+        return out
 
+    monkeypatch.setattr(trainer, "train_step", measured)
     tracemalloc.start()
     try:
-        trainer.train(corpus, trainer.init_state(params), cfg,
-                      on_step=on_step)
+        trainer.train(corpus, trainer.init_state(params), cfg)
     finally:
         tracemalloc.stop()
     assert len(peaks) == 3
@@ -267,7 +290,7 @@ def test_two_runs_are_bit_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-def test_resume_replays_the_uninterrupted_run(tmp_path):
+def test_resume_replays_the_uninterrupted_run(tmp_path, monkeypatch):
     # reference: a clean 5-epoch run
     corpus, state_a, cfg = tiny_world(epochs=5)
     state_a, records_a = trainer.train(corpus, state_a, cfg)
@@ -276,13 +299,18 @@ def test_resume_replays_the_uninterrupted_run(tmp_path):
     # the next step goes non-finite and training aborts with the end-of-
     # epoch-1 snapshot as last_good
     corpus, state_b, cfg = tiny_world(epochs=5)
+    real, calls = trainer.train_step, []
 
-    def poison(rec):
-        if rec["epoch"] == 2 and rec["step"] == 0:
-            state_b["student.encoder.w1"].flat[0] = np.nan
+    def poisoned(state, *args):
+        calls.append(None)
+        if len(calls) == 10:  # epoch 2 step 1: four steps per epoch
+            state["student.encoder.w1"].flat[0] = np.nan
+        return real(state, *args)
 
+    monkeypatch.setattr(trainer, "train_step", poisoned)
     with pytest.raises(DivergedLoss) as exc_info:
-        trainer.train(corpus, state_b, cfg, on_step=poison)
+        trainer.train(corpus, state_b, cfg)
+    monkeypatch.undo()
     # the student forward goes NaN, and the cross-entropy is the first term
     assert str(exc_info.value).startswith("non-finite loss_ce nan ")
     good = exc_info.value.last_good
@@ -327,11 +355,10 @@ def test_non_finite_gradient_names_its_group(monkeypatch):
     assert all(np.isfinite(arr).all() for arr in state.values())
 
 
-def test_on_step_terms_are_recomputable():
+def test_step_terms_are_recomputable(monkeypatch):
     corpus, state, cfg = tiny_world(epochs=1, warmup_epochs=0)
-    seen = []
-    trainer.train(corpus, state, cfg,
-                  on_step=lambda rec: seen.append(rec))
+    seen = record_steps(monkeypatch)
+    trainer.train(corpus, state, cfg)
     assert len(seen) == len(corpus) // cfg.train.batch_size
     total = len(seen) * cfg.train.epochs
     for rec in seen:
@@ -347,16 +374,13 @@ def test_on_step_terms_are_recomputable():
         assert rec["lr"] == trainer.lr_at(rec["global_step"], total, cfg)
 
 
-def test_center_is_ema_of_teacher_score_means():
+def test_center_is_ema_of_teacher_score_means(monkeypatch):
     corpus, state, cfg = tiny_world(epochs=2)
-    means = []
-    state, _ = trainer.train(
-        corpus, state, cfg,
-        on_step=lambda rec: means.append(
-            rec["targets"].scores.mean(axis=0)))
+    seen = record_steps(monkeypatch)
+    state, _ = trainer.train(corpus, state, cfg)
     mc = cfg.model
     expect = np.zeros(mc.num_prototypes)
-    for m in means:
+    for m in (rec["targets"].scores.mean(axis=0) for rec in seen):
         expect = mc.center_momentum * expect + (1 - mc.center_momentum) * m
     npt.assert_allclose(state["optimizer.center"], expect, atol=1e-15)
 
@@ -367,6 +391,15 @@ def test_log_file_mirrors_records(tmp_path):
     _, records = trainer.train(corpus, state, cfg, log_path=log)
     lines = log.read_text().splitlines()
     assert [json.loads(line) for line in lines] == records
+
+
+def test_unwritable_log_is_refused_before_the_first_step(tmp_path):
+    corpus, state, cfg = tiny_world()
+    before = copy_state(state)
+    with pytest.raises(DataError) as exc_info:
+        trainer.train(corpus, state, cfg, log_path=tmp_path)  # a directory
+    assert str(exc_info.value).startswith(f"cannot write {tmp_path}: ")
+    assert_states_equal(state, before)
 
 
 def test_state_tensor_roundtrip(tmp_path):
@@ -391,14 +424,16 @@ def test_diagnostics_uniform_and_collapsed_distributions():
     z = rng.standard_normal((40, 5))
     uniform = np.full((40, 8), 1.0 / 8)
     diag = trainer.diagnostics(z, uniform)
-    assert diag.prototype_usage_entropy == pytest.approx(math.log(8),
-                                                         abs=1e-12)
-    assert diag.embedding_std == pytest.approx(z.std(axis=0).mean())
-    assert diag.mean_abs_offdiag >= 0.0
+    assert list(diag) == ["mean_abs_offdiag", "embedding_std",
+                          "prototype_usage_entropy"]  # record order
+    assert diag["prototype_usage_entropy"] == pytest.approx(math.log(8),
+                                                            abs=1e-12)
+    assert diag["embedding_std"] == pytest.approx(z.std(axis=0).mean())
+    assert diag["mean_abs_offdiag"] >= 0.0
 
     one_hot = np.zeros((40, 8))
     one_hot[:, 0] = 1.0
-    assert trainer.diagnostics(z, one_hot).prototype_usage_entropy == 0.0
+    assert trainer.diagnostics(z, one_hot)["prototype_usage_entropy"] == 0.0
 
 
 def test_diagnostics_single_distribution_entropy():
@@ -406,7 +441,7 @@ def test_diagnostics_single_distribution_entropy():
     p = np.array([0.7, 0.1, 0.1, 0.1])
     entropy = -float(p @ np.log(p))
     assert entropy == pytest.approx(0.940, abs=1e-3)
-    assert trainer.diagnostics(z, p).prototype_usage_entropy \
+    assert trainer.diagnostics(z, p)["prototype_usage_entropy"] \
         == pytest.approx(entropy, abs=1e-12)
 
 
@@ -415,7 +450,7 @@ def test_diagnostics_flag_decorrelated_vs_duplicated_dimensions():
     base = rng.standard_normal((60, 1))
     duplicated = np.hstack([base, base, base])
     independent = rng.standard_normal((60, 3))
-    assert trainer.diagnostics(duplicated, np.full((60, 4), 0.25)) \
-        .mean_abs_offdiag == pytest.approx(1.0)
-    assert trainer.diagnostics(independent, np.full((60, 4), 0.25)) \
-        .mean_abs_offdiag < 0.3
+    assert trainer.diagnostics(duplicated, np.full((60, 4), 0.25))[
+        "mean_abs_offdiag"] == pytest.approx(1.0)
+    assert trainer.diagnostics(independent, np.full((60, 4), 0.25))[
+        "mean_abs_offdiag"] < 0.3
