@@ -263,7 +263,7 @@ def cmd_score(args) -> int:
         trial_ids = {t.enroll for t in trials} | {t.test for t in trials}
         cohort = scoring.Cohort.from_store(cohort_store, trial_ids,
                                            overlap=args.cohort_overlap)
-        width, cohort_width = store.matrix.shape[1], cohort.unit.shape[1]
+        width, cohort_width = store.matrix.shape[1], cohort.matrix.shape[1]
         if len(store) and width != cohort_width:  # empty: no width to match
             raise ShapeMismatch(
                 f"store {args.store} holds {width}-dim embeddings, cohort "

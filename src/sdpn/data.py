@@ -14,6 +14,7 @@ views from ``iter_crop_sets`` as two float64 arrays of frames.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -209,10 +210,18 @@ class BinaryReader:
     def unpack(self, fmt: str, what: str) -> tuple:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
-    def float64s(self, count: int, what: str) -> np.ndarray:
-        """``count`` little-endian float64 values as a fresh float64 array."""
-        raw = np.frombuffer(self.take(8 * count, what), dtype="<f8")
-        return raw.astype(np.float64)
+    def float64s(self, shape: tuple[int, ...], what: str) -> np.ndarray:
+        """Little-endian float64 values filling ``shape`` as a fresh float64
+        array; a value that is not finite is a MalformedFile at its offset."""
+        start = self.off
+        raw = np.frombuffer(self.take(8 * math.prod(shape), what), "<f8")
+        bad = np.flatnonzero(~np.isfinite(raw))[:1]
+        if bad.size:
+            index = tuple(map(int, np.unravel_index(bad[0], shape)))
+            raise MalformedFile(self.path, start + 8 * int(bad[0]),
+                                f"non-finite value {raw[bad[0]]} at {index} "
+                                f"of {what}")
+        return raw.astype(np.float64).reshape(shape)
 
     def expect_magic(self, magic: bytes, kind: str):
         if self.take(len(magic), "magic") != magic:
@@ -284,13 +293,7 @@ def read_feature_file(path) -> Utterance:
         raise MalformedFile(path, 4, f"unsupported feature version {version}")
     if t == 0 or f == 0:
         raise MalformedFile(path, 6, f"empty {t}x{f} frame matrix")
-    start = r.off
-    frames = r.float64s(t * f, "frames")
-    if not np.isfinite(frames).all():
-        i = int(np.flatnonzero(~np.isfinite(frames))[0])
-        raise MalformedFile(path, start + 8 * i,
-                            f"non-finite value {frames[i]} in frame {i // f}")
-    frames = frames.reshape(t, f)
+    frames = r.float64s((t, f), "frames")
     (ulen,) = r.unpack("<H", "utterance id length")
     uid = r.text(ulen, "utterance id")
     r.expect_end("utterance id")

@@ -34,9 +34,6 @@ from .errors import InvalidConfig, MalformedFile, ShapeMismatch, ZeroVector
 
 # Keeps the std branch of the pooling differentiable at zero variance.
 EPS_POOL_VAR = 1e-10
-# forward_embed runs the encoder on blocks of utterances holding about this
-# many frame-level hidden activations, which bounds its working memory.
-EMBED_BLOCK_ELEMENTS = 2 ** 18
 
 CHECKPOINT_MAGIC = b"SDCK"
 CHECKPOINT_VERSION = 1
@@ -190,7 +187,7 @@ def forward_embed(params, prefix: str, frames_list) -> np.ndarray:
     """Backbone embeddings (N, E) of N utterances of (T, F) frames each, in
     input order; reads only the ``<prefix>.encoder.*`` tensors. Utterances
     of one length go through ``encoder_forward`` together, in blocks of
-    about EMBED_BLOCK_ELEMENTS frame activations."""
+    about ``numerics.BLOCK_ELEMENTS`` frame activations."""
     utts = [np.asarray(f, dtype=np.float64) for f in frames_list]
     feature_dim, hidden = params[f"{prefix}.encoder.w1"].shape
     by_length: dict[int, list[int]] = {}
@@ -201,9 +198,8 @@ def forward_embed(params, prefix: str, frames_list) -> np.ndarray:
         by_length.setdefault(x.shape[0], []).append(i)
     out = np.empty((len(utts), params[f"{prefix}.encoder.w2"].shape[1]))
     for t, rows in by_length.items():
-        step = max(1, EMBED_BLOCK_ELEMENTS // max(1, t * hidden))
-        for lo in range(0, len(rows), step):
-            block = rows[lo:lo + step]
+        for b in numerics.blocks(len(rows), t * hidden):
+            block = rows[b]
             out[block], _ = encoder_forward(
                 params, prefix, np.stack([utts[i] for i in block]))
     return out
@@ -305,7 +301,6 @@ def load_checkpoint(path):
         if ndim == 0 or 0 in shape:
             raise MalformedFile(path, record,
                                 f"tensor '{name}' has empty shape {shape}")
-        tensors[name] = r.float64s(math.prod(shape),
-                                   f"tensor '{name}'").reshape(shape)
+        tensors[name] = r.float64s(shape, f"tensor '{name}'")
     r.expect_end("last tensor")
     return tensors, fingerprint

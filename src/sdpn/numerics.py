@@ -2,8 +2,8 @@
 
 Everything here operates on plain numpy arrays in double precision: the
 normalized cross-dimension covariance and its vector-Jacobian product,
-nearest-neighbour distances, a temperature softmax, and a central
-finite-difference gradient checker used by ``grad-check`` and the tests.
+nearest-neighbour distances, a temperature softmax, row blocks, and a
+central finite-difference gradient checker for ``grad-check`` and tests.
 """
 
 from __future__ import annotations
@@ -23,6 +23,16 @@ from .errors import (
 # as duplicates; the floor is substituted for the norm or distance.
 EPS_COLUMN = 1e-12
 EPS_DUPLICATE = 1e-12
+# Embedding and scoring work on blocks of rows holding about this many
+# float64 values, which bounds their working memory whatever the corpus,
+# trial list or cohort size.
+BLOCK_ELEMENTS = 2 ** 18
+
+
+def blocks(rows: int, width: int) -> list[slice]:
+    """Slices of ``rows`` rows of ``width`` values, ~BLOCK_ELEMENTS each."""
+    step = max(1, BLOCK_ELEMENTS // max(1, width))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def _as_batch(batch) -> np.ndarray:

@@ -7,6 +7,7 @@ score files with six-decimal values, and the binary embedding store.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from itertools import chain
@@ -25,11 +26,9 @@ from .errors import (
     MissingEmbedding,
     ZeroVector,
 )
+from .numerics import blocks
 
 EPS_SIGMA = 1e-9
-# Scoring works on blocks of rows holding about this many float64 values,
-# which bounds its working memory whatever the trial list or cohort size.
-BLOCK_ELEMENTS = 2 ** 18
 METHODS = ("cosine", "z", "t", "s", "as")
 
 STORE_MAGIC = b"SDES"
@@ -38,7 +37,8 @@ STORE_VERSION = 1
 
 class EmbeddingStore:
     """Utterance ids and their embeddings, the rows of one (N, E) float64
-    matrix in id order, with a binary file format."""
+    matrix in id order, with a binary file format. ``unit`` holds the rows
+    scaled to unit L2 norm, the only input of every cosine."""
 
     def __init__(self, ids, matrix):
         self.ids = list(ids)
@@ -52,6 +52,17 @@ class EmbeddingStore:
 
     def __len__(self):
         return len(self.ids)
+
+    @functools.cached_property
+    def unit(self) -> np.ndarray:
+        """The matrix with each row divided by its L2 norm, computed once;
+        a row of norm at most EPS_SIGMA has no cosine, a ZeroVector."""
+        norms = np.linalg.norm(self.matrix, axis=1)
+        zero = np.flatnonzero(norms <= EPS_SIGMA)
+        if zero.size:
+            raise ZeroVector(f"vector '{self.ids[zero[0]]}' has L2 norm "
+                             f"{norms[zero[0]]:.3g}; its cosine is undefined")
+        return self.matrix / norms[:, None]
 
     def rows(self, keys) -> np.ndarray:
         """Matrix row of each id in ``keys``, as an intp array; the first
@@ -207,40 +218,15 @@ def read_scores(path) -> tuple[list[str], list[str], np.ndarray, np.ndarray]:
                                 "raw and normalized must be finite")
 
 
-def cosine_score(e, t):
-    """Cosine along the last axis: one value per pair of rows."""
-    a = np.asarray(e, dtype=np.float64)
-    b = np.asarray(t, dtype=np.float64)
-    na = np.linalg.norm(a, axis=-1)
-    nb = np.linalg.norm(b, axis=-1)
-    if min(na.min(), nb.min()) <= EPS_SIGMA:
-        raise ZeroVector("cosine of a zero embedding is undefined")
-    return (a * b).sum(axis=-1) / (na * nb)
-
-
-class Cohort:
-    """Fixed set of cohort embeddings, pre-normalized for cosine scoring."""
-
-    def __init__(self, ids: list[str], matrix: np.ndarray):
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != len(ids):
-            raise InvalidConfig("cohort matrix must have one row per id")
-        if m.shape[0] < 2:
-            raise DegenerateCohort(f"cohort needs >= 2 entries, got {m.shape[0]}")
-        norms = np.linalg.norm(m, axis=1)
-        if (norms <= EPS_SIGMA).any():
-            raise ZeroVector("cohort contains a zero embedding")
-        self.ids = list(ids)
-        self.unit = m / norms[:, None]
-
-    def __len__(self):
-        return len(self.ids)
+class Cohort(EmbeddingStore):
+    """The embedding store that score normalization compares against."""
 
     @classmethod
     def from_store(cls, store: EmbeddingStore, trial_ids=None,
                    overlap: str = "error") -> "Cohort":
-        """Build from a store; ids overlapping the trial list are rejected
-        or dropped depending on ``overlap`` ('error' or 'drop')."""
+        """The rows of ``store`` whose ids are not in ``trial_ids``; an
+        overlap is rejected or its rows dropped depending on ``overlap``
+        ('error' or 'drop'). Fewer than 2 rows left is a DegenerateCohort."""
         trial_set = set(trial_ids or ())
         overlapping = [i for i in store.ids if i in trial_set]
         if overlapping and overlap != "drop":
@@ -249,16 +235,14 @@ class Cohort:
                 f"(first: '{overlapping[0]}'); use drop mode or a disjoint "
                 "cohort")
         ids = [i for i in store.ids if i not in trial_set]
+        if len(ids) < 2:
+            raise DegenerateCohort(f"cohort needs >= 2 entries, got {len(ids)}")
         return cls(ids, store.matrix[store.rows(ids)])
 
 
-def cohort_scores(x, cohort: Cohort) -> np.ndarray:
-    """Cosines of each row of ``x`` against the cohort, one per column."""
-    v = np.asarray(x, dtype=np.float64)
-    n = np.linalg.norm(v, axis=-1, keepdims=True)
-    if n.min() <= EPS_SIGMA:
-        raise ZeroVector("cosine of a zero embedding is undefined")
-    return (v / n) @ cohort.unit.T
+def cohort_scores(unit_rows, cohort: Cohort) -> np.ndarray:
+    """Cosines of unit-norm rows against the cohort, one per column."""
+    return unit_rows @ cohort.unit.T
 
 
 def cohort_stats(scores, top_k: int | None = None,
@@ -295,21 +279,15 @@ def standardize(raw, mu, sigma):
     return (raw - mu) / sigma
 
 
-def _blocks(rows: int, width: int):
-    """Slices of ``rows`` rows of ``width`` values, ~BLOCK_ELEMENTS each."""
-    step = max(1, BLOCK_ELEMENTS // max(1, width))
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
 class TrialScorer:
     """Scores a trial list against a store as whole arrays.
 
-    Trial ids index the rows of the store's matrix; cohort statistics are
-    computed once per id that the method reads (enroll ids for z, test ids
-    for t, both for s and as), and ``cohort_computes`` counts those ids. A
-    normalized score is the mean of the raw score standardized by each
-    side the method reads; "as" differs from "s" only in taking its stats
-    over the top K.
+    Trial ids index the rows of the store's ``unit`` matrix; cohort
+    statistics are computed once per id that the method reads (enroll ids
+    for z, test ids for t, both for s and as), and ``cohort_computes``
+    counts those ids. A normalized score is the mean of the raw score
+    standardized by each side the method reads; "as" differs from "s" only
+    in taking its stats over the top K.
     """
 
     def __init__(self, store: EmbeddingStore, cohort: Cohort | None,
@@ -333,23 +311,23 @@ class TrialScorer:
 
     def score_trials(self, trials) -> tuple[np.ndarray, np.ndarray]:
         """(raw cosine, normalized) float64 arrays in trial order."""
-        matrix = self.store.matrix
+        unit = self.store.unit
         pairs = self.store.rows(
             i for _, e, t in trials for i in (e, t)).reshape(-1, 2)
         raw = np.empty(len(pairs))
-        for b in _blocks(len(pairs), 2 * matrix.shape[1]):
-            raw[b] = cosine_score(matrix[pairs[b, 0]], matrix[pairs[b, 1]])
+        for b in blocks(len(pairs), 2 * unit.shape[1]):
+            raw[b] = (unit[pairs[b, 0]] * unit[pairs[b, 1]]).sum(axis=-1)
         if self.method == "cosine":
             return raw, raw.copy()
 
         sides = {"z": [0], "t": [1]}.get(self.method, [0, 1])
         rows = np.unique(pairs[:, sides])
         self.cohort_computes += rows.size
-        mu, sigma = np.zeros((2, len(matrix)))
+        mu, sigma = np.zeros((2, len(unit)))
         top_k = self.top_k if self.method == "as" else None
-        for b in _blocks(rows.size, len(self.cohort)):
+        for b in blocks(rows.size, len(self.cohort)):
             mu[rows[b]], sigma[rows[b]] = cohort_stats(
-                cohort_scores(matrix[rows[b]], self.cohort),
+                cohort_scores(unit[rows[b]], self.cohort),
                 top_k=top_k, sample_stddev=self.sample_stddev)
         side_rows = pairs[:, sides].T  # one row of store rows per side
         return raw, standardize(raw, mu[side_rows],

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from sdpn import cli, data, model, scoring
+from sdpn import cli, data, model, numerics, scoring, trainer
 
 CONFIG_DOC = {
     "seed": 11,
@@ -87,7 +87,7 @@ def test_embed_store_covers_corpus(world):
     assert store.matrix.shape == (12, CONFIG_DOC["model"]["embed_dim"])
 
 
-@pytest.mark.parametrize("block_elements", [1, model.EMBED_BLOCK_ELEMENTS])
+@pytest.mark.parametrize("block_elements", [1, numerics.BLOCK_ELEMENTS])
 def test_embed_interleaved_lengths_in_manifest_order(world, tmp_path,
                                                      monkeypatch,
                                                      block_elements):
@@ -98,7 +98,7 @@ def test_embed_interleaved_lengths_in_manifest_order(world, tmp_path,
                              rng.standard_normal(((12, 30, 7)[i % 3], 6)))
               for i in range(9)]
     manifest = data.save_corpus(corpus, tmp_path / "corpus")
-    monkeypatch.setattr(model, "EMBED_BLOCK_ELEMENTS", block_elements)
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", block_elements)
     calls = []
     forward_embed = model.forward_embed
     monkeypatch.setattr(model, "forward_embed",
@@ -564,6 +564,23 @@ def test_cohort_of_another_width_exits_2(world, tmp_path, capsys, method):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flag, source", [
+    ("score", "--store", "store"), ("normalize", "--cohort", "cohort")])
+def test_zero_vector_exits_2_naming_it(world, tmp_path, capsys, command,
+                                       flag, source):
+    # no trial reads the zero row; the store is refused all the same
+    store = scoring.EmbeddingStore.load(world[source])
+    zeroed = tmp_path / "zeroed.emb"
+    zero = np.zeros((1, store.matrix.shape[1]))
+    scoring.EmbeddingStore(store.ids + ["silent"],
+                           np.vstack([store.matrix, zero])).save(zeroed)
+    assert cli.main(_argv_with(world, tmp_path, command, flag, zeroed)) == 2
+    err = capsys.readouterr().err
+    assert "vector 'silent' has L2 norm 0; its cosine is undefined" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["gen-data", "train"])
 def test_out_naming_a_file_exits_2(world, tmp_path, capsys, command):
     taken = tmp_path / "taken"
@@ -718,22 +735,51 @@ def test_zero_frame_feature_file_exits_2(world, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_nan_checkpoint_resume_exits_3(world, tmp_path, capsys):
+def test_nan_checkpoint_exits_2(world, tmp_path, capsys):
     tensors, fp = model.load_checkpoint(world["ckpt"])
-    victim = next(k for k in sorted(tensors) if k.startswith("student."))
-    tensors[victim] = tensors[victim].copy()
-    tensors[victim].flat[0] = np.nan
-    tensors["optimizer.epoch"] = np.array(0.0)
-    tensors["optimizer.global_step"] = np.array(0.0)
+    tensors["teacher.encoder.w2"][1, 2] = np.nan
+    tensors["optimizer.epoch"][0] = 0.0
+    tensors["optimizer.global_step"][0] = 0.0
     crafted = tmp_path / "poisoned.sdck"
     model.save_checkpoint(crafted, tensors, fp)
+    offset = crafted.read_bytes().index(np.float64(np.nan).tobytes())
+    reason = f"{crafted} @ {offset}: non-finite value nan at (1, 2) of " \
+        "tensor 'teacher.encoder.w2'"
     out = tmp_path / "doomed"
     assert cli.main(["train", "--config", str(world["config"]),
                      "--manifest", str(world["manifest"]),
-                     "--resume", str(crafted), "--out", str(out)]) == 3
+                     "--resume", str(crafted), "--out", str(out)]) == 2
+    assert reason in capsys.readouterr().err
+    assert not (out / "checkpoint.sdck").exists()
+    store = tmp_path / "emb.store"
+    assert cli.main(["embed", "--checkpoint", str(crafted), "--manifest",
+                     str(world["manifest"]), "--out", str(store)]) == 2
+    assert reason in capsys.readouterr().err
+    assert not store.exists()
+
+
+def test_diverged_train_exits_3_with_last_good_checkpoint(world, tmp_path,
+                                                          capsys,
+                                                          monkeypatch):
+    real = trainer.train_step
+
+    def poisoned(state, *args):  # epoch 1's first step goes non-finite
+        if state["optimizer.epoch"][0] == 1:
+            state["student.encoder.w1"].flat[0] = np.nan
+        return real(state, *args)
+
+    monkeypatch.setattr(trainer, "train_step", poisoned)
+    out = tmp_path / "doomed"
+    assert cli.main(["train", "--config", str(world["config"]),
+                     "--manifest", str(world["manifest"]),
+                     "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "diverged" in err
-    assert (out / "checkpoint.sdck").exists()  # last-good state persisted
+    assert "non-finite loss_ce nan at epoch 1 step 0" in err
+    assert f"diverged; last-good checkpoint written to " \
+        f"{out / 'checkpoint.sdck'}" in err
+    tensors, _ = model.load_checkpoint(out / "checkpoint.sdck")
+    assert tensors["optimizer.epoch"].tolist() == [1.0]
+    assert all(np.isfinite(arr).all() for arr in tensors.values())
 
 
 # ----------------------------------------------------------------------

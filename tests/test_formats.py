@@ -309,7 +309,7 @@ def test_feature_file_non_finite_frame(tmp_path, bad):
     with pytest.raises(MalformedFile) as err:
         data.read_feature_file(path)
     assert err.value.offset == 14 + 8 * 5
-    assert err.value.reason == f"non-finite value {bad} in frame 2"
+    assert err.value.reason == f"non-finite value {bad} at (2, 1) of frames"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import asnorm, snorm
-from sdpn import scoring
+from sdpn import numerics, scoring
 from sdpn.errors import (
     DataError,
     DegenerateCohort,
@@ -29,7 +29,6 @@ from sdpn.scoring import (
     TrialScorer,
     cohort_scores,
     cohort_stats,
-    cosine_score,
     standardize,
 )
 
@@ -44,20 +43,41 @@ def unit_rng_store(n, dim, seed):
 # cosine
 
 
+def cosines(store, pairs):
+    """Raw scores of ``TrialScorer`` for (enroll, test) id pairs."""
+    trials = [Trial("-", e, t) for e, t in pairs]
+    return TrialScorer(store, None).score_trials(trials)[0]
+
+
 def test_cosine_parallel_orthogonal_antiparallel():
-    a = np.array([1.0, 0.0])
-    assert cosine_score(a, [2.0, 0.0]) == pytest.approx(1.0)
-    assert cosine_score(a, [0.0, 5.0]) == pytest.approx(0.0)
-    assert cosine_score(a, [-3.0, 0.0]) == pytest.approx(-1.0)
+    store = EmbeddingStore(["a", "par", "orth", "anti"],
+                           [[1.0, 0.0], [2.0, 0.0], [0.0, 5.0], [-3.0, 0.0]])
+    got = cosines(store, [("a", "par"), ("a", "orth"), ("a", "anti")])
+    assert got.tolist() == pytest.approx([1.0, 0.0, -1.0])
 
 
 def test_cosine_scale_invariance_and_zero_rejection():
     rng = np.random.default_rng(61)
     a, b = rng.standard_normal(8), rng.standard_normal(8)
-    assert cosine_score(a, b) == pytest.approx(cosine_score(7 * a, 0.2 * b),
-                                               abs=1e-12)
-    with pytest.raises(ZeroVector):
-        cosine_score(np.zeros(4), b[:4])
+    plain = cosines(EmbeddingStore(["a", "b"], [a, b]), [("a", "b")])
+    scaled = cosines(EmbeddingStore(["a", "b"], [7 * a, 0.2 * b]),
+                     [("a", "b")])
+    assert plain[0] == pytest.approx(scaled[0], abs=1e-12)
+    # a zero row is refused by name, even where no trial reads it
+    store = EmbeddingStore(["a", "b", "zero"], [a[:4], b[:4], np.zeros(4)])
+    with pytest.raises(ZeroVector, match="vector 'zero' has L2 norm 0"):
+        cosines(store, [("a", "b")])
+
+
+def test_store_unit_rows_have_unit_norm():
+    # row norms from about 1e-7 to 1e150, all above EPS_SIGMA
+    rng = np.random.default_rng(62)
+    scales = 10.0 ** rng.uniform(-8, 150, size=(200, 1))
+    store = EmbeddingStore([f"u{i}" for i in range(200)],
+                           rng.standard_normal((200, 16)) * scales)
+    npt.assert_allclose(np.linalg.norm(store.unit, axis=1), 1.0,
+                        rtol=0, atol=1e-15)
+    assert store.unit is store.unit  # computed once per store
 
 
 # ----------------------------------------------------------------------
@@ -415,9 +435,10 @@ def test_cohort_scores_are_cosines():
     store = unit_rng_store(4, 5, seed=68)
     cohort = Cohort.from_store(store)
     probe = np.ones(5)
-    got = cohort_scores(probe, cohort)
-    want = cosine_score(probe, store.matrix[store.rows(cohort.ids)])
-    npt.assert_allclose(got, want, atol=1e-12)
+    got = cohort_scores(EmbeddingStore(["p"], [probe]).unit, cohort)
+    want = [np.dot(probe, c) / (np.linalg.norm(probe) * np.linalg.norm(c))
+            for c in store.matrix[store.rows(cohort.ids)]]
+    npt.assert_allclose(got, [want], atol=1e-12)
 
 
 def make_scorer_setup(seed, n_utts=10, n_cohort=8, dim=6):
@@ -476,13 +497,13 @@ def naive_scores(store, cohort, trials, method, top_k, sample_stddev):
     return np.array(raw), np.array(normalized)
 
 
-@pytest.mark.parametrize("block", [scoring.BLOCK_ELEMENTS, 7 * 6])
+@pytest.mark.parametrize("block", [numerics.BLOCK_ELEMENTS, 7 * 6])
 @pytest.mark.parametrize("sample_stddev", [False, True])
 @pytest.mark.parametrize("method", scoring.METHODS)
 def test_scorer_matches_naive_loop(monkeypatch, method, sample_stddev, block):
     # 42 values: cosine blocks of 3 trials (two 6-d rows each) and cohort
     # blocks of 4 ids (10 cohort scores each)
-    monkeypatch.setattr(scoring, "BLOCK_ELEMENTS", block)
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", block)
     store, cohort, _ = make_scorer_setup(76, n_utts=12, n_cohort=3)
     # three distinct rows repeated 4/3/3 times: every top-5 cuts a tie
     cohort = Cohort([f"c{i}" for i in range(10)],
