@@ -119,10 +119,7 @@ def build_parser() -> _Parser:
 
 
 def _effective_config(args, overrides: dict) -> RunConfig:
-    overrides = dict(overrides)
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    return load_config(getattr(args, "config", None), overrides)
+    return load_config(args.config, {**overrides, "seed": args.seed})
 
 
 def cmd_gen_data(args) -> int:

@@ -4,15 +4,18 @@ augmentation, model dimensions and training.
 Unknown keys are rejected with their path, the schema version is checked,
 and a canonical fingerprint (sha256 of the sorted JSON of the whole
 config) tags checkpoints so a resumed run can prove it trains under the
-same configuration.
+same configuration. ``load_config`` checks the resolved config once with
+``validate``; the modules that read a field trust its type and range.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
 from .errors import InvalidConfig
@@ -131,7 +134,8 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Resolve the effective config: file < SDPN_SEED env var < CLI flags."""
+    """Resolve the effective config (file < SDPN_SEED env var < CLI flags)
+    and ``validate`` it."""
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -155,14 +159,74 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     for dotted, value in (overrides or {}).items():
         if value is None:
             continue
-        target = cfg
         *parents, leaf = dotted.split(".")
-        for part in parents:
-            target = getattr(target, part)
+        target = functools.reduce(getattr, parents, cfg)
         if not hasattr(target, leaf):
             raise InvalidConfig(f"unknown config override '{dotted}'")
         setattr(target, leaf, value)
-    if type(cfg.seed) is not int or cfg.seed < 0:
-        raise InvalidConfig(
-            f"seed must be a non-negative integer, got {cfg.seed!r}")
+    validate(cfg)
     return cfg
+
+
+# annotation -> (the types a value may have, what the message asks for)
+_TYPES = {"int": ((int,), "an integer"),
+          "float": ((int, float), "a finite number"),
+          "bool": ((bool,), "true or false"), "str": ((str,), "a string")}
+# least values; the fields that must exceed 0; momenta, which lie in [0, 1)
+_AT_LEAST = {
+    "data.num_speakers": 2, "data.utts_per_speaker": 1,
+    "data.frames_per_utt": 1, "data.feature_dim": 1, "crops.num_global": 1,
+    "crops.num_local": 1, "crops.len_local": 1, "augment.num_time_masks": 0,
+    "augment.num_freq_masks": 0, "model.encoder_hidden": 1,
+    "model.embed_dim": 1, "model.proj_hidden": 1, "model.proj_dim": 2,
+    "model.num_prototypes": 1, "train.epochs": 0, "train.batch_size": 2,
+    "train.mu": 0, "train.lam": 0}
+_POSITIVE = ("data.intra_speaker_spread", "model.student_temp",
+             "model.teacher_temp", "train.lr_peak")
+_MOMENTA = ("model.center_momentum", "model.ema_momentum", "train.momentum")
+
+
+def _check_types(section, prefix: str):
+    """Each field of ``section`` and its sections has its ``_TYPES`` type."""
+    for f in dataclasses.fields(section):
+        value, path = getattr(section, f.name), prefix + f.name
+        if f.type not in _TYPES:
+            _check_types(value, path + ".")
+            continue
+        kinds, wanted = _TYPES[f.type]
+        if type(value) not in kinds or (   # NaN and +-inf fail the compare
+                f.type == "float" and not abs(value) <= sys.float_info.max):
+            raise InvalidConfig(f"{path} must be {wanted}, got {value!r}")
+
+
+def _field(cfg: RunConfig, path: str):
+    return functools.reduce(getattr, path.split("."), cfg)
+
+
+def validate(cfg: RunConfig):
+    """Raise InvalidConfig naming the dotted field unless every field of
+    ``cfg`` has its annotated type and a value the program runs with (see
+    README, Configuration). The trainer checks ``train.regularizer``."""
+    _check_types(cfg, "")
+    c, a, t = cfg.crops, cfg.augment, cfg.train
+    masked = a.enabled and a.num_time_masks + a.num_freq_masks > 0
+    cap = min(c.len_local, cfg.data.feature_dim)
+    rules = [("seed", cfg.seed >= 0, "a non-negative integer")]
+    rules += [(p, _field(cfg, p) >= low, f">= {low}")
+              for p, low in _AT_LEAST.items()]
+    rules += [(p, _field(cfg, p) > 0, "> 0") for p in _POSITIVE]
+    rules += [(p, 0 <= _field(cfg, p) < 1, "in [0, 1)") for p in _MOMENTA]
+    rules += [
+        ("crops.len_global", c.len_global > c.len_local,
+         f"> crops.len_local ({c.len_local})"),
+        ("augment.max_width", not masked or 1 <= a.max_width < cap,
+         f"in [1, min(crops.len_local, data.feature_dim)) = [1, {cap})"),
+        ("train.warmup_epochs",
+         t.epochs == 0 or 0 <= t.warmup_epochs < t.epochs,
+         f"in [0, train.epochs) = [0, {t.epochs})"),
+        ("train.lr_final", 0 <= t.lr_final <= t.lr_peak,
+         f"in [0, train.lr_peak] = [0, {t.lr_peak}]")]
+    for path, ok, wanted in rules:
+        if not ok:
+            raise InvalidConfig(
+                f"{path} must be {wanted}, got {_field(cfg, path)!r}")

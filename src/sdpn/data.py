@@ -45,17 +45,6 @@ def generate_synthetic_corpus(num_speakers: int, utts_per_speaker: int,
     Utterance ids are opaque sequential strings so no label leaks through
     them into the training path.
     """
-    if num_speakers < 2 or utts_per_speaker < 1:
-        raise InvalidConfig(
-            f"need >= 2 speakers and >= 1 utt each, got {num_speakers}/{utts_per_speaker}")
-    if frames_per_utt < 1 or feature_dim < 1:
-        raise InvalidConfig(
-            f"frames_per_utt and feature_dim must be >= 1, got "
-            f"{frames_per_utt}/{feature_dim}")
-    if not intra_speaker_spread > 0:
-        raise InvalidConfig(
-            f"intra_speaker_spread must be > 0, got {intra_speaker_spread}")
-
     rng = np.random.default_rng(seed)
     t = np.arange(frames_per_utt)
     corpus = []
@@ -79,16 +68,12 @@ def mask_in_place(views: np.ndarray, num_time_masks: int,
     """Set ``num_time_masks`` runs of frames and ``num_freq_masks`` runs of
     features of every view of the (N, T, F) float64 array ``views`` to that
     view's mean, in place, and return ``views``. Runs may overlap; widths
-    are uniform in 1..max_width. ``rng`` draws the (N, num_time_masks) time
-    widths, then their starts, then the same for the feature runs."""
-    if num_time_masks < 0 or num_freq_masks < 0:
-        raise InvalidConfig("mask counts must be >= 0")
+    are uniform in 1..max_width < min(T, F). ``rng`` draws the (N,
+    num_time_masks) time widths, then their starts, then the same for the
+    feature runs; with no runs it draws nothing."""
     if num_time_masks == 0 and num_freq_masks == 0:
         return views
     n, t, f = views.shape
-    if not 1 <= max_width < min(t, f):
-        raise InvalidConfig(f"max_width must be in [1, min(T, F)), got "
-                            f"{max_width} for {views.shape[1:]}")
     fill = views.mean(axis=(1, 2))
     in_time, in_freq = (_mask_runs(rng, n, count, size, max_width)
                         for count, size in ((num_time_masks, t),
@@ -119,11 +104,6 @@ def iter_crop_sets(utterances, crops, rng, mask, out=None):
     """
     g, l = crops.num_global, crops.num_local
     len_g, len_l = crops.len_global, crops.len_local
-    if not 0 < len_l < len_g:
-        raise InvalidConfig(
-            f"need 0 < len_local < len_global, got {len_l}/{len_g}")
-    if g < 1 or l < 1:
-        raise InvalidConfig("need at least one global and one local view")
     lengths = np.array([utt.frames.shape[0] for utt in utterances])
     short = np.flatnonzero(lengths < len_g)
     if short.size:
@@ -271,6 +251,10 @@ def write_feature_file(utt: Utterance, path):
     frames = np.ascontiguousarray(utt.frames, dtype="<f8")
     if frames.ndim != 2:
         raise InvalidConfig(f"frames must be 2-d, got shape {frames.shape}")
+    if not np.isfinite(frames).all():  # the reader would refuse it
+        bad = tuple(np.argwhere(~np.isfinite(frames))[0].tolist())
+        raise DataError(f"cannot write {path}: utterance '{utt.utterance_id}'"
+                        f" has a non-finite value at {bad} of frames")
     t, f = frames.shape
     uid = utt.utterance_id.encode("utf-8")
     try:

@@ -23,10 +23,6 @@ class KTooLarge(ConfigError):
     """Requested top-K exceeds the cohort size."""
 
 
-class NonPositiveTemperature(ConfigError):
-    pass
-
-
 class BatchTooSmall(ConfigError):
     """An operation needing n >= 2 rows got fewer."""
 

@@ -79,9 +79,9 @@ def min_dcf(sweep, p_target: float = 0.05, c_miss: float = 1.0,
     """
     if not 0.0 < p_target < 1.0:
         raise InvalidConfig(f"p_target must be in (0, 1), got {p_target}")
-    if c_miss <= 0 or c_fa <= 0:
-        raise InvalidConfig(
-            f"costs must be positive, got c_miss={c_miss} c_fa={c_fa}")
+    if not (0.0 < c_miss < np.inf and 0.0 < c_fa < np.inf):
+        raise InvalidConfig(f"costs must be positive and finite, got "
+                            f"c_miss={c_miss} c_fa={c_fa}")
     thresholds, p_miss, p_fa = sweep
     denom = min(c_miss * p_target, c_fa * (1.0 - p_target))
     costs = (c_miss * p_miss * p_target

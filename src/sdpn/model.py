@@ -30,7 +30,7 @@ import numpy as np
 
 from . import numerics
 from .data import BinaryReader, atomic_write
-from .errors import InvalidConfig, MalformedFile, ShapeMismatch, ZeroVector
+from .errors import MalformedFile, ShapeMismatch, ZeroVector
 
 # Keeps the std branch of the pooling differentiable at zero variance.
 EPS_POOL_VAR = 1e-10
@@ -235,8 +235,6 @@ def ema_update(params, momentum: float):
     The only sanctioned way to move teacher parameters; the optimizer never
     touches them. Prototypes are shared, not averaged.
     """
-    if not 0.0 <= momentum < 1.0:
-        raise InvalidConfig(f"ema momentum must be in [0, 1), got {momentum}")
     for name, t_arr in params.items():
         if name.startswith("teacher."):
             t_arr *= momentum

@@ -12,12 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BatchTooSmall,
-    InvalidConfig,
-    NonPositiveTemperature,
-    ShapeMismatch,
-)
+from .errors import BatchTooSmall, InvalidConfig, ShapeMismatch
 
 # Floor under which a column norm counts as collapsed / two embeddings count
 # as duplicates; the floor is substituted for the norm or distance.
@@ -116,11 +111,7 @@ def pairwise_distances(batch) -> np.ndarray:
 
 
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
-    """Temperature softmax over the last axis, max-subtracted for stability."""
-    if not temperature > 0:
-        raise NonPositiveTemperature(
-            f"temperature must be positive, got {temperature}"
-        )
+    """Temperature (> 0) softmax over the last axis, max-subtracted."""
     x = np.asarray(logits, dtype=np.float64) / temperature
     x = x - x.max(axis=-1, keepdims=True)
     e = np.exp(x)

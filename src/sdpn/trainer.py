@@ -41,41 +41,6 @@ REGULARIZERS = {
 }
 
 
-def validate_config(cfg: RunConfig):
-    """Reject a ``train`` section, or a teacher-center or EMA momentum,
-    that the loop cannot run. Called by ``train`` itself, because CLI flag
-    overrides are set on the loaded config after its sections were built."""
-    t = cfg.train
-    if t.epochs < 0:
-        raise InvalidConfig(f"epochs must be >= 0, got {t.epochs}")
-    if t.epochs > 0 and not 0 <= t.warmup_epochs < t.epochs:
-        raise InvalidConfig(
-            f"need 0 <= warmup_epochs < epochs, got "
-            f"{t.warmup_epochs}/{t.epochs}")
-    if t.batch_size < 2:
-        raise InvalidConfig(f"batch_size must be >= 2, got {t.batch_size}")
-    if not 0 <= t.momentum < 1:
-        raise InvalidConfig(f"momentum must be in [0, 1), got {t.momentum}")
-    if t.lr_peak <= 0 or t.lr_final < 0 or t.lr_final > t.lr_peak:
-        raise InvalidConfig(
-            f"need lr_peak > 0 and 0 <= lr_final <= lr_peak, got "
-            f"{t.lr_peak}/{t.lr_final}")
-    if t.mu < 0 or t.lam < 0:
-        raise InvalidConfig(
-            f"loss weights must be >= 0, got mu={t.mu} lam={t.lam}")
-    if not 0 <= cfg.model.center_momentum < 1:
-        raise InvalidConfig(
-            f"center_momentum must be in [0, 1), got "
-            f"{cfg.model.center_momentum}")
-    if not 0 <= cfg.model.ema_momentum < 1:
-        raise InvalidConfig(
-            f"ema_momentum must be in [0, 1), got {cfg.model.ema_momentum}")
-    if t.regularizer not in REGULARIZERS:
-        raise InvalidConfig(
-            f"regularizer must be one of {sorted(REGULARIZERS)}, "
-            f"got '{t.regularizer}'")
-
-
 def lr_at(step: int, total_steps: int, cfg: RunConfig) -> float:
     """Linear warmup to lr_peak, then cosine decay to lr_final."""
     if not 0 <= step <= total_steps:
@@ -261,14 +226,18 @@ def train(corpus, state: dict, cfg: RunConfig, *, log_path=None):
     Returns (state, epoch_records); each record is also written as one
     JSON line to ``log_path``, if given.
 
-    Raises InvalidConfig before the first step if ``validate_config``
-    rejects ``cfg``, ShapeMismatch if an utterance's feature width is not
-    the encoder's input width, DataError if ``log_path`` cannot be opened
+    ``cfg`` has passed ``config.validate``. Raises InvalidConfig before
+    the first step for a regularizer not in ``REGULARIZERS`` or a corpus
+    that cannot fill a batch, ShapeMismatch for an utterance whose feature
+    width is not the encoder's, DataError if ``log_path`` cannot be opened
     for writing, and DivergedLoss (carrying a copy of the state at the end
     of the last finished epoch) if a loss term or a gradient leaves the
     reals.
     """
-    validate_config(cfg)
+    if cfg.train.regularizer not in REGULARIZERS:
+        raise InvalidConfig(
+            f"train.regularizer must be one of {sorted(REGULARIZERS)}, "
+            f"got {cfg.train.regularizer!r}")
     batch_size, epochs = cfg.train.batch_size, cfg.train.epochs
     steps_per_epoch = len(corpus) // batch_size
     if epochs > 0 and steps_per_epoch < 1:

@@ -189,6 +189,22 @@ def test_eval_report(world, tmp_path, capsys):
     assert printed["p_target"] == 0.05
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--c-miss", "nan"), ("--c-miss", "inf"), ("--c-fa", "inf"),
+    ("--c-fa", "-inf"), ("--c-miss", "0"),
+])
+def test_eval_non_finite_or_non_positive_cost_exits_1(world, tmp_path,
+                                                      capsys, flag, value):
+    # a NaN or infinite cost would be written as invalid JSON
+    out = tmp_path / "report.json"
+    assert cli.main(["eval", "--scores", str(world["scores"]),
+                     "--trials", str(world["trials"]), "--out", str(out),
+                     f"{flag}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert "costs must be positive and finite" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_eval_report_does_not_depend_on_score_order(world, tmp_path):
     trials = scoring.read_trials(world["trials"])
     shuffled = tmp_path / "shuffled.txt"
@@ -340,8 +356,8 @@ def test_unknown_config_key_exits_1(world, tmp_path, capsys):
 
 
 def test_train_batch_size_flag_is_validated(world, tmp_path, capsys):
-    # flag overrides are set on the loaded config, after its sections were
-    # built, so the trainer has to check them
+    # load_config validates the config after the flags are applied, so a
+    # bad flag is refused like a bad file value, before --out is made
     assert cli.main(["train", "--config", str(world["config"]),
                      "--manifest", str(world["manifest"]),
                      "--out", str(tmp_path / "run"),
@@ -362,6 +378,46 @@ def test_bad_train_section_exits_1(world, tmp_path, capsys, train_section,
                      "--manifest", str(world["manifest"]),
                      "--out", str(tmp_path / "run")]) == 1
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dotted, bad", [
+    ("model.num_prototypes", 0),
+    ("model.proj_dim", 0),
+    ("model.encoder_hidden", 0),
+    ("model.embed_dim", 0),
+    ("model.proj_hidden", 0),
+    ("model.student_temp", 0.0),
+    ("model.teacher_temp", -0.04),
+    ("train.epochs", 2.5),
+    ("train.batch_size", "4"),
+    ("train.lr_peak", "x"),
+    ("train.mu", float("nan")),
+    ("train.lam", float("inf")),
+    ("train.warmup_epochs", 1.5),
+    ("augment.enabled", "no"),
+    ("augment.max_width", 6),  # not under data.feature_dim 6
+    ("augment.num_time_masks", -1),
+    ("crops.len_local", 0),
+    ("crops.len_global", 10),  # not above crops.len_local 10
+    ("crops.num_global", 0),
+    ("crops.num_local", 0),
+])
+def test_bad_config_value_exits_1_before_out_is_made(world, tmp_path, capsys,
+                                                     dotted, bad):
+    section, field = dotted.split(".")
+    doc = json.loads(json.dumps(CONFIG_DOC))
+    doc[section][field] = bad
+    if section == "augment":
+        doc["augment"]["enabled"] = bad if field == "enabled" else True
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["train", "--config", str(config),
+                     "--manifest", str(world["manifest"]),
+                     "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {dotted} must be " in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "env", "file"])

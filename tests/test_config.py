@@ -9,9 +9,13 @@ import pytest
 
 from sdpn.config import (
     SEED_ENV_VAR,
+    CropConfig,
+    DataConfig,
+    MaskConfig,
     RunConfig,
     config_from_dict,
     load_config,
+    validate,
 )
 from sdpn.errors import InvalidConfig
 
@@ -95,12 +99,171 @@ def test_env_seed_must_be_integer(tmp_path, monkeypatch):
 def test_dotted_overrides(tmp_path, monkeypatch):
     path = write_config(tmp_path, {"train": {"epochs": 10}})
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    cfg = load_config(path, overrides={"train.epochs": 2,
+    cfg = load_config(path, overrides={"train.epochs": 7,
                                        "train.batch_size": None})
-    assert cfg.train.epochs == 2
+    assert cfg.train.epochs == 7
     assert cfg.train.batch_size == RunConfig().train.batch_size  # None skipped
     with pytest.raises(InvalidConfig):
         load_config(path, overrides={"train.lr": 0.1})
+
+
+# ----------------------------------------------------------------------
+# validate: the one check of a resolved config
+
+# per annotation, values of another type (a bool is not an int, and a
+# float field takes only finite numbers)
+WRONG_TYPES = {
+    "int": ["4", 2.5, 2.0, True, None],
+    "float": ["x", True, None, float("nan"), float("inf"), -float("inf")],
+    "bool": ["no", 1, 0, None],
+    "str": [1, True, None],
+}
+
+
+def _all_fields():
+    """(dotted path, annotation) of every scalar field of RunConfig."""
+    out = []
+    for f in dataclasses.fields(RunConfig):
+        if f.type in WRONG_TYPES:
+            out.append((f.name, f.type))
+        else:
+            out += [(f"{f.name}.{g.name}", g.type)
+                    for g in dataclasses.fields(f.default_factory)]
+    return out
+
+
+def _set(cfg, dotted, value):
+    *parents, leaf = dotted.split(".")
+    target = cfg
+    for part in parents:
+        target = getattr(target, part)
+    setattr(target, leaf, value)
+    return cfg
+
+
+def test_defaults_are_valid():
+    validate(RunConfig())
+
+
+@pytest.mark.parametrize("dotted, kind", _all_fields())
+def test_validate_refuses_each_wrong_type(dotted, kind):
+    for bad in WRONG_TYPES[kind]:
+        with pytest.raises(InvalidConfig) as err:
+            validate(_set(RunConfig(), dotted, bad))
+        assert str(err.value).startswith(f"{dotted} must be "), bad
+        assert repr(bad) in str(err.value)
+
+
+def test_int_in_float_field_is_kept_as_int(tmp_path, monkeypatch):
+    # never coerced: 1 and 1.0 give different fingerprints
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    as_int = load_config(write_config(tmp_path, {"train": {"lr_peak": 1}}))
+    assert type(as_int.train.lr_peak) is int
+    as_float = RunConfig()
+    as_float.train.lr_peak = 1.0
+    assert as_int.fingerprint() != as_float.fingerprint()
+
+
+@pytest.mark.parametrize("dotted, bad", [
+    ("seed", -1),
+    ("data.num_speakers", 1),
+    ("data.utts_per_speaker", 0),
+    ("data.frames_per_utt", 0),
+    ("data.feature_dim", 0),
+    ("data.intra_speaker_spread", 0.0),
+    ("data.intra_speaker_spread", -0.5),
+    ("crops.num_global", 0),
+    ("crops.num_local", 0),
+    ("crops.len_local", 0),
+    ("crops.len_global", 100),  # not above len_local
+    ("augment.num_time_masks", -1),
+    ("augment.num_freq_masks", -1),
+    ("augment.max_width", 0),
+    ("augment.max_width", 24),  # not under feature_dim
+    ("model.encoder_hidden", 0),
+    ("model.embed_dim", 0),
+    ("model.proj_hidden", 0),
+    ("model.proj_dim", 0),
+    ("model.proj_dim", 1),  # mean_abs_offdiag needs an off-diagonal entry
+    ("model.num_prototypes", 0),
+    ("model.student_temp", 0.0),
+    ("model.teacher_temp", -0.04),
+    ("model.center_momentum", 1.0),
+    ("model.ema_momentum", -0.1),
+    ("train.epochs", -1),
+    ("train.warmup_epochs", 60),
+    ("train.warmup_epochs", -1),
+    ("train.batch_size", 1),
+    ("train.lr_peak", 0.0),
+    ("train.lr_final", -1e-5),
+    ("train.lr_final", 0.06),  # above lr_peak
+    ("train.momentum", 1.0),
+    ("train.mu", -0.1),
+    ("train.lam", -1.0),
+])
+def test_validate_refuses_out_of_range(dotted, bad):
+    with pytest.raises(InvalidConfig) as err:
+        validate(_set(RunConfig(), dotted, bad))
+    assert str(err.value).startswith(f"{dotted} must be ")
+    assert str(err.value).endswith(f", got {bad!r}")
+
+
+@pytest.mark.parametrize("dotted, value", [
+    ("train.mu", 0.0), ("train.lam", 0), ("train.epochs", 0),
+    ("train.warmup_epochs", 0), ("train.lr_final", 0.05),
+    ("train.momentum", 0), ("model.center_momentum", 0.0),
+    ("data.num_speakers", 2), ("train.batch_size", 2), ("seed", 0),
+    ("augment.max_width", 23), ("augment.num_time_masks", 0),
+    ("model.proj_dim", 2), ("model.num_prototypes", 1),
+])
+def test_validate_accepts_boundaries(dotted, value):
+    validate(_set(RunConfig(), dotted, value))
+
+
+def test_epochs_zero_ignores_warmup():
+    cfg = _set(RunConfig(), "train.epochs", 0)
+    validate(_set(cfg, "train.warmup_epochs", 6))
+
+
+def test_mask_width_rule_spans_sections():
+    # max_width < min(crops.len_local, data.feature_dim), only while masking
+    # is on with a run to draw
+    def cfg(len_local, feature_dim, **mask):
+        return RunConfig(data=DataConfig(feature_dim=feature_dim),
+                         crops=CropConfig(len_global=200, len_local=len_local),
+                         augment=MaskConfig(max_width=8, **mask))
+
+    validate(cfg(9, 9))
+    for len_local, feature_dim in ((8, 24), (100, 8)):
+        with pytest.raises(InvalidConfig, match=r"augment\.max_width .*"
+                           r"= \[1, 8\), got 8"):
+            validate(cfg(len_local, feature_dim))
+        validate(cfg(len_local, feature_dim, enabled=False))
+        validate(cfg(len_local, feature_dim, num_time_masks=0,
+                     num_freq_masks=0))
+    with pytest.raises(InvalidConfig, match=r"augment\.max_width"):
+        validate(cfg(8, 24, num_time_masks=0))  # one kind of run is enough
+
+
+def test_frames_per_utt_is_not_compared_with_len_global():
+    # corpora that are only embedded may be shorter than a global crop
+    validate(RunConfig(data=DataConfig(frames_per_utt=60),
+                       crops=CropConfig(len_global=120, len_local=60)))
+
+
+def test_load_config_validates_after_env_and_flags(tmp_path, monkeypatch):
+    path = write_config(tmp_path, {"seed": -3, "train": {"batch_size": 1}})
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+    with pytest.raises(InvalidConfig, match="seed must be"):
+        load_config(path)
+    monkeypatch.setenv(SEED_ENV_VAR, "3")
+    with pytest.raises(InvalidConfig, match="train.batch_size must be"):
+        load_config(path)
+    cfg = load_config(path, overrides={"train.batch_size": 4})
+    assert (cfg.seed, cfg.train.batch_size) == (3, 4)
+    with pytest.raises(InvalidConfig, match="train.lr_peak must be a finite"):
+        load_config(path, overrides={"train.batch_size": 4,
+                                     "train.lr_peak": float("nan")})
 
 
 def test_fingerprint_stable_and_sensitive():

@@ -12,7 +12,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sdpn import cli, data, model, scoring
-from sdpn.config import CropConfig, MaskConfig
+from sdpn.config import (CropConfig, DataConfig, MaskConfig, RunConfig,
+                         validate)
 from sdpn.errors import (DataError, InvalidConfig, MalformedFile,
                          UtteranceTooShort)
 
@@ -64,12 +65,13 @@ def test_corpus_speakers_form_separable_clusters():
 
 
 def test_corpus_validation():
-    with pytest.raises(InvalidConfig):
-        small_corpus(num_speakers=1)
-    with pytest.raises(InvalidConfig):
-        small_corpus(intra_speaker_spread=0.0)
-    with pytest.raises(InvalidConfig):
-        small_corpus(frames_per_utt=0)
+    # the generator's arguments are the ``data`` section of a validated
+    # config
+    for field, bad in (("num_speakers", 1), ("intra_speaker_spread", 0.0),
+                       ("frames_per_utt", 0)):
+        cfg = RunConfig(data=DataConfig(**{field: bad}))
+        with pytest.raises(InvalidConfig, match=f"data.{field} "):
+            validate(cfg)
 
 
 # ----------------------------------------------------------------------
@@ -113,10 +115,11 @@ def test_crop_errors():
     rng = np.random.default_rng(8)
     with pytest.raises(UtteranceTooShort):
         data.iter_crop_sets([utt], CropConfig(1, 1, 51, 10), rng, NO_MASK)
-    with pytest.raises(InvalidConfig):
-        data.iter_crop_sets([utt], CropConfig(1, 1, 10, 10), rng, NO_MASK)
-    with pytest.raises(InvalidConfig):
-        data.iter_crop_sets([utt], CropConfig(0, 1, 20, 10), rng, NO_MASK)
+    # crop settings reach the sampler only through a validated config
+    for crops, field in ((CropConfig(1, 1, 10, 10), "crops.len_global"),
+                         (CropConfig(0, 1, 20, 10), "crops.num_global")):
+        with pytest.raises(InvalidConfig, match=f"{field} "):
+            validate(RunConfig(crops=crops))
 
 
 # ----------------------------------------------------------------------
@@ -127,9 +130,11 @@ def test_mask_zero_masks_is_identity_copy():
     rng = np.random.default_rng(9)
     x = rng.standard_normal((3, 12, 8))
     copy = x.copy()
+    drawn = rng.bit_generator.state
     out = data.mask_in_place(copy, 0, 0, 3, rng)
     npt.assert_array_equal(out, x)
     assert out is copy
+    assert rng.bit_generator.state == drawn  # no runs, no draws
 
 
 def test_mask_fill_is_matrix_mean_and_bounds_hold():
@@ -153,12 +158,21 @@ def test_mask_leaves_most_entries_untouched():
 
 
 def test_mask_width_validation():
-    rng = np.random.default_rng(12)
-    x = np.zeros((2, 5, 9))
-    with pytest.raises(InvalidConfig):
-        data.mask_in_place(x.copy(), 1, 1, 5, rng)  # max_width >= min(T, F)
-    with pytest.raises(InvalidConfig):
-        data.mask_in_place(x.copy(), -1, 0, 2, rng)
+    # views of 5 frames x 9 features: mask settings reach mask_in_place
+    # only through a validated config
+    def cfg(**mask):
+        return RunConfig(data=DataConfig(feature_dim=9),
+                         crops=CropConfig(1, 1, 8, 5),
+                         augment=MaskConfig(**mask))
+
+    for mask, field in ((dict(max_width=5), "augment.max_width"),
+                        (dict(num_time_masks=-1, num_freq_masks=0,
+                              max_width=2), "augment.num_time_masks")):
+        with pytest.raises(InvalidConfig, match=f"{field} "):
+            validate(cfg(**mask))
+    validate(cfg(max_width=4))
+    validate(cfg(max_width=5, enabled=False))  # masking off: width unused
+    validate(cfg(max_width=5, num_time_masks=0, num_freq_masks=0))
 
 
 # ----------------------------------------------------------------------
@@ -227,6 +241,23 @@ def test_feature_file_version_1_rejected(tmp_path):
         data.read_feature_file(path)
     assert err.value.offset == 4
     assert "unsupported feature version 1" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_save_corpus_refuses_non_finite_frame(tmp_path, bad):
+    # what read_feature_file would refuse is not written: the utterance
+    # and its path are named, and no manifest is written
+    corpus = small_corpus()[:3]
+    corpus[1].frames[7, 2] = bad
+    out = tmp_path / "corpus"
+    with pytest.raises(DataError) as err:
+        data.save_corpus(corpus, out)
+    path = out / f"{corpus[1].utterance_id}.sdfk"
+    assert f"cannot write {path}: utterance '{corpus[1].utterance_id}'" \
+        in str(err.value)
+    assert "non-finite value at (7, 2)" in str(err.value)
+    assert not path.exists()
+    assert not (out / "manifest.tsv").exists()
 
 
 def test_feature_file_truncation_offsets(tmp_path):

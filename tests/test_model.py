@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from sdpn import losses, model, numerics, trainer
-from sdpn.config import ModelConfig, RunConfig
+from sdpn.config import ModelConfig, RunConfig, validate
 from sdpn.errors import InvalidConfig, MalformedFile, ShapeMismatch
 
 
@@ -148,9 +148,10 @@ def test_ema_stays_convex_and_validates_momentum():
     assert np.all(teacher >= lo - 1e-15)
     assert np.all(teacher <= hi + 1e-15)
     npt.assert_array_equal(params["prototypes"], protos)  # shared, not EMA
+    # the momentum reaches ema_update only through a validated config
     for bad in (1.0, -0.1, 1.5):
-        with pytest.raises(InvalidConfig):
-            model.ema_update(params, bad)
+        with pytest.raises(InvalidConfig, match="model.ema_momentum "):
+            validate(RunConfig(model=ModelConfig(ema_momentum=bad)))
 
 
 def test_ema_momentum_schedule_endpoints():

@@ -6,7 +6,8 @@ import numpy.testing as npt
 import pytest
 
 from sdpn import numerics
-from sdpn.errors import BatchTooSmall, NonPositiveTemperature, ShapeMismatch
+from sdpn.config import ModelConfig, RunConfig, validate
+from sdpn.errors import BatchTooSmall, InvalidConfig, ShapeMismatch
 
 
 # ----------------------------------------------------------------------
@@ -145,9 +146,12 @@ def test_softmax_sums_to_one_and_rejects_bad_temperature():
     rng = np.random.default_rng(19)
     p = numerics.softmax(rng.standard_normal((4, 6)) * 30.0, 0.04)
     npt.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-9)
-    for bad in (0.0, -1.0, float("nan")):
-        with pytest.raises(NonPositiveTemperature):
-            numerics.softmax(np.zeros(2), bad)
+    # a temperature reaches softmax only through a validated config
+    for field in ("student_temp", "teacher_temp"):
+        for bad in (0.0, -1.0, float("nan")):
+            cfg = RunConfig(model=ModelConfig(**{field: bad}))
+            with pytest.raises(InvalidConfig, match=f"model.{field} "):
+                validate(cfg)
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 import oracles
 from sdpn import data, losses, model, trainer
 from sdpn.config import (CropConfig, MaskConfig, ModelConfig, RunConfig,
-                         TrainSection)
+                         TrainSection, validate)
 from sdpn.errors import DataError, DivergedLoss, InvalidConfig
 
 FEATURE_DIM = 6
@@ -213,18 +213,28 @@ WEIGHTS_AT_ZERO = dict(mu=0.0, lam=0.0)  # the boundary is allowed
     dict(ema_momentum=-0.1),
 ])
 def test_train_config_validation(bad):
+    # config.validate owns every rule but the regularizer name, which the
+    # trainer checks against its registry before step 0 updates anything
     model_keys = {"center_momentum", "ema_momentum"}
     train_kw = {k: v for k, v in bad.items() if k not in model_keys}
     corpus, state, cfg = tiny_world(**train_kw)
     for key in model_keys & bad.keys():
         setattr(cfg.model, key, bad[key])
     if bad is WEIGHTS_AT_ZERO:
+        validate(cfg)
         trainer.train(corpus, state, cfg)
         return
-    before = copy_state(state)
-    with pytest.raises(InvalidConfig):
-        trainer.train(corpus, state, cfg)
-    assert_states_equal(state, before)
+    if "regularizer" in bad:
+        validate(cfg)
+        before = copy_state(state)
+        with pytest.raises(InvalidConfig, match="train.regularizer "):
+            trainer.train(corpus, state, cfg)
+        assert_states_equal(state, before)
+        return
+    key = list(bad)[-1]  # the field the case gets wrong
+    section = "model" if key in model_keys else "train"
+    with pytest.raises(InvalidConfig, match=f"{section}.{key} "):
+        validate(cfg)
 
 
 # ----------------------------------------------------------------------
