@@ -162,10 +162,7 @@ def cmd_train(args) -> int:
         "train.lr_peak": args.lr_peak,
         "train.regularizer": args.regularizer,
     })
-    out_dir = data_mod.make_dir(args.out)
-    ckpt_path = out_dir / "checkpoint.sdck"
     fingerprint = cfg.fingerprint()
-
     corpus = data_mod.load_corpus(args.manifest)
     state = trainer.init_state(model.init_params(
         np.random.default_rng(cfg.seed), feature_dim=cfg.data.feature_dim,
@@ -174,6 +171,9 @@ def cmd_train(args) -> int:
         proj_dim=cfg.model.proj_dim, num_prototypes=cfg.model.num_prototypes))
     if args.resume:
         state = _resume_state(args.resume, state, fingerprint)
+    trainer.check_inputs(corpus, state, cfg)  # a refused run makes no --out
+    out_dir = data_mod.make_dir(args.out)
+    ckpt_path = out_dir / "checkpoint.sdck"
 
     try:
         state, _ = trainer.train(corpus, state, cfg,

@@ -240,28 +240,36 @@ class Cohort(EmbeddingStore):
         return cls(ids, store.matrix[store.rows(ids)])
 
 
-def cohort_scores(unit_rows, cohort: Cohort) -> np.ndarray:
-    """Cosines of unit-norm rows against the cohort, one per column."""
-    return unit_rows @ cohort.unit.T
+def cohort_scores(unit_rows, cohort: Cohort, out=None) -> np.ndarray:
+    """Cosines of unit-norm rows against the cohort, one per column; with
+    ``out`` (a C-contiguous (len(unit_rows), len(cohort)) float64 array,
+    such as a block of the scorer's one buffer) they are written there."""
+    return np.matmul(unit_rows, cohort.unit.T, out=out)
+
+
+def check_top_k(top_k: int, n: int):
+    """KTooLarge for a top-K above the ``n`` cohort scores it selects from,
+    InvalidConfig for one under 2."""
+    if top_k > n:
+        raise KTooLarge(f"top_k={top_k} exceeds cohort size {n}")
+    if top_k < 2:
+        raise InvalidConfig(f"top_k must be >= 2, got {top_k}")
 
 
 def cohort_stats(scores, top_k: int | None = None,
                  sample_stddev: bool = False):
     """(mu, sigma): mean and stddev of cohort scores along the last axis,
     optionally over the top-K largest; floats for one score list, one value
-    per row for a matrix.
+    per row for a matrix. ``scores`` is never modified.
 
     The top K are taken from a descending sort, so they come in the same
     order whatever the cohort order, and ties cannot change which values are
-    kept. Population stddev by default.
+    kept. Given only the K largest of each row, in any order, the stats are
+    bitwise those of the whole row. Population stddev by default.
     """
     s = np.asarray(scores, dtype=np.float64)
-    n = s.shape[-1]
     if top_k is not None:
-        if top_k > n:
-            raise KTooLarge(f"top_k={top_k} exceeds cohort size {n}")
-        if top_k < 2:
-            raise InvalidConfig(f"top_k must be >= 2, got {top_k}")
+        check_top_k(top_k, s.shape[-1])
         s = -np.sort(-s, axis=-1)[..., :top_k]
     k = s.shape[-1]
     if k < 2:
@@ -285,9 +293,14 @@ class TrialScorer:
     Trial ids index the rows of the store's ``unit`` matrix; cohort
     statistics are computed once per id that the method reads (enroll ids
     for z, test ids for t, both for s and as), and ``cohort_computes``
-    counts those ids. A normalized score is the mean of the raw score
+    counts those ids. Those ids go through the cohort in blocks
+    (``numerics.blocks``) whose scores are written into one buffer
+    allocated per call. A normalized score is the mean of the raw score
     standardized by each side the method reads; "as" differs from "s" only
-    in taking its stats over the top K.
+    in taking its stats over the top K, which ``np.partition`` moves to the
+    last K columns of each buffer row in place, so that ``cohort_stats``
+    sorts K values, not the whole cohort (no partition when K is the cohort
+    size). ``top_k`` is checked against the cohort size here, once.
     """
 
     def __init__(self, store: EmbeddingStore, cohort: Cohort | None,
@@ -300,8 +313,10 @@ class TrialScorer:
         if top_k is not None and method != "as":
             raise InvalidConfig(
                 f"top_k applies to method 'as' only, got it with '{method}'")
-        if method == "as" and top_k is None:
-            top_k = min(300, len(cohort))
+        if method == "as":
+            if top_k is None:
+                top_k = min(300, len(cohort))
+            check_top_k(top_k, len(cohort))
         self.store = store
         self.cohort = cohort
         self.method = method
@@ -324,11 +339,25 @@ class TrialScorer:
         rows = np.unique(pairs[:, sides])
         self.cohort_computes += rows.size
         mu, sigma = np.zeros((2, len(unit)))
+        n = len(self.cohort)
         top_k = self.top_k if self.method == "as" else None
-        for b in blocks(rows.size, len(self.cohort)):
-            mu[rows[b]], sigma[rows[b]] = cohort_stats(
-                cohort_scores(unit[rows[b]], self.cohort),
-                top_k=top_k, sample_stddev=self.sample_stddev)
+        spans = blocks(rows.size, n)
+        # a one-row block is multiplied as two rows: numpy hands a one-row
+        # product to BLAS gemv, whose sums round unlike gemm's, and an id's
+        # stats must not depend on where the block boundaries fall
+        buf = np.empty((max(2, min(rows.size, spans[0].stop if spans else 0)),
+                        n))
+        for b in spans:
+            ids = rows[b]
+            block = buf[:max(2, ids.size)]
+            cohort_scores(unit[np.resize(ids, len(block))], self.cohort,
+                          out=block)
+            scores = block[:ids.size]
+            if top_k is not None and top_k < n:
+                scores.partition(n - top_k, axis=-1)  # top K to the end
+                scores = scores[:, n - top_k:]
+            mu[ids], sigma[ids] = cohort_stats(
+                scores, top_k=top_k, sample_stddev=self.sample_stddev)
         side_rows = pairs[:, sides].T  # one row of store rows per side
         return raw, standardize(raw, mu[side_rows],
                                 sigma[side_rows]).mean(axis=0)

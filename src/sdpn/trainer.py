@@ -219,28 +219,17 @@ def train_step(state: dict, global_views, local_views, cfg: RunConfig,
     return terms, targets, student_global
 
 
-def train(corpus, state: dict, cfg: RunConfig, *, log_path=None):
-    """Run the loop under ``cfg`` (its ``train``, ``model``, ``crops``,
-    ``augment`` and ``seed``) from ``state`` (see ``init_state``; a loaded
-    checkpoint resumes at its ``optimizer.epoch``), updating it in place.
-    Returns (state, epoch_records); each record is also written as one
-    JSON line to ``log_path``, if given.
-
-    ``cfg`` has passed ``config.validate``. Raises InvalidConfig before
-    the first step for a regularizer not in ``REGULARIZERS`` or a corpus
-    that cannot fill a batch, ShapeMismatch for an utterance whose feature
-    width is not the encoder's, DataError if ``log_path`` cannot be opened
-    for writing, and DivergedLoss (carrying a copy of the state at the end
-    of the last finished epoch) if a loss term or a gradient leaves the
-    reals.
-    """
+def check_inputs(corpus, state: dict, cfg: RunConfig):
+    """Refuse a run ``train`` could not start: InvalidConfig for a
+    regularizer not in ``REGULARIZERS`` or a corpus that cannot fill a
+    batch, ShapeMismatch for an utterance whose feature width is not the
+    encoder's. ``cfg`` has passed ``config.validate``."""
     if cfg.train.regularizer not in REGULARIZERS:
         raise InvalidConfig(
             f"train.regularizer must be one of {sorted(REGULARIZERS)}, "
             f"got {cfg.train.regularizer!r}")
-    batch_size, epochs = cfg.train.batch_size, cfg.train.epochs
-    steps_per_epoch = len(corpus) // batch_size
-    if epochs > 0 and steps_per_epoch < 1:
+    batch_size = cfg.train.batch_size
+    if cfg.train.epochs > 0 and len(corpus) < batch_size:
         raise InvalidConfig(
             f"corpus of {len(corpus)} cannot fill a batch of {batch_size}")
     feature_dim = state["student.encoder.w1"].shape[0]
@@ -250,6 +239,24 @@ def train(corpus, state: dict, cfg: RunConfig, *, log_path=None):
                 f"utterance '{utt.utterance_id}' has {utt.frames.shape[1]} "
                 f"features per frame; the model takes {feature_dim} "
                 "(data.feature_dim)")
+
+
+def train(corpus, state: dict, cfg: RunConfig, *, log_path=None):
+    """Run the loop under ``cfg`` (its ``train``, ``model``, ``crops``,
+    ``augment`` and ``seed``) from ``state`` (see ``init_state``; a loaded
+    checkpoint resumes at its ``optimizer.epoch``), updating it in place.
+    Returns (state, epoch_records); each record is also written as one
+    JSON line to ``log_path``, if given.
+
+    ``cfg`` has passed ``config.validate``. Raises what ``check_inputs``
+    raises before the first step, DataError if ``log_path`` cannot be
+    opened for writing, and DivergedLoss (carrying a copy of the state at
+    the end of the last finished epoch) if a loss term or a gradient leaves
+    the reals.
+    """
+    check_inputs(corpus, state, cfg)
+    batch_size, epochs = cfg.train.batch_size, cfg.train.epochs
+    steps_per_epoch = len(corpus) // batch_size
     total_steps = steps_per_epoch * epochs
     num_prototypes = state["prototypes"].shape[0]
     global_step = state["optimizer.global_step"]  # shape (1,), in place

@@ -420,6 +420,28 @@ def test_bad_config_value_exits_1_before_out_is_made(world, tmp_path, capsys,
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("refused, code", [("regularizer", 1),
+                                           ("manifest", 2)])
+def test_refused_train_exits_before_out_is_made(world, tmp_path, capsys,
+                                                refused, code):
+    # the regularizer name is checked against the trainer's registry, not
+    # by load_config; both checks come before --out is created
+    doc = json.loads(json.dumps(CONFIG_DOC))
+    if refused == "regularizer":
+        doc["train"]["regularizer"] = "ridge"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    manifest = world["manifest"] if refused == "regularizer" \
+        else tmp_path / "missing.tsv"
+    assert cli.main(["train", "--config", str(config),
+                     "--manifest", str(manifest),
+                     "--out", str(tmp_path / "run")]) == code
+    err = capsys.readouterr().err
+    assert ("'ridge'" if refused == "regularizer" else "missing.tsv") in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "env", "file"])
 def test_negative_seed_exits_1(tmp_path, monkeypatch, capsys, source):
     doc = dict(CONFIG_DOC, seed=-1 if source == "file" else 11)
@@ -455,6 +477,23 @@ def test_top_k_without_as_exits_1(world, tmp_path, capsys):
                      "--cohort", str(world["cohort"]), "--method", "s",
                      "--top-k", "2", "--out", str(out)]) == 1
     assert "top_k applies to method 'as' only" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("top_k, message", [
+    ("9999", "top_k=9999 exceeds cohort size 6"),
+    ("1", "top_k must be >= 2, got 1")])
+def test_bad_top_k_exits_1_with_no_trials(world, tmp_path, capsys, top_k,
+                                          message):
+    # the scorer checks top_k against the cohort once, not per cohort block,
+    # so a trial list with no ids to normalize cannot hide a bad value
+    trials, out = tmp_path / "empty.txt", tmp_path / "x.tsv"
+    trials.write_text("", encoding="utf-8")
+    assert cli.main(["normalize", "--store", str(world["store"]),
+                     "--trials", str(trials),
+                     "--cohort", str(world["cohort"]), "--method", "as",
+                     "--top-k", top_k, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -4,6 +4,7 @@ import math
 import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -517,6 +518,93 @@ def test_scorer_matches_naive_loop(monkeypatch, method, sample_stddev, block):
     want = naive_scores(store, cohort, trials, method, top_k, sample_stddev)
     for g, w in zip(got, want):
         npt.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+def per_trial_oracle(store, cohort, trials, method, top_k, sample_stddev):
+    """Raw and normalized scores one trial at a time: raw as the scorer's
+    product sum, each side's cohort scores its row of one ``cohort_scores``
+    over the whole store (no blocks, no buffer), and each normalization
+    from ``oracles`` over that whole row."""
+    unit = store.unit
+    scores = cohort_scores(unit, cohort)
+
+    def stats(row):
+        return cohort_stats(scores[row], sample_stddev=sample_stddev)
+
+    raw, normalized = [], []
+    for t in trials:
+        e, s = store.rows([t.enroll, t.test])
+        r = (unit[e] * unit[s]).sum()
+        raw.append(r)
+        normalized.append(
+            standardize(r, *stats(e)) if method == "z"
+            else standardize(r, *stats(s)) if method == "t"
+            else snorm(r, stats(e), stats(s)) if method == "s"
+            else asnorm(r, scores[e], scores[s], top_k, sample_stddev))
+    return np.array(raw), np.array(normalized)
+
+
+def scored_or_degenerate(scorer, trials):
+    try:
+        return scorer.score_trials(trials)
+    except DegenerateCohort:
+        return "degenerate"
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 12),
+       copies=st.integers(0, 3), dim=st.integers(2, 5),
+       step=st.integers(2, 4), k=st.sampled_from(["2", "n-1", "n"]),
+       sample_stddev=st.booleans(), data=st.data())
+@example(seed=0, n=6, copies=2, dim=3, step=3, k="n-1",
+         sample_stddev=False, data=None)
+def test_scorer_block_loop_matches_per_trial_oracle(
+        seed, n, copies, dim, step, k, sample_stddev, data):
+    # every store id is enrolled and tested, so each method reads all
+    # 3 * step + extra ids: three full cohort blocks and a short fourth
+    extra = data.draw(st.integers(1, step - 1)) if data else 1
+    rng = np.random.default_rng(seed)
+    n_utts = 3 * step + extra
+    store = EmbeddingStore([f"u{i}" for i in range(n_utts)],
+                           rng.standard_normal((n_utts, dim)))
+    # up to `copies` cohort rows overwritten by copies of others: ties
+    rows = rng.standard_normal((n, dim))
+    rows[rng.choice(n, copies, replace=False)] = rows[:copies]
+    cohort = Cohort([f"c{i}" for i in range(n)], rows)
+    perm = rng.permutation(n)
+    permuted = Cohort([f"c{i}" for i in perm], rows[perm])
+    trials = [Trial("-", a, b) for a in store.ids for b in store.ids
+              if a != b]
+    top_k = {"2": 2, "n-1": n - 1, "n": n}[k]
+    with mock.patch.object(numerics, "BLOCK_ELEMENTS", step * n):
+        assert len(numerics.blocks(n_utts, n)) == 4
+        for method in ("z", "t", "s", "as"):
+            kw = dict(method=method, sample_stddev=sample_stddev,
+                      top_k=top_k if method == "as" else None)
+            got = scored_or_degenerate(TrialScorer(store, cohort, **kw),
+                                       trials)
+            again = scored_or_degenerate(TrialScorer(store, permuted, **kw),
+                                         trials)
+            try:
+                want = per_trial_oracle(store, cohort, trials, method,
+                                        top_k, sample_stddev)
+            except DegenerateCohort:
+                assert (got, again) == ("degenerate", "degenerate")
+                continue
+            for g, w in zip(got, want):
+                npt.assert_array_equal(g, w)
+            # z/t/s average the whole row in cohort order, so a permutation
+            # may move their last bit; AS-norm's top K are sorted first
+            npt.assert_array_equal(again[0], want[0])
+            if method == "as":
+                npt.assert_array_equal(again[1], want[1])
+    # cohort_stats reads its argument and never writes it
+    block = cohort_scores(store.unit, cohort)
+    before = block.copy()
+    cohort_stats(block, top_k=top_k, sample_stddev=sample_stddev)
+    cohort_stats(block[:, n - top_k:], top_k=top_k)
+    cohort_stats(block, sample_stddev=sample_stddev)
+    npt.assert_array_equal(block, before)
 
 
 def test_scorer_as_defaults_top_k_to_cohort_cap():
