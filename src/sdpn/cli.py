@@ -257,7 +257,7 @@ def cmd_score(args) -> int:
         if not args.cohort:
             raise InvalidConfig(f"--method {args.method} requires --cohort")
         cohort_store = scoring.EmbeddingStore.load(args.cohort)
-        trial_ids = {t.enroll for t in trials} | {t.test for t in trials}
+        trial_ids = set(trials.enroll).union(trials.test)
         cohort = scoring.Cohort.from_store(cohort_store, trial_ids,
                                            overlap=args.cohort_overlap)
         width, cohort_width = store.matrix.shape[1], cohort.matrix.shape[1]
@@ -280,7 +280,7 @@ def cmd_score(args) -> int:
 def cmd_eval(args) -> int:
     enroll, test, _, normalized = scoring.read_scores(args.scores)
     trials = scoring.read_trials(args.trials)
-    label_of = {(e, t): label for label, e, t in trials}
+    label_of = dict(zip(zip(trials.enroll, trials.test), trials.labels))
     if len(label_of) < len(trials):  # a pair repeats: its labels must agree
         first = {}
         for label, e, t in trials:

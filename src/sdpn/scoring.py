@@ -7,11 +7,11 @@ score files with six-decimal values, and the binary embedding store.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import struct
 from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -123,17 +123,34 @@ class EmbeddingStore:
 
 
 class Trial(NamedTuple):
+    """One row of a trial list, as iterating a Trials yields it."""
     label: str  # "1", "0", or "-"
     enroll: str
     test: str
 
 
-def read_trials(path) -> list[Trial]:
+@dataclasses.dataclass
+class Trials:
+    """A trial list as three columns of str, one entry per trial: ``labels``
+    ("1", "0" or "-"), ``enroll`` ids and ``test`` ids. Iterating it yields
+    its Trial rows."""
+    labels: list[str]
+    enroll: list[str]
+    test: list[str]
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __iter__(self):
+        return map(Trial, self.labels, self.enroll, self.test)
+
+
+def read_trials(path) -> Trials:
     lines = read_lines(path)
     fields = " ".join(lines).split()
     if ({len(line.split()) for line in lines} <= {0, 3}
             and set(fields[0::3]) <= {"1", "0", "-"}):
-        return list(map(Trial, fields[0::3], fields[1::3], fields[2::3]))
+        return Trials(fields[0::3], fields[1::3], fields[2::3])
     for lineno, line in enumerate(lines, 1):  # name the first bad line
         parts = line.split()
         if parts and (len(parts) != 3 or parts[0] not in ("1", "0", "-")):
@@ -142,7 +159,7 @@ def read_trials(path) -> list[Trial]:
                 f"expected 'label enroll test', got {line.strip()!r}")
 
 
-def build_trial_list(corpus) -> list[Trial]:
+def build_trial_list(corpus) -> Trials:
     """All unordered utterance pairs labeled by speaker match, in corpus
     order. Requires a speaker label on every utterance."""
     if any(u.speaker_id is None for u in corpus):
@@ -152,7 +169,7 @@ def build_trial_list(corpus) -> list[Trial]:
     speakers = np.array([u.speaker_id for u in corpus], dtype=object)
     i, j = np.triu_indices(len(corpus), k=1)
     labels = np.where(speakers[i] == speakers[j], "1", "0")
-    return list(map(Trial, labels.tolist(), ids[i].tolist(), ids[j].tolist()))
+    return Trials(labels.tolist(), ids[i].tolist(), ids[j].tolist())
 
 
 def check_trial_ids(ids, path):
@@ -165,19 +182,21 @@ def check_trial_ids(ids, path):
 
 
 def write_trials(trials, path):
-    ids = chain.from_iterable(map(itemgetter(1, 2), trials))  # enroll, test
-    check_trial_ids(dict.fromkeys(ids), path)
-    text = "".join(f"{t.label} {t.enroll} {t.test}\n" for t in trials)
+    """Writes ``trials``, a Trials or any iterable of (label, enroll, test)
+    rows, one ``label enroll test`` line per trial."""
+    fields = tuple(chain.from_iterable(trials))  # label, enroll, test, ...
+    check_trial_ids(dict.fromkeys(chain.from_iterable(
+        zip(fields[1::3], fields[2::3]))), path)
+    text = "%s %s %s\n" * (len(fields) // 3) % fields
     atomic_write(path, text.encode("utf-8"))
 
 
-def write_scores(trials, raw, normalized, path, header: str):
+def write_scores(trials: Trials, raw, normalized, path, header: str):
     """One line per trial: enroll, test, raw and normalized to 6 decimals."""
-    lines = [f"# {header}\n"]
-    lines += [f"{t.enroll}\t{t.test}\t{r:.6f}\t{n:.6f}\n" for t, r, n
-              in zip(trials, np.asarray(raw).tolist(),
-                     np.asarray(normalized).tolist())]
-    text = "".join(lines)
+    fields = tuple(chain.from_iterable(zip(
+        trials.enroll, trials.test, np.asarray(raw).tolist(),
+        np.asarray(normalized).tolist())))
+    text = f"# {header}\n" + "%s\t%s\t%.6f\t%.6f\n" * len(trials) % fields
     if "\n#" in text:  # read_scores would skip that row as a comment
         raise DataError(f"cannot write {path}: an enroll id starts with "
                         "'#', which marks a comment line in a score file")
@@ -224,9 +243,11 @@ class Cohort(EmbeddingStore):
     @classmethod
     def from_store(cls, store: EmbeddingStore, trial_ids=None,
                    overlap: str = "error") -> "Cohort":
-        """The rows of ``store`` whose ids are not in ``trial_ids``; an
-        overlap is rejected or its rows dropped depending on ``overlap``
-        ('error' or 'drop'). Fewer than 2 rows left is a DegenerateCohort."""
+        """The rows of ``store`` whose ids are not in ``trial_ids``, in
+        sorted id order, so that no normalization depends on the order of
+        the store's rows; an overlap is rejected or its rows dropped
+        depending on ``overlap`` ('error' or 'drop'). Fewer than 2 rows left
+        is a DegenerateCohort."""
         trial_set = set(trial_ids or ())
         overlapping = [i for i in store.ids if i in trial_set]
         if overlapping and overlap != "drop":
@@ -234,7 +255,7 @@ class Cohort(EmbeddingStore):
                 f"{len(overlapping)} cohort id(s) appear in the trial list "
                 f"(first: '{overlapping[0]}'); use drop mode or a disjoint "
                 "cohort")
-        ids = [i for i in store.ids if i not in trial_set]
+        ids = sorted(i for i in store.ids if i not in trial_set)
         if len(ids) < 2:
             raise DegenerateCohort(f"cohort needs >= 2 entries, got {len(ids)}")
         return cls(ids, store.matrix[store.rows(ids)])
@@ -324,11 +345,12 @@ class TrialScorer:
         self.sample_stddev = sample_stddev
         self.cohort_computes = 0
 
-    def score_trials(self, trials) -> tuple[np.ndarray, np.ndarray]:
-        """(raw cosine, normalized) float64 arrays in trial order."""
+    def score_trials(self, trials: Trials) -> tuple[np.ndarray, np.ndarray]:
+        """(raw cosine, normalized) float64 arrays in trial order; the first
+        id, in trial order, that the store lacks is a MissingEmbedding."""
         unit = self.store.unit
-        pairs = self.store.rows(
-            i for _, e, t in trials for i in (e, t)).reshape(-1, 2)
+        pairs = self.store.rows(chain.from_iterable(
+            zip(trials.enroll, trials.test))).reshape(-1, 2)
         raw = np.empty(len(pairs))
         for b in blocks(len(pairs), 2 * unit.shape[1]):
             raw[b] = (unit[pairs[b, 0]] * unit[pairs[b, 1]]).sum(axis=-1)

@@ -206,7 +206,7 @@ def test_eval_non_finite_or_non_positive_cost_exits_1(world, tmp_path,
 
 
 def test_eval_report_does_not_depend_on_score_order(world, tmp_path):
-    trials = scoring.read_trials(world["trials"])
+    trials = list(scoring.read_trials(world["trials"]))
     shuffled = tmp_path / "shuffled.txt"
     order = np.random.default_rng(5).permutation(len(trials))
     scoring.write_trials([trials[i] for i in order], shuffled)
@@ -293,7 +293,7 @@ def test_gen_data_prefix_disjoins_cohort_ids(world, tmp_path):
     store = scoring.EmbeddingStore([u.utterance_id for u in corpus],
                                    [u.frames.mean(axis=0) for u in corpus])
     trials = scoring.read_trials(world["trials"])
-    ids = {t.enroll for t in trials} | {t.test for t in trials}
+    ids = set(trials.enroll).union(trials.test)
     scoring.Cohort.from_store(store, ids)  # must not raise
 
 
@@ -624,7 +624,7 @@ def test_gen_data_whitespace_in_trial_ids_exits_2(world, tmp_path, capsys):
 
 def test_cohort_emptied_by_overlap_drop_exits_2(world, tmp_path, capsys):
     trials = scoring.read_trials(world["trials"])
-    ids = sorted({t.enroll for t in trials} | {t.test for t in trials})
+    ids = sorted(set(trials.enroll).union(trials.test))
     full = scoring.EmbeddingStore.load(world["store"])
     cohort = tmp_path / "cohort.emb"
     scoring.EmbeddingStore(ids, full.matrix[full.rows(ids)]).save(cohort)
@@ -736,7 +736,7 @@ def test_eval_with_unlabeled_trial_exits_2(world, tmp_path):
 
 
 def test_eval_pair_with_two_labels_exits_2(world, tmp_path, capsys):
-    scored = scoring.read_trials(world["trials"])
+    scored = list(scoring.read_trials(world["trials"]))
     label, enroll, test = scored[1]
     other = "0" if label == "1" else "1"
     trials = tmp_path / "two_labels.txt"

@@ -348,7 +348,8 @@ ATOMIC_WRITERS = {
     "checkpoint": _write_checkpoint,
     "store": _write_store,
     "scores": lambda path: scoring.write_scores(
-        [scoring.Trial("1", "a", "b")], [0.5], [0.5], path, "method=cosine"),
+        scoring.Trials(["1"], ["a"], ["b"]), [0.5], [0.5], path,
+        "method=cosine"),
     "trials": lambda path: scoring.write_trials(
         [scoring.Trial("1", "a", "b")], path),
     "eval_report": _write_eval_report,

@@ -27,11 +27,17 @@ from sdpn.scoring import (
     Cohort,
     EmbeddingStore,
     Trial,
+    Trials,
     TrialScorer,
     cohort_scores,
     cohort_stats,
     standardize,
 )
+
+
+def columns(rows):
+    """The Trials of (label, enroll, test) rows, built column by column."""
+    return Trials(*([row[k] for row in rows] for k in range(3)))
 
 
 def unit_rng_store(n, dim, seed):
@@ -46,7 +52,7 @@ def unit_rng_store(n, dim, seed):
 
 def cosines(store, pairs):
     """Raw scores of ``TrialScorer`` for (enroll, test) id pairs."""
-    trials = [Trial("-", e, t) for e, t in pairs]
+    trials = columns([("-", e, t) for e, t in pairs])
     return TrialScorer(store, None).score_trials(trials)[0]
 
 
@@ -241,11 +247,26 @@ def test_store_missing_id_and_dim_check():
 
 
 def test_trials_roundtrip(tmp_path):
-    trials = [Trial("1", "u000", "u001"), Trial("0", "u000", "u002"),
-              Trial("-", "u003", "u004")]
+    trials = Trials(["1", "0", "-"], ["u000", "u000", "u003"],
+                    ["u001", "u002", "u004"])
     path = tmp_path / "trials.txt"
     scoring.write_trials(trials, path)
+    assert path.read_text() == "1 u000 u001\n0 u000 u002\n- u003 u004\n"
     assert scoring.read_trials(path) == trials
+
+
+def test_trials_iterate_as_rows_of_their_columns():
+    # the view of a trial list that reads it row by row, as the benchmark's
+    # score_trials counter does: its length and each row's enroll/test
+    trials = Trials(["1", "0", "-"], ["a", "b", "c"], ["d", "e", "f"])
+    rows = list(trials)
+    assert len(trials) == len(rows) == 3
+    assert all(type(row) is Trial for row in rows)
+    assert rows == [Trial("1", "a", "d"), Trial("0", "b", "e"),
+                    Trial("-", "c", "f")]
+    assert [r.label for r in rows] == trials.labels
+    assert [r.enroll for r in rows] == trials.enroll
+    assert [r.test for r in rows] == trials.test
 
 
 @pytest.mark.parametrize("bad", ["", " ", "a b", "a\tb", "a\nb", "a\u00a0b",
@@ -273,7 +294,7 @@ def test_trials_bad_label(tmp_path):
 
 def test_scores_file_format(tmp_path):
     path = tmp_path / "scores.txt"
-    scoring.write_scores([Trial("1", "e", "t")], np.array([0.123456789]),
+    scoring.write_scores(Trials(["1"], ["e"], ["t"]), np.array([0.123456789]),
                          np.array([1.5]), path, header="method=s")
     text = path.read_text().splitlines()
     assert text[0] == "# method=s"
@@ -328,7 +349,7 @@ def test_trials_roundtrip_property(trials):
         scoring.write_trials(trials, path)
         return scoring.read_trials(path)
 
-    assert _in_tmp(roundtrip) == trials
+    assert list(_in_tmp(roundtrip)) == trials
 
 
 @PROPERTY
@@ -337,7 +358,7 @@ def test_trials_roundtrip_property(trials):
 @example([(Trial("0", "a", "b"), 0.5, 0.5), (Trial("1", "#c", "d"), 1.0, 1.0)])
 @example([(Trial("0", "a", "b"), 0.5, 0.5), (Trial("1", "c", "d"), 1.0, float("nan"))])
 def test_scores_roundtrip_property(rows):
-    trials = [t for t, _, _ in rows]
+    trials = columns([t for t, _, _ in rows])
     raw = np.array([r for _, r, _ in rows])
     normalized = np.array([n for _, _, n in rows])
 
@@ -345,7 +366,7 @@ def test_scores_roundtrip_property(rows):
         scoring.write_scores(trials, raw, normalized, path, "method=s")
         return scoring.read_scores(path)
 
-    if any(t.enroll.startswith("#") for t in trials):
+    if any(e.startswith("#") for e in trials.enroll):
         # such a row would read back as a comment, so it is not written
         with pytest.raises(DataError):
             _in_tmp(roundtrip)
@@ -448,8 +469,8 @@ def make_scorer_setup(seed, n_utts=10, n_cohort=8, dim=6):
                            rng.standard_normal((n_utts, dim)))
     cohort = Cohort([f"c{i}" for i in range(n_cohort)],
                     rng.standard_normal((n_cohort, dim)))
-    trials = [Trial("1", "u000", "u001"), Trial("0", "u000", "u002"),
-              Trial("1", "u001", "u002"), Trial("0", "u003", "u000")]
+    trials = Trials(["1", "0", "1", "0"], ["u000", "u000", "u001", "u003"],
+                    ["u001", "u002", "u002", "u000"])
     return store, cohort, trials
 
 
@@ -463,8 +484,7 @@ def test_scorer_cosine_raw_equals_normalized():
 
 def test_scorer_cohort_cache_computes_each_utterance_once():
     store, cohort, trials = make_scorer_setup(70)
-    enroll = {t.enroll for t in trials}
-    test = {t.test for t in trials}
+    enroll, test = set(trials.enroll), set(trials.test)
     for method, read in (("s", enroll | test), ("z", enroll), ("t", test)):
         scorer = TrialScorer(store, cohort, method=method)
         scorer.score_trials(trials)
@@ -510,8 +530,8 @@ def test_scorer_matches_naive_loop(monkeypatch, method, sample_stddev, block):
     cohort = Cohort([f"c{i}" for i in range(10)],
                     cohort.unit[[0, 0, 0, 0, 1, 1, 1, 2, 2, 2]])
     ids = store.ids
-    trials = [Trial("1", ids[i % 12], ids[(3 * i + 1) % 12])
-              for i in range(20)]
+    trials = Trials(["1"] * 20, [ids[i % 12] for i in range(20)],
+                    [ids[(3 * i + 1) % 12] for i in range(20)])
     top_k = 5 if method == "as" else None
     got = TrialScorer(store, cohort, method=method, top_k=top_k,
                       sample_stddev=sample_stddev).score_trials(trials)
@@ -570,11 +590,15 @@ def test_scorer_block_loop_matches_per_trial_oracle(
     # up to `copies` cohort rows overwritten by copies of others: ties
     rows = rng.standard_normal((n, dim))
     rows[rng.choice(n, copies, replace=False)] = rows[:copies]
-    cohort = Cohort([f"c{i}" for i in range(n)], rows)
+    # one cohort store and the same rows in another order, both taken by
+    # the CLI's path, which puts the kept rows in sorted id order
+    cohort = Cohort.from_store(
+        EmbeddingStore([f"c{i}" for i in range(n)], rows))
     perm = rng.permutation(n)
-    permuted = Cohort([f"c{i}" for i in perm], rows[perm])
-    trials = [Trial("-", a, b) for a in store.ids for b in store.ids
-              if a != b]
+    permuted = Cohort.from_store(
+        EmbeddingStore([f"c{i}" for i in perm], rows[perm]))
+    trials = columns([("-", a, b) for a in store.ids for b in store.ids
+                      if a != b])
     top_k = {"2": 2, "n-1": n - 1, "n": n}[k]
     with mock.patch.object(numerics, "BLOCK_ELEMENTS", step * n):
         assert len(numerics.blocks(n_utts, n)) == 4
@@ -591,13 +615,9 @@ def test_scorer_block_loop_matches_per_trial_oracle(
             except DegenerateCohort:
                 assert (got, again) == ("degenerate", "degenerate")
                 continue
-            for g, w in zip(got, want):
+            for g, a, w in zip(got, again, want):
                 npt.assert_array_equal(g, w)
-            # z/t/s average the whole row in cohort order, so a permutation
-            # may move their last bit; AS-norm's top K are sorted first
-            npt.assert_array_equal(again[0], want[0])
-            if method == "as":
-                npt.assert_array_equal(again[1], want[1])
+                npt.assert_array_equal(a, w)
     # cohort_stats reads its argument and never writes it
     block = cohort_scores(store.unit, cohort)
     before = block.copy()
@@ -636,7 +656,14 @@ def test_scorer_z_t_s_relationship():
 
 
 def test_normalize_trials_missing_embedding():
+    # the first trial lacks its test id, the second its enroll id: the
+    # error names the first missing id in trial order, the test id, which
+    # a column-by-column lookup would not
     store, cohort, _ = make_scorer_setup(75)
-    bad = [Trial("1", "u000", "ghost")]
-    with pytest.raises(MissingEmbedding):
-        TrialScorer(store, cohort, method="s").score_trials(bad)
+    bad = Trials(["1", "0", "1"], ["u000", "ghost_e", "u001"],
+                 ["ghost_t", "u002", "ghost_x"])
+    for scorer in (TrialScorer(store, None),
+                   TrialScorer(store, cohort, method="s")):
+        with pytest.raises(MissingEmbedding) as err:
+            scorer.score_trials(bad)
+        assert str(err.value) == "no embedding for utterance 'ghost_t'"
