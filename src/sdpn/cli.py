@@ -91,7 +91,6 @@ def build_parser() -> _Parser:
                        default=default_method)
         p.add_argument("--cohort", help="cohort embedding store")
         p.add_argument("--top-k", type=int)
-        p.add_argument("--sample-stddev", action="store_true")
         p.add_argument("--cohort-overlap", choices=("error", "drop"),
                        default="error")
         p.set_defaults(func=cmd_score, is_normalize=(name == "normalize"))
@@ -266,8 +265,7 @@ def cmd_score(args) -> int:
                 f"store {args.store} holds {width}-dim embeddings, cohort "
                 f"{args.cohort} {cohort_width}-dim")
     scorer = scoring.TrialScorer(store, cohort, method=args.method,
-                                 top_k=args.top_k,
-                                 sample_stddev=args.sample_stddev)
+                                 top_k=args.top_k)
     raw, normalized = scorer.score_trials(trials)
     header = f"method={args.method}"
     if args.method == "as":

@@ -14,6 +14,7 @@ views from ``iter_crop_sets`` as two float64 arrays of frames.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -22,8 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DataError, InvalidConfig, MalformedFile,
-                     UtteranceTooShort)
+from .errors import DataError, MalformedFile, UtteranceTooShort
 
 FEATURE_MAGIC = b"SDFK"
 FEATURE_VERSION = 2
@@ -133,13 +133,23 @@ def iter_crop_sets(utterances, crops, rng, mask, out=None):
 # feature files and manifests
 
 
+class os_errors(contextlib.AbstractContextManager):
+    """Context manager that turns an OSError raised in its block (a missing
+    file, no permission) into a DataError ``cannot <action> <path>: ...``."""
+
+    def __init__(self, action: str, path):
+        self.action, self.path = action, path
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot {self.action} {self.path}: "
+                            f"{exc.strerror or exc}") from None
+
+
 def read_bytes(path) -> bytes:
-    """The bytes of the file at ``path``; a file that cannot be read (it is
-    missing, a directory, or not permitted) is a DataError naming it."""
-    try:
+    """The bytes of the file at ``path``; see ``os_errors``."""
+    with os_errors("read", path):
         return Path(path).read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def read_lines(path) -> list[str]:
@@ -162,14 +172,17 @@ def _split_lines(text: str) -> list[str]:
 
 
 class BinaryReader:
-    """Cursor over the bytes of one binary file (feature file, checkpoint or
-    embedding store). Every short read, bad magic and leftover byte raises
-    MalformedFile naming the offset and the field being read."""
+    """Cursor over a binary file past its ``magic`` and u16 ``version``,
+    which it checks. Every short read, bad magic or version and leftover
+    byte is a MalformedFile naming the offset and the field being read."""
 
-    def __init__(self, path):
-        self.path = path
-        self.blob = read_bytes(path)
-        self.off = 0
+    def __init__(self, path, magic: bytes, version: int, kind: str):
+        self.path, self.blob, self.off = path, read_bytes(path), 0
+        if self.take(len(magic), "magic") != magic:
+            raise MalformedFile(path, 0, f"bad magic, not an sdpn {kind} file")
+        (found,) = self.unpack("<H", "version")
+        if found != version:
+            raise MalformedFile(path, 4, f"unsupported {kind} version {found}")
 
     def take(self, n: int, what: str) -> bytes:
         if self.off + n > len(self.blob):
@@ -179,16 +192,18 @@ class BinaryReader:
         self.off += n
         return chunk
 
-    def text(self, n: int, what: str) -> str:
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def name(self, what: str) -> str:
+        """A name field (see ``pack_name``): u16 byte length, then UTF-8."""
+        (n,) = self.unpack("<H", what)
         raw = self.take(n, what)
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError:
             raise MalformedFile(self.path, self.off - n,
                                 f"{what} is not valid UTF-8") from None
-
-    def unpack(self, fmt: str, what: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
 
     def float64s(self, shape: tuple[int, ...], what: str) -> np.ndarray:
         """Little-endian float64 values filling ``shape`` as a fresh float64
@@ -203,83 +218,80 @@ class BinaryReader:
                                 f"of {what}")
         return raw.astype(np.float64).reshape(shape)
 
-    def expect_magic(self, magic: bytes, kind: str):
-        if self.take(len(magic), "magic") != magic:
-            raise MalformedFile(self.path, 0, f"bad magic, not {kind}")
-
     def expect_end(self, what: str):
         if self.off != len(self.blob):
             raise MalformedFile(self.path, self.off,
                                 f"trailing bytes after {what}")
 
 
+def pack_name(text: str, path) -> bytes:
+    """A name field: the u16 length of ``text`` in UTF-8, then its bytes."""
+    raw = text.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise DataError(f"cannot write {path}: name {text[:12]!r}... is over "
+                        "the 65535 bytes of UTF-8 a name field holds")
+    return struct.pack("<H", len(raw)) + raw
+
+
+def pack_float64s(values, path, what: str) -> memoryview:
+    """Little-endian float64 bytes of ``values``, row-major, as a byte view;
+    a non-finite value, which every reader refuses, is a DataError."""
+    arr = np.ascontiguousarray(values, dtype="<f8")
+    if not np.isfinite(arr).all():
+        bad = tuple(np.argwhere(~np.isfinite(arr))[0].tolist())
+        raise DataError(f"cannot write {path}: {what} has a non-finite value "
+                        f"at {bad}")
+    return memoryview(arr.reshape(-1).view(np.uint8))
+
+
 def atomic_write(path, payload: bytes):
     """Write to a ``.tmp`` sibling, fsync it and rename it over ``path``, so
     a crash never leaves a half-written file behind. If the write, fsync or
     rename fails, the ``.tmp`` sibling is removed; an OSError becomes a
-    DataError naming ``path``, anything else is re-raised."""
+    DataError naming ``path`` (see ``os_errors``)."""
     tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException as exc:
+    with os_errors("write", path):
         try:
-            os.unlink(tmp)
-        except FileNotFoundError:
-            pass
-        if isinstance(exc, OSError):
-            raise DataError(
-                f"cannot write {path}: {exc.strerror or exc}") from None
-        raise
+            with open(tmp, "wb") as fh:
+                fh.write(payload)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
 
 
 def make_dir(path) -> Path:
     """Create directory ``path`` and its parents if missing; an OSError (a
     file already at ``path`` or on its way) becomes a DataError naming it."""
-    try:
+    with os_errors("create directory", path):
         Path(path).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise DataError(
-            f"cannot create directory {path}: {exc.strerror or exc}") from None
     return Path(path)
 
 
 def write_feature_file(utt: Utterance, path):
-    frames = np.ascontiguousarray(utt.frames, dtype="<f8")
-    if frames.ndim != 2:
-        raise InvalidConfig(f"frames must be 2-d, got shape {frames.shape}")
-    if not np.isfinite(frames).all():  # the reader would refuse it
-        bad = tuple(np.argwhere(~np.isfinite(frames))[0].tolist())
-        raise DataError(f"cannot write {path}: utterance '{utt.utterance_id}'"
-                        f" has a non-finite value at {bad} of frames")
-    t, f = frames.shape
-    uid = utt.utterance_id.encode("utf-8")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(FEATURE_MAGIC)
-            fh.write(struct.pack("<HII", FEATURE_VERSION, t, f))
-            fh.write(frames.tobytes())
-            fh.write(struct.pack("<H", len(uid)))
-            fh.write(uid)
-    except OSError as exc:
-        raise DataError(
-            f"cannot write {path}: {exc.strerror or exc}") from None
+    """Frames the reader refuses are a DataError; nothing is written."""
+    owner = f"utterance '{utt.utterance_id}'"
+    frames = np.asarray(utt.frames)
+    if frames.ndim != 2 or 0 in frames.shape:
+        raise DataError(f"cannot write {path}: {owner} has frames of shape "
+                        f"{frames.shape}, not a non-empty matrix")
+    payload = bytearray(FEATURE_MAGIC)
+    payload += struct.pack("<HII", FEATURE_VERSION, *frames.shape)
+    payload += pack_float64s(frames, path, owner)
+    payload += pack_name(utt.utterance_id, path)
+    with os_errors("write", path), open(path, "wb") as fh:
+        fh.write(payload)
 
 
 def read_feature_file(path) -> Utterance:
-    r = BinaryReader(path)
-    r.expect_magic(FEATURE_MAGIC, "a feature file")
-    version, t, f = r.unpack("<HII", "header")
-    if version != FEATURE_VERSION:
-        raise MalformedFile(path, 4, f"unsupported feature version {version}")
+    r = BinaryReader(path, FEATURE_MAGIC, FEATURE_VERSION, "feature")
+    t, f = r.unpack("<II", "frame shape")
     if t == 0 or f == 0:
         raise MalformedFile(path, 6, f"empty {t}x{f} frame matrix")
     frames = r.float64s((t, f), "frames")
-    (ulen,) = r.unpack("<H", "utterance id length")
-    uid = r.text(ulen, "utterance id")
+    uid = r.name("utterance id")
     r.expect_end("utterance id")
     return Utterance(uid, None, frames)
 

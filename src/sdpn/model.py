@@ -29,8 +29,8 @@ import struct
 import numpy as np
 
 from . import numerics
-from .data import BinaryReader, atomic_write
-from .errors import MalformedFile, ShapeMismatch, ZeroVector
+from .data import BinaryReader, atomic_write, pack_float64s, pack_name
+from .errors import DataError, MalformedFile, ShapeMismatch, ZeroVector
 
 # Keeps the std branch of the pooling differentiable at zero variance.
 EPS_POOL_VAR = 1e-10
@@ -255,42 +255,33 @@ def ema_momentum_at(step: int, total_steps: int, base: float) -> float:
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray], fingerprint: str):
-    """Atomic write of named float64 tensors plus a config fingerprint."""
-    payload = bytearray()
-    payload += CHECKPOINT_MAGIC
+    """Atomic write of named float64 tensors plus a config fingerprint; a
+    tensor the reader refuses (empty, non-finite) is a DataError."""
+    payload = bytearray(CHECKPOINT_MAGIC)
     payload += struct.pack("<H", CHECKPOINT_VERSION)
-    fp_raw = fingerprint.encode("utf-8")
-    payload += struct.pack("<H", len(fp_raw))
-    payload += fp_raw
+    payload += pack_name(fingerprint, path)
     payload += struct.pack("<I", len(tensors))
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f8")
-        raw = name.encode("utf-8")
-        payload += struct.pack("<H", len(raw))
-        payload += raw
-        payload += struct.pack("<B", arr.ndim)
-        for dim in arr.shape:
-            payload += struct.pack("<I", dim)
-        payload += arr.tobytes()
+        arr = np.ascontiguousarray(tensors[name])  # a scalar: shape (1,)
+        if arr.size == 0:
+            raise DataError(f"cannot write {path}: tensor '{name}' has empty "
+                            f"shape {arr.shape}")
+        payload += pack_name(name, path)
+        payload += struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+        payload += pack_float64s(arr, path, f"tensor '{name}'")
     atomic_write(path, payload)
 
 
 def load_checkpoint(path):
     """(tensors by name, fingerprint) of the checkpoint at ``path``."""
-    r = BinaryReader(path)
-    r.expect_magic(CHECKPOINT_MAGIC, "a checkpoint")
-    (version,) = r.unpack("<H", "version")
-    if version != CHECKPOINT_VERSION:
-        raise MalformedFile(path, 4, f"unsupported checkpoint version {version}")
-    (fp_len,) = r.unpack("<H", "fingerprint length")
-    fingerprint = r.text(fp_len, "fingerprint")
+    r = BinaryReader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
+    fingerprint = r.name("fingerprint")
     (count,) = r.unpack("<I", "tensor count")
     tensors = {}
     name = None
     for _ in range(count):
         record = r.off
-        (nlen,) = r.unpack("<H", "name length")
-        previous, name = name, r.text(nlen, "name")
+        previous, name = name, r.name("name")
         if previous is not None and name <= previous:
             raise MalformedFile(path, record, f"tensor '{name}' is repeated "
                                 "or out of name order")

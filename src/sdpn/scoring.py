@@ -16,7 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import BinaryReader, atomic_write, read_lines
+from .data import (BinaryReader, atomic_write, pack_float64s, pack_name,
+                   read_lines)
 from .errors import (
     DataError,
     DegenerateCohort,
@@ -73,27 +74,40 @@ class EmbeddingStore:
             raise MissingEmbedding(
                 f"no embedding for utterance '{exc.args[0]}'") from None
 
+    def invalid_vector(self) -> tuple[str, str] | None:
+        """(id, reason) of the first vector no store may hold, a non-finite
+        one or one whose L2 norm overflows float64; None if there is none."""
+        with np.errstate(over="ignore"):  # a non-finite value: a NaN/inf norm
+            norms = np.linalg.norm(self.matrix, axis=1)
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if not bad.size:
+            return None
+        key, vec = self.ids[bad[0]], self.matrix[bad[0]]
+        return key, f"vector '{key}' " + (
+            "is not finite" if not np.isfinite(vec).all()
+            else "has an L2 norm that overflows float64")
+
     def save(self, path):
-        payload = bytearray(STORE_MAGIC)
-        payload += struct.pack("<HI", STORE_VERSION, len(self.ids))
-        dim = struct.pack("<I", self.matrix.shape[1])
-        for key, vec in zip(self.ids, self.matrix.astype("<f8", copy=False)):
-            raw = key.encode("utf-8")
-            payload += struct.pack("<H", len(raw)) + raw + dim + vec.tobytes()
+        """Atomic write, refusing what ``load`` refuses (a DataError)."""
+        bad = self.invalid_vector()
+        if bad:
+            raise DataError(f"cannot write {path}: {bad[1]}")
+        n, dim = self.matrix.shape
+        vectors = pack_float64s(self.matrix, path, "the store")
+        payload = bytearray(STORE_MAGIC + struct.pack("<HI", STORE_VERSION, n))
+        for i, key in enumerate(self.ids):
+            payload += pack_name(key, path) + struct.pack("<I", dim)
+            payload += vectors[8 * dim * i:8 * dim * (i + 1)]
         atomic_write(path, payload)
 
     @classmethod
     def load(cls, path) -> "EmbeddingStore":
-        r = BinaryReader(path)
-        r.expect_magic(STORE_MAGIC, "an embedding store")
-        version, count = r.unpack("<HI", "header")
-        if version != STORE_VERSION:
-            raise MalformedFile(path, 4, f"unsupported version {version}")
+        r = BinaryReader(path, STORE_MAGIC, STORE_VERSION, "embedding store")
+        (count,) = r.unpack("<I", "count")
         offsets, chunks, store_dim = {}, [], None  # id -> record offset
         for _ in range(count):
             record = r.off
-            (klen,) = r.unpack("<H", "id length")
-            key = r.text(klen, "id")
+            key = r.name("id")
             if key in offsets:
                 raise MalformedFile(path, record, f"repeated id '{key}'")
             offsets[key] = record
@@ -106,20 +120,12 @@ class EmbeddingStore:
                     f"vector '{key}' has dim {dim}, the store has {store_dim}")
             chunks.append(r.take(8 * dim, f"vector '{key}'"))
         r.expect_end("last record")
-        ids = list(offsets)
-        matrix = np.frombuffer(b"".join(chunks), dtype="<f8").astype(
-            np.float64).reshape(count, store_dim or 0)
-        # a non-finite entry makes the norm non-finite too; a finite vector
-        # whose norm overflows would score as a wrong cosine of 0
-        with np.errstate(over="ignore"):
-            bad = np.flatnonzero(~np.isfinite(np.linalg.norm(matrix, axis=1)))
-        if bad.size:
-            i = bad[0]
-            what = "is not finite" if not np.isfinite(matrix[i]).all() \
-                else "has an L2 norm that overflows float64"
-            raise MalformedFile(path, offsets[ids[i]],
-                                f"vector '{ids[i]}' {what}")
-        return cls(ids, matrix)
+        store = cls(list(offsets), np.frombuffer(
+            bytearray().join(chunks), "<f8").reshape(count, store_dim or 0))
+        bad = store.invalid_vector()
+        if bad:
+            raise MalformedFile(path, offsets[bad[0]], bad[1])
+        return store
 
 
 class Trial(NamedTuple):
@@ -277,8 +283,7 @@ def check_top_k(top_k: int, n: int):
         raise InvalidConfig(f"top_k must be >= 2, got {top_k}")
 
 
-def cohort_stats(scores, top_k: int | None = None,
-                 sample_stddev: bool = False):
+def cohort_stats(scores, top_k: int | None = None):
     """(mu, sigma): mean and stddev of cohort scores along the last axis,
     optionally over the top-K largest; floats for one score list, one value
     per row for a matrix. ``scores`` is never modified.
@@ -286,7 +291,7 @@ def cohort_stats(scores, top_k: int | None = None,
     The top K are taken from a descending sort, so they come in the same
     order whatever the cohort order, and ties cannot change which values are
     kept. Given only the K largest of each row, in any order, the stats are
-    bitwise those of the whole row. Population stddev by default.
+    bitwise those of the whole row. The stddev is the population one.
     """
     s = np.asarray(scores, dtype=np.float64)
     if top_k is not None:
@@ -295,7 +300,7 @@ def cohort_stats(scores, top_k: int | None = None,
     k = s.shape[-1]
     if k < 2:
         raise DegenerateCohort(f"need >= 2 cohort scores, got {k}")
-    return s.mean(axis=-1), s.std(axis=-1, ddof=1 if sample_stddev else 0)
+    return s.mean(axis=-1), s.std(axis=-1)
 
 
 def standardize(raw, mu, sigma):
@@ -325,8 +330,7 @@ class TrialScorer:
     """
 
     def __init__(self, store: EmbeddingStore, cohort: Cohort | None,
-                 method: str = "cosine", top_k: int | None = None,
-                 sample_stddev: bool = False):
+                 method: str = "cosine", top_k: int | None = None):
         if method not in METHODS:
             raise InvalidConfig(f"unknown method '{method}', want one of {METHODS}")
         if method != "cosine" and cohort is None:
@@ -342,7 +346,6 @@ class TrialScorer:
         self.cohort = cohort
         self.method = method
         self.top_k = top_k
-        self.sample_stddev = sample_stddev
         self.cohort_computes = 0
 
     def score_trials(self, trials: Trials) -> tuple[np.ndarray, np.ndarray]:
@@ -378,8 +381,7 @@ class TrialScorer:
             if top_k is not None and top_k < n:
                 scores.partition(n - top_k, axis=-1)  # top K to the end
                 scores = scores[:, n - top_k:]
-            mu[ids], sigma[ids] = cohort_stats(
-                scores, top_k=top_k, sample_stddev=self.sample_stddev)
+            mu[ids], sigma[ids] = cohort_stats(scores, top_k=top_k)
         side_rows = pairs[:, sides].T  # one row of store rows per side
         return raw, standardize(raw, mu[side_rows],
                                 sigma[side_rows]).mean(axis=0)

@@ -32,7 +32,7 @@ import numpy as np
 from . import data as data_mod
 from . import losses, model, numerics
 from .config import RunConfig
-from .errors import DataError, DivergedLoss, InvalidConfig, ShapeMismatch
+from .errors import DivergedLoss, InvalidConfig, ShapeMismatch
 
 REGULARIZERS = {
     "none": None,
@@ -265,11 +265,8 @@ def train(corpus, state: dict, cfg: RunConfig, *, log_path=None):
     batch = None  # the view arrays every step overwrites
     workspace = None  # the encoder buffers every step overwrites
     records = []
-    try:
+    with data_mod.os_errors("write", log_path):
         log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-    except OSError as exc:
-        raise DataError(
-            f"cannot write {log_path}: {exc.strerror or exc}") from None
     try:
         for epoch in range(int(state["optimizer.epoch"][0]), epochs):
             rng = np.random.default_rng([cfg.seed, epoch])

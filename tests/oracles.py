@@ -116,13 +116,11 @@ def identity_metric_monotone(instances):
 # normalization and covariance identities
 
 
-def asnorm(raw, enroll_scores, test_scores, top_k: int,
-           sample_stddev: bool = False):
+def asnorm(raw, enroll_scores, test_scores, top_k: int):
     """Adaptive S-norm of one trial: the mean of the raw score standardized
     by each side's top-K cohort stats (``TrialScorer`` does the same over
     whole arrays)."""
-    return snorm(raw, *(scoring.cohort_stats(scores, top_k=top_k,
-                                             sample_stddev=sample_stddev)
+    return snorm(raw, *(scoring.cohort_stats(scores, top_k=top_k)
                         for scores in (enroll_scores, test_scores)))
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -818,10 +819,13 @@ def test_train_on_mixed_feature_widths_exits_2(world, tmp_path, capsys):
 
 def test_zero_frame_feature_file_exits_2(world, tmp_path, capsys):
     # a (0, F) utterance pooled to a NaN embedding that score and eval
-    # carried through to a report; it is refused where it is read
+    # carried through to a report; it is refused where it is read. The
+    # writer refuses it too, so its file is written by hand
     corpus = [data.Utterance("a", None, np.ones((5, 6))),
-              data.Utterance("b", None, np.ones((0, 6)))]
+              data.Utterance("b", None, np.ones((1, 6)))]
     manifest = data.save_corpus(corpus, tmp_path / "corpus")
+    (tmp_path / "corpus" / "b.sdfk").write_bytes(
+        data.FEATURE_MAGIC + struct.pack("<HIIH", 2, 0, 6, 1) + b"b")
     out = tmp_path / "emb.store"
     assert cli.main(["embed", "--checkpoint", str(world["ckpt"]),
                      "--manifest", str(manifest), "--out", str(out)]) == 2
@@ -831,13 +835,18 @@ def test_zero_frame_feature_file_exits_2(world, tmp_path, capsys):
 
 
 def test_nan_checkpoint_exits_2(world, tmp_path, capsys):
+    # save_checkpoint refuses a NaN, so the value is patched into the file
     tensors, fp = model.load_checkpoint(world["ckpt"])
-    tensors["teacher.encoder.w2"][1, 2] = np.nan
+    marker = 12345.678
+    tensors["teacher.encoder.w2"][1, 2] = marker
     tensors["optimizer.epoch"][0] = 0.0
     tensors["optimizer.global_step"][0] = 0.0
     crafted = tmp_path / "poisoned.sdck"
     model.save_checkpoint(crafted, tensors, fp)
-    offset = crafted.read_bytes().index(np.float64(np.nan).tobytes())
+    blob = crafted.read_bytes()
+    offset = blob.index(struct.pack("<d", marker))
+    crafted.write_bytes(blob[:offset] + struct.pack("<d", np.nan)
+                        + blob[offset + 8:])
     reason = f"{crafted} @ {offset}: non-finite value nan at (1, 2) of " \
         "tensor 'teacher.encoder.w2'"
     out = tmp_path / "doomed"
@@ -851,6 +860,25 @@ def test_nan_checkpoint_exits_2(world, tmp_path, capsys):
                      str(world["manifest"]), "--out", str(store)]) == 2
     assert reason in capsys.readouterr().err
     assert not store.exists()
+
+
+def test_embed_refuses_vector_whose_norm_overflows(world, tmp_path, capsys):
+    # every embedding is finite, but so large that its L2 norm is not:
+    # score would refuse the store, so embed does not write it
+    tensors, fp = model.load_checkpoint(world["ckpt"])
+    tensors["teacher.encoder.w2"][:] = 1e154
+    huge = tmp_path / "huge.sdck"
+    model.save_checkpoint(huge, tensors, fp)
+    store = tmp_path / "emb.store"
+    assert cli.main(["embed", "--checkpoint", str(huge), "--manifest",
+                     str(world["manifest"]), "--out", str(store)]) == 2
+    err = capsys.readouterr().err
+    first = data.read_manifest(world["manifest"])[0].utterance_id
+    assert f"cannot write {store}: vector '{first}' has an L2 norm that " \
+        "overflows float64" in err
+    assert "Traceback" not in err
+    assert not store.exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_diverged_train_exits_3_with_last_good_checkpoint(world, tmp_path,

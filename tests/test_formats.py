@@ -6,9 +6,13 @@ For each format: writing then reading gives back the same values and ids
 MalformedFile at an offset no later than the cut; and rewriting any one
 header or shape field to another value is a MalformedFile, never another
 exception. The field offsets are walked from the documented layout
-(docs/formats.md), not taken from the readers.
+(docs/formats.md), not taken from the readers. A writer refuses a value
+that its reader would refuse, and writes nothing. The benchmark's own
+parsers (perfbench/checks.py) read back what every writer wrote, so the
+layout cannot drift from the one the benchmark checks.
 """
 
+import importlib.util
 import math
 import struct
 import tempfile
@@ -21,7 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from sdpn import data, model, scoring
-from sdpn.errors import MalformedFile
+from sdpn.errors import DataError, MalformedFile
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 
@@ -194,6 +198,159 @@ def test_corrupt_header_or_shape_field_is_malformed(fmt, draw):
     struct.pack_into(field, bad, at, new)
     with pytest.raises(MalformedFile):
         _read(fmt, bytes(bad))
+
+
+def _float_arrays(fmt, value):
+    """The float64 arrays a ``fmt`` writer writes of ``value``."""
+    if fmt == "feature":
+        return [value.frames]
+    if fmt == "store":
+        return [value[1]]
+    return list(value[0].values())
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@PROPERTY
+@given(st.data())
+def test_writer_refuses_non_finite_value(fmt, draw):
+    strategy, write, _ = FORMATS[fmt]
+    value = draw.draw(strategy.filter(
+        lambda v: any(arr.size for arr in _float_arrays(fmt, v))))
+    arr = draw.draw(st.sampled_from(
+        [arr for arr in _float_arrays(fmt, value) if arr.size]))
+    arr.flat[draw.draw(st.integers(0, arr.size - 1))] = draw.draw(
+        st.sampled_from([math.nan, math.inf, -math.inf]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / fmt
+        with pytest.raises(DataError) as err:
+            write(path, value)
+        assert str(err.value).startswith(f"cannot write {path}: ")
+        assert not list(Path(tmp).iterdir())  # neither path nor its .tmp
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0), (4,)])
+def test_feature_writer_refuses_what_is_not_a_frame_matrix(tmp_path, shape):
+    path = tmp_path / "u.sdfk"
+    with pytest.raises(DataError) as err:
+        data.write_feature_file(data.Utterance("u", None, np.ones(shape)),
+                                path)
+    assert str(err.value) == (f"cannot write {path}: utterance 'u' has "
+                              f"frames of shape {shape}, not a non-empty "
+                              "matrix")
+    assert not path.exists()
+
+
+def test_checkpoint_writer_refuses_empty_tensor(tmp_path):
+    path = tmp_path / "empty.sdck"
+    with pytest.raises(DataError) as err:
+        model.save_checkpoint(path, {"a": np.ones(2), "w": np.ones((2, 0))},
+                              "fp")
+    assert str(err.value) == \
+        f"cannot write {path}: tensor 'w' has empty shape (2, 0)"
+    assert not list(tmp_path.iterdir())
+
+
+def load_perfbench_checks():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_checks",
+        Path(__file__).resolve().parent.parent / "perfbench" / "checks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CHECKS = load_perfbench_checks()
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@PROPERTY
+@given(st.data())
+def test_benchmark_parsers_read_what_every_writer_wrote(fmt, draw):
+    strategy, write, _ = FORMATS[fmt]
+    value = draw.draw(strategy)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / fmt
+        write(path, value)
+        if fmt == "feature":
+            _same_array(CHECKS.read_features(path), value.frames)
+        elif fmt == "store":
+            got = CHECKS.read_store(path)
+            assert list(got) == value[0]
+            for key, row in zip(*value):
+                _same_array(got[key], row)
+        else:
+            got = CHECKS.read_checkpoint(path)
+            assert list(got) == sorted(value[0])
+            for name, arr in value[0].items():
+                _same_array(got[name], arr)
+
+
+def test_checkpoint_golden_bytes(tmp_path):
+    # authored from the layout of docs/formats.md, independent of the
+    # writer: fingerprint "fp", then "b" = [0.5, -1] and "wé" = [[3, 4]]
+    # in name order ("é" is two bytes of UTF-8)
+    blob = b"SDCK" + struct.pack("<H", 1)
+    blob += struct.pack("<H", 2) + b"fp" + struct.pack("<I", 2)
+    blob += struct.pack("<H", 1) + b"b" + struct.pack("<BI", 1, 2)
+    blob += struct.pack("<2d", 0.5, -1.0)
+    blob += struct.pack("<H", 3) + "wé".encode() + struct.pack("<B2I", 2, 1, 2)
+    blob += struct.pack("<2d", 3.0, 4.0)
+    path = tmp_path / "golden.sdck"
+    path.write_bytes(blob)
+    tensors, fp = model.load_checkpoint(path)
+    assert fp == "fp"
+    assert list(tensors) == ["b", "wé"]
+    _same_array(tensors["b"], np.array([0.5, -1.0]))
+    _same_array(tensors["wé"], np.array([[3.0, 4.0]]))
+    out = tmp_path / "rewritten.sdck"
+    model.save_checkpoint(out, {"wé": tensors["wé"], "b": tensors["b"]}, fp)
+    assert out.read_bytes() == blob
+
+
+def test_store_golden_bytes(tmp_path):
+    # authored from the layout of docs/formats.md: two 2-dim vectors in
+    # the store's own order, "é" = [1, -2] and "a" = [0.25, 8]
+    blob = b"SDES" + struct.pack("<HI", 1, 2)
+    blob += struct.pack("<H", 2) + "é".encode() + struct.pack("<I", 2)
+    blob += struct.pack("<2d", 1.0, -2.0)
+    blob += struct.pack("<H", 1) + b"a" + struct.pack("<I", 2)
+    blob += struct.pack("<2d", 0.25, 8.0)
+    path = tmp_path / "golden.emb"
+    path.write_bytes(blob)
+    store = scoring.EmbeddingStore.load(path)
+    assert store.ids == ["é", "a"]
+    _same_array(store.matrix, np.array([[1.0, -2.0], [0.25, 8.0]]))
+    out = tmp_path / "rewritten.emb"
+    store.save(out)
+    assert out.read_bytes() == blob
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+def test_store_writer_refuses_what_load_refuses(tmp_path, bad):
+    # 1e200 is finite, but its square overflows: the L2 norm is not
+    path = tmp_path / "bad.emb"
+    with pytest.raises(DataError) as err:
+        scoring.EmbeddingStore(["a", "b"], [[1.0, 2.0], [bad, 1.0]]).save(path)
+    reason = ("is not finite" if not math.isfinite(bad)
+              else "has an L2 norm that overflows float64")
+    assert str(err.value) == f"cannot write {path}: vector 'b' {reason}"
+    assert not list(tmp_path.iterdir())
+
+
+def test_name_field_holds_at_most_65535_bytes(tmp_path):
+    # "é" is two bytes of UTF-8: the first id fills its u16 length field,
+    # the second would overflow it
+    fits, over = "é" * 32767 + "a", "é" * 32768
+    path = tmp_path / "names.emb"
+    scoring.EmbeddingStore([fits], [[1.0]]).save(path)
+    assert scoring.EmbeddingStore.load(path).ids == [fits]
+    path.unlink()
+    with pytest.raises(DataError) as err:
+        scoring.EmbeddingStore([fits, over], [[1.0], [2.0]]).save(path)
+    assert str(err.value) == (f"cannot write {path}: name {over[:12]!r}... "
+                              "is over the 65535 bytes of UTF-8 a name "
+                              "field holds")
+    assert not list(tmp_path.iterdir())
 
 
 # ----------------------------------------------------------------------

@@ -97,11 +97,6 @@ def test_cohort_stats_plain_mean_std():
     assert sigma == pytest.approx(np.sqrt(1.25))  # population
 
 
-def test_cohort_stats_sample_flag():
-    _, sigma = cohort_stats([1.0, 2.0, 3.0, 4.0], sample_stddev=True)
-    assert sigma == pytest.approx(np.sqrt(5.0 / 3.0))
-
-
 def test_cohort_stats_top_k_selection():
     mu, sigma = cohort_stats([0.9, 0.5, 0.1], top_k=2)
     assert mu == pytest.approx(0.7)
@@ -491,7 +486,7 @@ def test_scorer_cohort_cache_computes_each_utterance_once():
         assert scorer.cohort_computes == len(read), method
 
 
-def naive_scores(store, cohort, trials, method, top_k, sample_stddev):
+def naive_scores(store, cohort, trials, method, top_k):
     """One trial at a time: np.dot cosines, a descending np.sort for top-K,
     mean/std of each side's cohort scores."""
     def cos(a, b):
@@ -505,7 +500,7 @@ def naive_scores(store, cohort, trials, method, top_k, sample_stddev):
         s = np.array([cos(v, c) for c in cohort.unit])
         if method == "as":
             s = np.sort(s)[::-1][:top_k]
-        return s.mean(), s.std(ddof=1 if sample_stddev else 0)
+        return s.mean(), s.std()
 
     raw, normalized = [], []
     for t in trials:
@@ -519,28 +514,33 @@ def naive_scores(store, cohort, trials, method, top_k, sample_stddev):
 
 
 @pytest.mark.parametrize("block", [numerics.BLOCK_ELEMENTS, 7 * 6])
-@pytest.mark.parametrize("sample_stddev", [False, True])
+@pytest.mark.parametrize("scaled", [False, True])
 @pytest.mark.parametrize("method", scoring.METHODS)
-def test_scorer_matches_naive_loop(monkeypatch, method, sample_stddev, block):
+def test_scorer_matches_naive_loop(monkeypatch, method, scaled, block):
     # 42 values: cosine blocks of 3 trials (two 6-d rows each) and cohort
     # blocks of 4 ids (10 cohort scores each)
     monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", block)
     store, cohort, _ = make_scorer_setup(76, n_utts=12, n_cohort=3)
+    rows = cohort.unit
+    if scaled:  # every score is a cosine: no row's length may matter
+        scales = 10.0 ** np.random.default_rng(78).uniform(-3, 3, (15, 1))
+        store = EmbeddingStore(store.ids, store.matrix * scales[:12])
+        rows = rows * scales[12:]
     # three distinct rows repeated 4/3/3 times: every top-5 cuts a tie
     cohort = Cohort([f"c{i}" for i in range(10)],
-                    cohort.unit[[0, 0, 0, 0, 1, 1, 1, 2, 2, 2]])
+                    rows[[0, 0, 0, 0, 1, 1, 1, 2, 2, 2]])
     ids = store.ids
     trials = Trials(["1"] * 20, [ids[i % 12] for i in range(20)],
                     [ids[(3 * i + 1) % 12] for i in range(20)])
     top_k = 5 if method == "as" else None
-    got = TrialScorer(store, cohort, method=method, top_k=top_k,
-                      sample_stddev=sample_stddev).score_trials(trials)
-    want = naive_scores(store, cohort, trials, method, top_k, sample_stddev)
+    got = TrialScorer(store, cohort, method=method,
+                      top_k=top_k).score_trials(trials)
+    want = naive_scores(store, cohort, trials, method, top_k)
     for g, w in zip(got, want):
         npt.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
-def per_trial_oracle(store, cohort, trials, method, top_k, sample_stddev):
+def per_trial_oracle(store, cohort, trials, method, top_k):
     """Raw and normalized scores one trial at a time: raw as the scorer's
     product sum, each side's cohort scores its row of one ``cohort_scores``
     over the whole store (no blocks, no buffer), and each normalization
@@ -549,7 +549,7 @@ def per_trial_oracle(store, cohort, trials, method, top_k, sample_stddev):
     scores = cohort_scores(unit, cohort)
 
     def stats(row):
-        return cohort_stats(scores[row], sample_stddev=sample_stddev)
+        return cohort_stats(scores[row])
 
     raw, normalized = [], []
     for t in trials:
@@ -560,7 +560,7 @@ def per_trial_oracle(store, cohort, trials, method, top_k, sample_stddev):
             standardize(r, *stats(e)) if method == "z"
             else standardize(r, *stats(s)) if method == "t"
             else snorm(r, stats(e), stats(s)) if method == "s"
-            else asnorm(r, scores[e], scores[s], top_k, sample_stddev))
+            else asnorm(r, scores[e], scores[s], top_k))
     return np.array(raw), np.array(normalized)
 
 
@@ -575,11 +575,10 @@ def scored_or_degenerate(scorer, trials):
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 12),
        copies=st.integers(0, 3), dim=st.integers(2, 5),
        step=st.integers(2, 4), k=st.sampled_from(["2", "n-1", "n"]),
-       sample_stddev=st.booleans(), data=st.data())
-@example(seed=0, n=6, copies=2, dim=3, step=3, k="n-1",
-         sample_stddev=False, data=None)
+       data=st.data())
+@example(seed=0, n=6, copies=2, dim=3, step=3, k="n-1", data=None)
 def test_scorer_block_loop_matches_per_trial_oracle(
-        seed, n, copies, dim, step, k, sample_stddev, data):
+        seed, n, copies, dim, step, k, data):
     # every store id is enrolled and tested, so each method reads all
     # 3 * step + extra ids: three full cohort blocks and a short fourth
     extra = data.draw(st.integers(1, step - 1)) if data else 1
@@ -603,15 +602,14 @@ def test_scorer_block_loop_matches_per_trial_oracle(
     with mock.patch.object(numerics, "BLOCK_ELEMENTS", step * n):
         assert len(numerics.blocks(n_utts, n)) == 4
         for method in ("z", "t", "s", "as"):
-            kw = dict(method=method, sample_stddev=sample_stddev,
-                      top_k=top_k if method == "as" else None)
+            kw = dict(method=method, top_k=top_k if method == "as" else None)
             got = scored_or_degenerate(TrialScorer(store, cohort, **kw),
                                        trials)
             again = scored_or_degenerate(TrialScorer(store, permuted, **kw),
                                          trials)
             try:
                 want = per_trial_oracle(store, cohort, trials, method,
-                                        top_k, sample_stddev)
+                                        top_k)
             except DegenerateCohort:
                 assert (got, again) == ("degenerate", "degenerate")
                 continue
@@ -621,9 +619,9 @@ def test_scorer_block_loop_matches_per_trial_oracle(
     # cohort_stats reads its argument and never writes it
     block = cohort_scores(store.unit, cohort)
     before = block.copy()
-    cohort_stats(block, top_k=top_k, sample_stddev=sample_stddev)
+    cohort_stats(block, top_k=top_k)
     cohort_stats(block[:, n - top_k:], top_k=top_k)
-    cohort_stats(block, sample_stddev=sample_stddev)
+    cohort_stats(block)
     npt.assert_array_equal(block, before)
 
 
