@@ -68,7 +68,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr-peak", type=float)
-    p.add_argument("--regularizer", choices=sorted(trainer.REGULARIZERS))
+    p.add_argument("--regularizer", help="override train.regularizer")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(func=cmd_train)
 

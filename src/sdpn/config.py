@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
+from . import losses
 from .errors import InvalidConfig
 
 SCHEMA_VERSION = 1
@@ -206,7 +207,7 @@ def _field(cfg: RunConfig, path: str):
 def validate(cfg: RunConfig):
     """Raise InvalidConfig naming the dotted field unless every field of
     ``cfg`` has its annotated type and a value the program runs with (see
-    README, Configuration). The trainer checks ``train.regularizer``."""
+    README, Configuration)."""
     _check_types(cfg, "")
     c, a, t = cfg.crops, cfg.augment, cfg.train
     masked = a.enabled and a.num_time_masks + a.num_freq_masks > 0
@@ -225,7 +226,9 @@ def validate(cfg: RunConfig):
          t.epochs == 0 or 0 <= t.warmup_epochs < t.epochs,
          f"in [0, train.epochs) = [0, {t.epochs})"),
         ("train.lr_final", 0 <= t.lr_final <= t.lr_peak,
-         f"in [0, train.lr_peak] = [0, {t.lr_peak}]")]
+         f"in [0, train.lr_peak] = [0, {t.lr_peak}]"),
+        ("train.regularizer", t.regularizer in losses.REGULARIZERS,
+         f"one of {sorted(losses.REGULARIZERS)}")]
     for path, ok, wanted in rules:
         if not ok:
             raise InvalidConfig(

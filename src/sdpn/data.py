@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MalformedFile, UtteranceTooShort
+from .errors import DataError, MalformedFile
 
 FEATURE_MAGIC = b"SDFK"
 FEATURE_VERSION = 2
@@ -100,16 +100,12 @@ def iter_crop_sets(utterances, crops, rng, mask, out=None):
     masked as a whole (see ``mask_in_place``). ``rng`` draws the (B, G+L)
     starts in one call (per utterance, its G global starts, then its L
     local ones), then the global views' mask draws, then the local ones'.
-    Only frames reach the arrays, no id or label.
+    Only frames reach the arrays, no id or label. Every utterance holds at
+    least ``crops.len_global`` frames (see ``trainer.check_inputs``).
     """
     g, l = crops.num_global, crops.num_local
     len_g, len_l = crops.len_global, crops.len_local
     lengths = np.array([utt.frames.shape[0] for utt in utterances])
-    short = np.flatnonzero(lengths < len_g)
-    if short.size:
-        utt = utterances[short[0]]
-        raise UtteranceTooShort(f"utterance '{utt.utterance_id}' has "
-                                f"{utt.frames.shape[0]} frames < {len_g}")
     frames = np.concatenate([utt.frames for utt in utterances])
     if out is None:
         b, f = len(utterances), frames.shape[1]
@@ -225,8 +221,15 @@ class BinaryReader:
 
 
 def pack_name(text: str, path) -> bytes:
-    """A name field: the u16 length of ``text`` in UTF-8, then its bytes."""
-    raw = text.encode("utf-8")
+    """A name field: the u16 length of ``text`` in UTF-8, then its bytes;
+    a DataError naming ``path`` if ``text`` has no UTF-8 form (a lone
+    surrogate, as an undecodable byte of a command-line argument becomes)
+    or is too long."""
+    try:
+        raw = text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataError(f"cannot write {path}: name {text[:12]!r} is not "
+                        "valid UTF-8") from None
     if len(raw) > 0xFFFF:
         raise DataError(f"cannot write {path}: name {text[:12]!r}... is over "
                         "the 65535 bytes of UTF-8 a name field holds")
@@ -298,8 +301,18 @@ def read_feature_file(path) -> Utterance:
 
 def save_corpus(corpus, out_dir) -> Path:
     """Write one feature file per utterance, then ``manifest.tsv`` through
-    ``atomic_write``; returns the manifest path. A file that cannot be
-    written is a DataError naming it."""
+    ``atomic_write``; returns the manifest path. An id the manifest cannot
+    hold (see docs/formats.md) is a DataError before ``out_dir`` is made,
+    and a file that cannot be written is one naming it."""
+    manifest = Path(out_dir) / "manifest.tsv"
+    for utt in corpus:
+        for key, forbidden in ((utt.utterance_id, "\t\r\n/"),
+                               (utt.speaker_id or "", "\t\r\n")):
+            pack_name(key, manifest)
+            bad = [c for c in forbidden if c in key]
+            if bad:
+                raise DataError(f"cannot write {manifest}: id {key!r} holds "
+                                f"{bad[0]!r}")
     out = make_dir(out_dir)
     lines = []
     for utt in corpus:
@@ -309,7 +322,6 @@ def save_corpus(corpus, out_dir) -> Path:
             lines.append(f"{utt.utterance_id}\t{rel}")
         else:
             lines.append(f"{utt.utterance_id}\t{rel}\t{utt.speaker_id}")
-    manifest = out / "manifest.tsv"
     atomic_write(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
     return manifest
 

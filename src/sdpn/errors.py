@@ -23,10 +23,6 @@ class KTooLarge(ConfigError):
     """Requested top-K exceeds the cohort size."""
 
 
-class BatchTooSmall(ConfigError):
-    """An operation needing n >= 2 rows got fewer."""
-
-
 class DataError(SdpnError):
     exit_code = 2
 
@@ -60,10 +56,6 @@ class DegenerateCohort(DataError):
 
 
 class ShapeMismatch(DataError):
-    pass
-
-
-class DistributionLengthMismatch(DataError):
     pass
 
 

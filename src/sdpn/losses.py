@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import BatchTooSmall, DistributionLengthMismatch, ShapeMismatch
 
 # Probabilities are floored before the log so sharpened teacher targets with
 # exact zeros cannot produce -inf.
@@ -41,13 +40,6 @@ def cross_entropy_loss(p_teacher, p_student) -> LossValue:
     """
     a = np.atleast_2d(np.asarray(p_teacher, dtype=np.float64))
     b = np.atleast_2d(np.asarray(p_student, dtype=np.float64))
-    if a.shape[-1] != b.shape[-1]:
-        raise DistributionLengthMismatch(
-            f"teacher has {a.shape[-1]} classes, student {b.shape[-1]}"
-        )
-    if a.shape[:-2] != b.shape[:-2]:
-        raise ShapeMismatch(
-            f"teacher batch dims {a.shape[:-2]} != student {b.shape[:-2]}")
     log_b = np.log(np.maximum(b, PROB_FLOOR))
     # sum_g sum_l (-a_g . log b_l) factorizes through the per-class sums.
     a_sum = a.sum(axis=-2)
@@ -63,12 +55,7 @@ def diversity_regularization(batch) -> LossValue:
     at the duplicate epsilon (floored terms contribute zero gradient).
     """
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-d batch, got shape {x.shape}")
     n = x.shape[0]
-    if n < 2:
-        raise BatchTooSmall(f"diversity needs n >= 2 rows, got {n}")
-
     dist = numerics.pairwise_distances(x)
     np.fill_diagonal(dist, np.inf)
     nearest = dist.argmin(axis=1)
@@ -115,10 +102,7 @@ def frobenius_reg_covariance_grad(c) -> np.ndarray:
     diagonal is pinned at 1 and gets zero.
     """
     cm = np.asarray(c, dtype=np.float64)
-    if cm.ndim != 2 or cm.shape[0] != cm.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got shape {cm.shape}")
-    d = cm.shape[0]
-    denom = d + _offdiag_square_sum(cm)
+    denom = cm.shape[0] + _offdiag_square_sum(cm)
     g = cm / denom
     np.fill_diagonal(g, 0.0)
     return g
@@ -138,3 +122,12 @@ def frobenius_regularization(teacher_batch, student_batch) -> LossValue:
     return LossValue(value, numerics.normalized_covariance_vjp(
         student_batch, frobenius_reg_covariance_grad(c_s)))
 
+
+# ``train.regularizer`` name -> the dimension regularizer it adds, the only
+# list of those names: ``config.validate`` checks the name against it and
+# ``trainer.student_objective`` looks the function up in it.
+REGULARIZERS = {
+    "none": None,
+    "off_diagonal": off_diagonal_regularization,
+    "frobenius": frobenius_regularization,
+}

@@ -16,12 +16,9 @@ from .errors import InvalidConfig, SingleClassInput
 
 
 def _split_scores(scores, labels):
+    """Sorted target and nontarget scores of matching 1-d arrays."""
     s = np.asarray(scores, dtype=np.float64)
     lab = np.asarray(labels, dtype=bool)
-    if s.shape != lab.shape or s.ndim != 1:
-        raise InvalidConfig(
-            f"scores/labels must be matching 1-d arrays, got {s.shape} vs {lab.shape}"
-        )
     tar = s[lab]
     non = s[~lab]
     if tar.size == 0 or non.size == 0:

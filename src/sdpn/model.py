@@ -75,19 +75,16 @@ def init_params(rng, *, feature_dim, encoder_hidden, embed_dim, proj_hidden,
 def encoder_forward(params, prefix: str, frames: np.ndarray, out=None):
     """frames (B, T, F) -> embeddings (B, E) plus the backward cache.
 
-    ``out``, if given, is a pair of (B, T, H) float64 buffers that receive
-    the frame activations and their centered copy, which the cache then
-    holds; without it both are fresh arrays. The result does not depend on
-    what the buffers held before, so a consumed cache's pair can be reused.
+    F is the encoder's input width, which ``forward_embed`` and
+    ``trainer.check_inputs`` check where frames enter. ``out``, if given,
+    is a pair of (B, T, H) float64 buffers that receive the frame
+    activations and their centered copy, which the cache then holds;
+    without it both are fresh arrays. The result does not depend on what
+    the buffers held before, so a consumed cache's pair can be reused.
     """
     w1, b1, w2, b2 = (params[f"{prefix}.encoder.{k}"]
                       for k in ("w1", "b1", "w2", "b2"))
     x = np.asarray(frames, dtype=np.float64)
-    if x.ndim != 3:
-        raise ShapeMismatch(f"expected (B, T, F) frames, got shape {x.shape}")
-    if x.shape[-1] != w1.shape[0]:
-        raise ShapeMismatch(
-            f"feature dim {x.shape[-1]} != encoder input dim {w1.shape[0]}")
     t = x.shape[1]
     h1, centered = out if out is not None else (None, None)
     h1 = np.matmul(x, w1, out=h1)
@@ -206,11 +203,7 @@ def forward_embed(params, prefix: str, frames_list) -> np.ndarray:
 
 
 def prototype_scores(projected: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    y = np.asarray(projected, dtype=np.float64)
-    if y.shape[-1] != prototypes.shape[1]:
-        raise ShapeMismatch(
-            f"projection dim {y.shape[-1]} != prototype dim {prototypes.shape[1]}")
-    return y @ prototypes.T
+    return np.asarray(projected, dtype=np.float64) @ prototypes.T
 
 
 def prototype_distribution(projected, prototypes,
@@ -243,9 +236,8 @@ def ema_update(params, momentum: float):
 
 
 def ema_momentum_at(step: int, total_steps: int, base: float) -> float:
-    """Cosine ramp of the teacher momentum from ``base`` at step 0 toward 1."""
-    if total_steps <= 0:
-        return base
+    """Cosine ramp of the teacher momentum from ``base`` at step 0 toward 1
+    at ``total_steps`` (> 0: the loop calls it only inside a step)."""
     progress = min(max(step / total_steps, 0.0), 1.0)
     return 1.0 - (1.0 - base) * (math.cos(math.pi * progress) + 1.0) / 2.0
 

@@ -4,6 +4,8 @@ Everything here operates on plain numpy arrays in double precision: the
 normalized cross-dimension covariance and its vector-Jacobian product,
 nearest-neighbour distances, a temperature softmax, row blocks, and a
 central finite-difference gradient checker for ``grad-check`` and tests.
+A batch is an (n, d) array with n >= 2, as the validated config's batch
+size guarantees; nothing here re-checks its shape.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-
-from .errors import BatchTooSmall, InvalidConfig, ShapeMismatch
 
 # Floor under which a column norm counts as collapsed / two embeddings count
 # as duplicates; the floor is substituted for the norm or distance.
@@ -28,15 +28,6 @@ def blocks(rows: int, width: int) -> list[slice]:
     """Slices of ``rows`` rows of ``width`` values, ~BLOCK_ELEMENTS each."""
     step = max(1, BLOCK_ELEMENTS // max(1, width))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
-def _as_batch(batch) -> np.ndarray:
-    z = np.asarray(batch, dtype=np.float64)
-    if z.ndim != 2:
-        raise ShapeMismatch(f"expected a 2-d batch, got shape {z.shape}")
-    if z.shape[0] < 2:
-        raise BatchTooSmall(f"need at least 2 rows, got {z.shape[0]}")
-    return z
 
 
 def _column_scales(z: np.ndarray):
@@ -56,7 +47,7 @@ def normalized_covariance(batch) -> np.ndarray:
     A column whose norm sits under EPS_COLUMN is divided by the floor
     instead, so its entries stay finite and its diagonal is not 1.
     """
-    z = _as_batch(batch)
+    z = np.asarray(batch, dtype=np.float64)
     norms, denom = _column_scales(z)
     c = (z.T @ z) / np.outer(denom, denom)
     upper = np.triu(c, 1)
@@ -76,11 +67,8 @@ def normalized_covariance_vjp(batch, cotangent) -> np.ndarray:
     sits under the floor contribute no norm-derivative term (the floor is a
     constant there).
     """
-    z = _as_batch(batch)
-    d = z.shape[1]
-    g = np.asarray(cotangent, dtype=np.float64)
-    if g.shape != (d, d):
-        raise ShapeMismatch(f"cotangent shape {g.shape} != ({d}, {d})")
+    z = np.asarray(batch, dtype=np.float64)
+    g = np.asarray(cotangent, dtype=np.float64)  # (d, d) for a (n, d) batch
     norms, denom = _column_scales(z)
     live = (norms >= EPS_COLUMN).astype(np.float64)
 
@@ -105,7 +93,7 @@ def pairwise_distances(batch) -> np.ndarray:
     the finite-difference checks perturb single entries by 1e-5 and the
     expansion's cancellation error would swamp that.
     """
-    x = _as_batch(batch)
+    x = np.asarray(batch, dtype=np.float64)
     diff = x[:, None, :] - x[None, :, :]
     return np.sqrt(np.einsum("uvd,uvd->uv", diff, diff))
 
@@ -121,8 +109,6 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
 def finite_diff_gradient(f: Callable[[np.ndarray], float], at,
                          step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function, entry by entry."""
-    if not step > 0:
-        raise InvalidConfig(f"step must be positive, got {step}")
     x = np.array(at, dtype=np.float64, copy=True)
     grad = np.empty_like(x)
     for idx in np.ndindex(*x.shape):

@@ -125,15 +125,15 @@ def _fd_composite(seed, instances):
     """The trainer's own objective, ``trainer.student_objective``: the
     gradient of every student tensor and of the prototypes against central
     differences of its total loss, with the teacher targets of the batch
-    held fixed. The regularizer cycles through none, off_diagonal and
-    frobenius by instance. An instance whose student global projections
+    held fixed. The regularizer cycles through ``losses.REGULARIZERS`` in
+    its order by instance. An instance whose student global projections
     are near a nearest-neighbour tie is redrawn."""
     feature_dim = COMPOSITE_DIMS["feature_dim"]
+    kinds = list(losses.REGULARIZERS)
     worst = 0.0
     for i in range(instances):
         rng = np.random.default_rng([seed, i])
-        cfg = RunConfig(train=TrainSection(regularizer=(
-            "none", "off_diagonal", "frobenius")[i % 3]))
+        cfg = RunConfig(train=TrainSection(regularizer=kinds[i % len(kinds)]))
         while True:
             params = model.init_params(rng, **COMPOSITE_DIMS)
             # nonzero biases, and a teacher apart from the student

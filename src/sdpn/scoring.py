@@ -39,17 +39,13 @@ STORE_VERSION = 1
 class EmbeddingStore:
     """Utterance ids and their embeddings, the rows of one (N, E) float64
     matrix in id order, with a binary file format. ``unit`` holds the rows
-    scaled to unit L2 norm, the only input of every cosine."""
+    scaled to unit L2 norm, the only input of every cosine. The ids are
+    distinct: ``load`` and ``data.read_manifest`` refuse a repeated one."""
 
     def __init__(self, ids, matrix):
         self.ids = list(ids)
         self.matrix = np.asarray(matrix, dtype=np.float64)
         self._row = {key: i for i, key in enumerate(self.ids)}
-        if not (self.matrix.ndim == 2
-                and len(self.matrix) == len(self._row) == len(self.ids)):
-            raise InvalidConfig(
-                "a store needs a 2-d matrix with one row per distinct id, got "
-                f"{len(self.ids)} ids and shape {self.matrix.shape}")
 
     def __len__(self):
         return len(self.ids)
@@ -167,10 +163,8 @@ def read_trials(path) -> Trials:
 
 def build_trial_list(corpus) -> Trials:
     """All unordered utterance pairs labeled by speaker match, in corpus
-    order. Requires a speaker label on every utterance."""
-    if any(u.speaker_id is None for u in corpus):
-        raise InvalidConfig("trial generation needs speaker labels on every "
-                            "utterance")
+    order, of a corpus whose utterances carry speaker labels (as
+    ``data.generate_synthetic_corpus`` makes them)."""
     ids = np.array([u.utterance_id for u in corpus], dtype=object)
     speakers = np.array([u.speaker_id for u in corpus], dtype=object)
     i, j = np.triu_indices(len(corpus), k=1)
@@ -274,15 +268,6 @@ def cohort_scores(unit_rows, cohort: Cohort, out=None) -> np.ndarray:
     return np.matmul(unit_rows, cohort.unit.T, out=out)
 
 
-def check_top_k(top_k: int, n: int):
-    """KTooLarge for a top-K above the ``n`` cohort scores it selects from,
-    InvalidConfig for one under 2."""
-    if top_k > n:
-        raise KTooLarge(f"top_k={top_k} exceeds cohort size {n}")
-    if top_k < 2:
-        raise InvalidConfig(f"top_k must be >= 2, got {top_k}")
-
-
 def cohort_stats(scores, top_k: int | None = None):
     """(mu, sigma): mean and stddev of cohort scores along the last axis,
     optionally over the top-K largest; floats for one score list, one value
@@ -291,15 +276,13 @@ def cohort_stats(scores, top_k: int | None = None):
     The top K are taken from a descending sort, so they come in the same
     order whatever the cohort order, and ties cannot change which values are
     kept. Given only the K largest of each row, in any order, the stats are
-    bitwise those of the whole row. The stddev is the population one.
+    bitwise those of the whole row. The stddev is the population one. At
+    least two scores are averaged: a Cohort holds two rows or more, and
+    ``TrialScorer`` refuses a top K under 2.
     """
     s = np.asarray(scores, dtype=np.float64)
     if top_k is not None:
-        check_top_k(top_k, s.shape[-1])
         s = -np.sort(-s, axis=-1)[..., :top_k]
-    k = s.shape[-1]
-    if k < 2:
-        raise DegenerateCohort(f"need >= 2 cohort scores, got {k}")
     return s.mean(axis=-1), s.std(axis=-1)
 
 
@@ -327,21 +310,23 @@ class TrialScorer:
     last K columns of each buffer row in place, so that ``cohort_stats``
     sorts K values, not the whole cohort (no partition when K is the cohort
     size). ``top_k`` is checked against the cohort size here, once.
+    ``method`` is one of METHODS, with a cohort unless it is "cosine": the
+    CLI's ``--method`` choices and ``cli.cmd_score`` see to both.
     """
 
     def __init__(self, store: EmbeddingStore, cohort: Cohort | None,
                  method: str = "cosine", top_k: int | None = None):
-        if method not in METHODS:
-            raise InvalidConfig(f"unknown method '{method}', want one of {METHODS}")
-        if method != "cosine" and cohort is None:
-            raise InvalidConfig(f"method '{method}' needs a cohort")
         if top_k is not None and method != "as":
             raise InvalidConfig(
                 f"top_k applies to method 'as' only, got it with '{method}'")
         if method == "as":
             if top_k is None:
                 top_k = min(300, len(cohort))
-            check_top_k(top_k, len(cohort))
+            if top_k > len(cohort):
+                raise KTooLarge(
+                    f"top_k={top_k} exceeds cohort size {len(cohort)}")
+            if top_k < 2:
+                raise InvalidConfig(f"top_k must be >= 2, got {top_k}")
         self.store = store
         self.cohort = cohort
         self.method = method

@@ -32,13 +32,8 @@ import numpy as np
 from . import data as data_mod
 from . import losses, model, numerics
 from .config import RunConfig
-from .errors import DivergedLoss, InvalidConfig, ShapeMismatch
-
-REGULARIZERS = {
-    "none": None,
-    "off_diagonal": losses.off_diagonal_regularization,
-    "frobenius": losses.frobenius_regularization,
-}
+from .errors import (DivergedLoss, InvalidConfig, ShapeMismatch,
+                     UtteranceTooShort)
 
 
 def lr_at(step: int, total_steps: int, cfg: RunConfig) -> float:
@@ -167,7 +162,7 @@ def student_objective(params, global_views, local_views,
     # dimension regularizer, which is absent under "none"
     mu, lam = cfg.train.mu, cfg.train.lam
     re = losses.diversity_regularization(s_proj_g)
-    kind = REGULARIZERS[cfg.train.regularizer]
+    kind = losses.REGULARIZERS[cfg.train.regularizer]
     dr = None if kind is None else kind(targets.projections, s_proj_g)
     dr_value = 0.0 if dr is None else dr.value
     g_proj_g = mu * re.gradient
@@ -220,16 +215,13 @@ def train_step(state: dict, global_views, local_views, cfg: RunConfig,
 
 
 def check_inputs(corpus, state: dict, cfg: RunConfig):
-    """Refuse a run ``train`` could not start: InvalidConfig for a
-    regularizer not in ``REGULARIZERS`` or a corpus that cannot fill a
-    batch, ShapeMismatch for an utterance whose feature width is not the
-    encoder's. ``cfg`` has passed ``config.validate``."""
-    if cfg.train.regularizer not in REGULARIZERS:
-        raise InvalidConfig(
-            f"train.regularizer must be one of {sorted(REGULARIZERS)}, "
-            f"got {cfg.train.regularizer!r}")
-    batch_size = cfg.train.batch_size
-    if cfg.train.epochs > 0 and len(corpus) < batch_size:
+    """Refuse a corpus ``train`` could not run on: InvalidConfig if it
+    cannot fill a batch, ShapeMismatch for the first utterance whose
+    feature width is not the encoder's, UtteranceTooShort for the first
+    one shorter than a global crop. The batch and length checks apply only
+    if ``train.epochs`` > 0. ``cfg`` has passed ``config.validate``."""
+    batch_size, epochs = cfg.train.batch_size, cfg.train.epochs
+    if epochs > 0 and len(corpus) < batch_size:
         raise InvalidConfig(
             f"corpus of {len(corpus)} cannot fill a batch of {batch_size}")
     feature_dim = state["student.encoder.w1"].shape[0]
@@ -239,6 +231,11 @@ def check_inputs(corpus, state: dict, cfg: RunConfig):
                 f"utterance '{utt.utterance_id}' has {utt.frames.shape[1]} "
                 f"features per frame; the model takes {feature_dim} "
                 "(data.feature_dim)")
+    len_g = cfg.crops.len_global
+    short = next((u for u in corpus if u.frames.shape[0] < len_g), None)
+    if epochs > 0 and short is not None:
+        raise UtteranceTooShort(f"utterance '{short.utterance_id}' has "
+                                f"{short.frames.shape[0]} frames < {len_g}")
 
 
 def train(corpus, state: dict, cfg: RunConfig, *, log_path=None):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -422,25 +423,47 @@ def test_bad_config_value_exits_1_before_out_is_made(world, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("refused, code", [("regularizer", 1),
-                                           ("manifest", 2)])
+                                           ("manifest", 2), ("short", 2)])
 def test_refused_train_exits_before_out_is_made(world, tmp_path, capsys,
                                                 refused, code):
-    # the regularizer name is checked against the trainer's registry, not
-    # by load_config; both checks come before --out is created
+    # load_config checks the regularizer name, train's input checks the
+    # manifest and every utterance's length; all before --out is created
     doc = json.loads(json.dumps(CONFIG_DOC))
+    manifest = world["manifest"]
     if refused == "regularizer":
         doc["train"]["regularizer"] = "ridge"
+    elif refused == "manifest":
+        manifest = tmp_path / "missing.tsv"
+    else:  # utt00007 is under a global crop; seed 3's epoch 0 skips it
+        doc["seed"] = 3
+        doc["crops"]["len_global"] = 30
+        doc["train"]["batch_size"] = 8
+        corpus = data.generate_synthetic_corpus(5, 4, 40, 6, 0.5, 11)
+        corpus[7].frames = corpus[7].frames[:10]
+        manifest = data.save_corpus(corpus, tmp_path / "short")
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
-    manifest = world["manifest"] if refused == "regularizer" \
-        else tmp_path / "missing.tsv"
     assert cli.main(["train", "--config", str(config),
                      "--manifest", str(manifest),
                      "--out", str(tmp_path / "run")]) == code
     err = capsys.readouterr().err
-    assert ("'ridge'" if refused == "regularizer" else "missing.tsv") in err
+    assert {"regularizer": "'ridge'", "manifest": "missing.tsv",
+            "short": "utterance 'utt00007' has 10 frames < 30"}[refused] in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
+
+
+def test_gen_data_refuses_unknown_regularizer(tmp_path, capsys):
+    doc = json.loads(json.dumps(CONFIG_DOC))
+    doc["train"]["regularizer"] = "ridge"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["gen-data", "--config", str(config),
+                     "--out", str(tmp_path / "corpus")]) == 1
+    err = capsys.readouterr().err
+    assert "error: train.regularizer must be one of ['frobenius', 'none', " \
+        "'off_diagonal'], got 'ridge'" in err
+    assert not (tmp_path / "corpus").exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "env", "file"])
@@ -621,6 +644,24 @@ def test_gen_data_whitespace_in_trial_ids_exits_2(world, tmp_path, capsys):
         "holds whitespace" in err
     # checked before the corpus is written
     assert not out.exists() and not trials.exists()
+
+
+@pytest.mark.parametrize("prefix, reason", [
+    ("a\tb", "holds '\\t'"),
+    ("../esc_", "holds '/'"),
+    (os.fsdecode(b"\xff"), "is not valid UTF-8"),  # an undecodable argv byte
+])
+def test_gen_data_id_a_manifest_cannot_hold_exits_2(world, tmp_path, capsys,
+                                                     prefix, reason):
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    out = parent / "corpus"
+    assert cli.main(["gen-data", "--config", str(world["config"]),
+                     "--prefix", prefix, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out / 'manifest.tsv'}: " in err
+    assert reason in err and "Traceback" not in err
+    assert not list(parent.iterdir())
 
 
 def test_cohort_emptied_by_overlap_drop_exits_2(world, tmp_path, capsys):

@@ -62,8 +62,6 @@ def test_forward_embed_shape_checks():
         model.forward_embed(params, "student",
                             [np.zeros((4, 5)), np.zeros((4, 6))])
     assert model.forward_embed(params, "student", []).shape == (0, 4)
-    with pytest.raises(ShapeMismatch):  # wrong feature dim
-        model.network_forward(params, "student", np.zeros((2, 6, 7)))
 
 
 def test_forward_golden_value():
@@ -215,18 +213,6 @@ def test_multi_view_teacher_outputs_are_read_only():
         targets.projections[0, 0] = 1.0
     with pytest.raises(ValueError):
         targets.scores[0, 0] = 1.0
-
-
-def test_multi_view_rejects_flat_views():
-    params = tiny_params(seed=92)
-    with pytest.raises(ShapeMismatch):
-        multi_view(params, np.zeros((2, 8, 5)), np.zeros((2, 2, 5, 5)))
-    cfg = RunConfig()
-    gv = np.zeros((2, 1, 8, 5))
-    targets = trainer.teacher_targets(params, gv, np.zeros(4), cfg)
-    with pytest.raises(ShapeMismatch):
-        trainer.student_objective(params, gv, np.zeros((2, 2, 5)), targets,
-                                  cfg)
 
 
 def test_identical_branches_equal_temps_ce_is_teacher_entropy():

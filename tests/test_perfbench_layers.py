@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 
-from sdpn import cli, scoring
+from sdpn import cli, losses, scoring
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -57,6 +57,24 @@ def test_tracer_installs_and_uninstalls_every_layer():
         tracer.uninstall()
     for n in names:
         assert resolve(n) is before[n], f"{n} was not restored"
+
+
+def test_tracer_wraps_the_regularizer_table():
+    """``student_objective`` calls the regularizers through
+    ``losses.REGULARIZERS``, so the traced run counts them only if the
+    tracer rebinds that table's values too."""
+    table = dict(losses.REGULARIZERS)
+    names = ["losses.frobenius_regularization",
+             "losses.off_diagonal_regularization"]
+    tracer = load_tracer()(names)
+    tracer.install()
+    try:
+        for kind, name in zip(("frobenius", "off_diagonal"), names):
+            assert losses.REGULARIZERS[kind] is not table[kind]
+            assert losses.REGULARIZERS[kind] is resolve(name)
+    finally:
+        tracer.uninstall()
+    assert losses.REGULARIZERS == table
 
 
 def test_score_trials_counter_sees_trial_rows(tmp_path):

@@ -12,7 +12,8 @@ import oracles
 from sdpn import data, losses, model, trainer
 from sdpn.config import (CropConfig, MaskConfig, ModelConfig, RunConfig,
                          TrainSection, validate)
-from sdpn.errors import DataError, DivergedLoss, InvalidConfig
+from sdpn.errors import (DataError, DivergedLoss, InvalidConfig,
+                         UtteranceTooShort)
 
 FEATURE_DIM = 6
 DIMS = dict(encoder_hidden=8, embed_dim=8, proj_hidden=10, proj_dim=4,
@@ -213,8 +214,7 @@ WEIGHTS_AT_ZERO = dict(mu=0.0, lam=0.0)  # the boundary is allowed
     dict(ema_momentum=-0.1),
 ])
 def test_train_config_validation(bad):
-    # config.validate owns every rule but the regularizer name, which the
-    # trainer checks against its registry before step 0 updates anything
+    # config.validate owns every rule, the regularizer name included
     model_keys = {"center_momentum", "ema_momentum"}
     train_kw = {k: v for k, v in bad.items() if k not in model_keys}
     corpus, state, cfg = tiny_world(**train_kw)
@@ -224,17 +224,23 @@ def test_train_config_validation(bad):
         validate(cfg)
         trainer.train(corpus, state, cfg)
         return
-    if "regularizer" in bad:
-        validate(cfg)
-        before = copy_state(state)
-        with pytest.raises(InvalidConfig, match="train.regularizer "):
-            trainer.train(corpus, state, cfg)
-        assert_states_equal(state, before)
-        return
     key = list(bad)[-1]  # the field the case gets wrong
     section = "model" if key in model_keys else "train"
     with pytest.raises(InvalidConfig, match=f"{section}.{key} "):
         validate(cfg)
+
+
+def test_check_inputs_names_first_utterance_shorter_than_global_crop():
+    # checked over the whole corpus before step 0, whichever utterances
+    # the first epoch draws
+    corpus, state, cfg = tiny_world()
+    for i in (5, 2):
+        corpus[i].frames = corpus[i].frames[:cfg.crops.len_global - 1]
+    with pytest.raises(UtteranceTooShort,
+                       match="'utt00002' has 23 frames < 24"):
+        trainer.check_inputs(corpus, state, cfg)
+    cfg.train.epochs = 0  # no epoch crops anything
+    trainer.check_inputs(corpus, state, cfg)
 
 
 # ----------------------------------------------------------------------
