@@ -1,16 +1,26 @@
 """Teacher-student training loop at desk scale.
 
-A step has two halves. ``teacher_targets`` runs the teacher over the
-global views (centered, sharp softmax) and returns read-only targets.
-``student_objective`` holds them fixed and is the one definition of the
-training objective: the student scores local views for the distillation
-term and global views for the diversity and dimension-regularization
-terms, and the function returns the loss terms with the gradients of every
-student tensor and the shared prototypes. ``grad-check --loss composite``
-checks that function against finite differences. SGD with momentum applies
-the gradients; the teacher moves only through the EMA update; prototype
-rows are re-normalized after every step; the teacher center follows the
-batch mean of teacher prototype scores.
+``teacher_targets`` runs the teacher over the global views (centered,
+sharp softmax) and returns read-only targets. ``student_objective`` holds
+them fixed and is the one definition of the training objective: the
+student scores local views for the distillation term and global views for
+the diversity and dimension-regularization terms, and the function returns
+the loss terms with the gradients of every student tensor and the shared
+prototypes. ``grad-check --loss composite`` checks that function against
+finite differences. SGD with momentum applies the gradients; the teacher
+moves only through the EMA update; prototype rows are re-normalized after
+every step; the teacher center follows the batch mean of teacher prototype
+scores.
+
+A step has two halves that share only the teacher targets, and ``train``
+runs them at the same time on two threads: a worker runs the teacher and
+then the student's global path (forward, diversity term, regularizer,
+backward), while the calling thread runs the student's local path and its
+distillation term. numpy releases the GIL in the array work of both. The
+gradients are summed in a fixed order after the join, so the result does
+not depend on thread scheduling; the updates run on the calling thread.
+While the loop runs, OpenBLAS runs each product on one thread, because
+the two halves already fill two cores.
 
 The training state is one dict of float64 arrays keyed by checkpoint tensor
 name: the weights of ``model.init_params`` plus the ``optimizer.*`` tensors
@@ -23,8 +33,11 @@ from an epoch checkpoint bit-identical to the uninterrupted run.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import json
 import math
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from typing import NamedTuple
 
 import numpy as np
@@ -119,86 +132,125 @@ def teacher_targets(params, global_views, center, cfg: RunConfig,
     return targets
 
 
-def student_objective(params, global_views, local_views,
-                      targets: TeacherTargets, cfg: RunConfig,
-                      workspace=None):
-    """The training objective against fixed teacher ``targets``: the
-    student scores the local views for the distillation term and the
-    global views for the diversity and dimension-regularization terms.
-    Reads the student temperature from ``cfg.model`` and the loss weights
-    and regularizer from ``cfg.train``. Returns (terms, grads,
-    student_global): the loss terms, the gradients of the student tensors
-    (encoder, then projection) and the prototypes keyed by name, and the
-    student's global projections (B·G, P).
+def _resolved(targets) -> TeacherTargets:
+    """``targets``, or the result of a Future of them, which raises what
+    the teacher raised."""
+    return targets.result() if isinstance(targets, Future) else targets
+
+
+def _distillation_path(params, local_views, targets, cfg: RunConfig, buf_l):
+    """The student over the local views against the teacher's global-view
+    distributions: (distillation term, gradients of the student tensors and
+    the prototypes). ``targets`` is resolved where the term needs them."""
+    b, l = local_views.shape[:2]
+    protos, temp = params["prototypes"], cfg.model.student_temp
+    _, s_proj_l, caches_l = model.network_forward(
+        params, "student", local_views.reshape(-1, *local_views.shape[2:]),
+        buf_l)
+    p_stu = model.prototype_distribution(s_proj_l, protos, temp)
+    ce = losses.cross_entropy_loss(_resolved(targets).distributions,
+                                   p_stu.reshape(b, l, -1))
+    d_scores_l = (ce.gradient / b).reshape(p_stu.shape) / temp
+    grads = model.network_backward(params, "student", caches_l,
+                                   d_scores_l @ protos)
+    grads["prototypes"] = d_scores_l.T @ s_proj_l
+    return ce.value / b, grads
+
+
+def _regularization_path(params, global_views, targets, cfg: RunConfig,
+                         buf_g):
+    """The student over the global views: (its projections, the diversity
+    term, the dimension regularizer, 0.0 under "none", and the gradients
+    of the student tensors they weigh in). The teacher pass of a pending
+    ``targets`` writes ``buf_g`` too, so this path waits for it first."""
+    targets = _resolved(targets)
+    _, s_proj_g, caches_g = model.network_forward(
+        params, "student", global_views.reshape(-1, *global_views.shape[2:]),
+        buf_g)
+    re = losses.diversity_regularization(s_proj_g)
+    kind = losses.REGULARIZERS[cfg.train.regularizer]
+    dr = None if kind is None else kind(targets.projections, s_proj_g)
+    g_proj_g = cfg.train.mu * re.gradient
+    if dr is not None:
+        g_proj_g += cfg.train.lam * dr.gradient
+    grads = model.network_backward(params, "student", caches_g, g_proj_g)
+    return s_proj_g, re.value, 0.0 if dr is None else dr.value, grads
+
+
+def student_objective(params, global_views, local_views, targets,
+                      cfg: RunConfig, workspace=None, pool=None):
+    """The training objective against fixed teacher ``targets`` (a
+    ``TeacherTargets`` or a Future of one): the student scores the local
+    views for the distillation term and the global views for the
+    diversity and dimension-regularization terms. Reads the student
+    temperature from ``cfg.model`` and the loss weights and regularizer
+    from ``cfg.train``. Returns (terms, grads, student_global): the loss
+    terms, the gradients of the student tensors (encoder, then projection)
+    and the prototypes keyed by name, and the student's global projections
+    (B·G, P).
 
     ``workspace`` (see ``encoder_workspace``), if given, holds the encoder
     activations: the student local pass writes the local pair and the
     global pass the global pair. Without it every pass allocates its own.
+    ``pool``, an executor, if given, runs the global path while this thread
+    runs the local path; without it the global path runs here, after the
+    local one. Either way the arithmetic is the same, the worker is done
+    before this returns or raises, and of several errors the one raised is
+    the first in the order teacher, local path, global path.
     """
-    model_cfg = cfg.model
     gv = np.asarray(global_views, dtype=np.float64)
     lv = np.asarray(local_views, dtype=np.float64)
-    b, l = gv.shape[0], lv.shape[1]
-    protos = params["prototypes"]
     buf_g, buf_l = workspace if workspace is not None else (None, None)
+    pending = None if pool is None else pool.submit(
+        _regularization_path, params, gv, targets, cfg, buf_g)
+    try:
+        ce_value, grads = _distillation_path(params, lv, targets, cfg, buf_l)
+    finally:
+        if pending is not None:
+            wait((pending,))  # no worker writes the workspace after this
+        _resolved(targets)  # a teacher error replaces a local-path one
+    s_proj_g, re_value, dr_value, grads_g = (
+        _regularization_path(params, gv, targets, cfg, buf_g)
+        if pending is None else pending.result())
+    for key, val in grads_g.items():
+        grads[key] += val
 
-    # distillation path over local views
-    _, s_proj_l, caches_l = model.network_forward(
-        params, "student", lv.reshape(-1, *lv.shape[2:]), buf_l)
-    p_stu = model.prototype_distribution(s_proj_l, protos,
-                                         model_cfg.student_temp)
-    ce = losses.cross_entropy_loss(targets.distributions,
-                                   p_stu.reshape(b, l, -1))
-    ce_value = ce.value / b
-    d_scores_l = (ce.gradient / b).reshape(p_stu.shape) \
-        / model_cfg.student_temp
-    g_proj_l = d_scores_l @ protos
-    g_protos = d_scores_l.T @ s_proj_l
-
-    # covariance/diversity path over global views
-    _, s_proj_g, caches_g = model.network_forward(
-        params, "student", gv.reshape(-1, *gv.shape[2:]), buf_g)
     # total ce + mu*re + lam*dr: mu weighs the diversity term, lam the
     # dimension regularizer, which is absent under "none"
-    mu, lam = cfg.train.mu, cfg.train.lam
-    re = losses.diversity_regularization(s_proj_g)
-    kind = losses.REGULARIZERS[cfg.train.regularizer]
-    dr = None if kind is None else kind(targets.projections, s_proj_g)
-    dr_value = 0.0 if dr is None else dr.value
-    g_proj_g = mu * re.gradient
-    if dr is not None:
-        g_proj_g += lam * dr.gradient
-
-    grads = model.network_backward(params, "student", caches_l, g_proj_l)
-    for key, val in model.network_backward(params, "student", caches_g,
-                                           g_proj_g).items():
-        grads[key] += val
-    grads["prototypes"] = g_protos
-
     terms = {
         "loss_ce": ce_value,
-        "loss_re": re.value,
+        "loss_re": re_value,
         "loss_dr": dr_value,
-        "loss": ce_value + mu * re.value + lam * dr_value,
+        "loss": ce_value + cfg.train.mu * re_value + cfg.train.lam * dr_value,
     }
     return terms, grads, s_proj_g
 
 
 def train_step(state: dict, global_views, local_views, cfg: RunConfig,
-               lr: float, workspace=None):
+               lr: float, workspace=None, pool=None):
     """One SGD+momentum update of the student and prototypes in ``state``,
-    with ``workspace`` as in ``student_objective``. The teacher is
-    untouched here; the loop moves it via ema_update afterwards. Returns
-    (terms, targets, student_global) as ``teacher_targets`` and
-    ``student_objective`` gave them.
+    with ``workspace`` as in ``student_objective``. With ``pool``, an
+    executor, the teacher and then the student's global path run on its
+    worker while this thread runs the student's local path; the worker is
+    done before this returns or raises. The teacher is untouched here; the
+    loop moves it via ema_update afterwards. Returns (terms, targets,
+    student_global) as ``teacher_targets`` and ``student_objective`` gave
+    them.
 
     Raises DivergedLoss, naming the first non-finite loss term or else
     gradient (encoder, projection, prototypes), before anything is updated.
     """
-    targets = teacher_targets(state, global_views, state["optimizer.center"],
-                              cfg, None if workspace is None else workspace[0])
-    terms, grads, student_global = student_objective(
-        state, global_views, local_views, targets, cfg, workspace)
+    teacher_args = (state, global_views, state["optimizer.center"], cfg,
+                    None if workspace is None else workspace[0])
+    targets = teacher_targets(*teacher_args) if pool is None \
+        else pool.submit(teacher_targets, *teacher_args)
+    try:
+        terms, grads, student_global = student_objective(
+            state, global_views, local_views, targets, cfg, workspace, pool)
+    finally:
+        if pool is not None:
+            wait((targets,))
+    targets = _resolved(targets)
     for key in ("loss_ce", "loss_re", "loss_dr", "loss"):
         if not math.isfinite(terms[key]):
             raise DivergedLoss(f"non-finite {key} {terms[key]}")
@@ -216,14 +268,25 @@ def train_step(state: dict, global_views, local_views, cfg: RunConfig,
 
 def check_inputs(corpus, state: dict, cfg: RunConfig):
     """Refuse a corpus ``train`` could not run on: InvalidConfig if it
-    cannot fill a batch, ShapeMismatch for the first utterance whose
-    feature width is not the encoder's, UtteranceTooShort for the first
-    one shorter than a global crop. The batch and length checks apply only
-    if ``train.epochs`` > 0. ``cfg`` has passed ``config.validate``."""
+    cannot fill a batch or if the state's ``optimizer.global_step`` is not
+    its ``optimizer.epoch`` times this corpus's steps per epoch (a
+    checkpoint trained on a corpus of another size), ShapeMismatch for the
+    first utterance whose feature width is not the encoder's,
+    UtteranceTooShort for the first one shorter than a global crop. The
+    batch, counter and length checks apply only if ``train.epochs`` > 0.
+    ``cfg`` has passed ``config.validate``."""
     batch_size, epochs = cfg.train.batch_size, cfg.train.epochs
     if epochs > 0 and len(corpus) < batch_size:
         raise InvalidConfig(
             f"corpus of {len(corpus)} cannot fill a batch of {batch_size}")
+    steps_per_epoch = len(corpus) // batch_size
+    epoch = int(state["optimizer.epoch"][0])
+    global_step = int(state["optimizer.global_step"][0])
+    if epochs > 0 and global_step != epoch * steps_per_epoch:
+        raise InvalidConfig(
+            f"optimizer.global_step {global_step} is not optimizer.epoch "
+            f"{epoch} times the {steps_per_epoch} steps per epoch of this "
+            f"corpus ({len(corpus)} utterances, batch {batch_size})")
     feature_dim = state["student.encoder.w1"].shape[0]
     for utt in corpus:
         if utt.frames.shape[1] != feature_dim:
@@ -238,12 +301,52 @@ def check_inputs(corpus, state: dict, cfg: RunConfig):
                                 f"{short.frames.shape[0]} frames < {len_g}")
 
 
+# The thread-count setter and getter of OpenBLAS: as the numpy wheels
+# link it (64-bit ints, prefixed names), then as a system library.
+OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"))
+
+
+def openblas_threads():
+    """(set, get) of the thread count of the OpenBLAS that numpy calls, or
+    None if numpy links another BLAS or the library cannot be reached."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    return next(((getattr(lib, s), getattr(lib, g))
+                 for s, g in OPENBLAS_THREAD_CALLS if hasattr(lib, s)), None)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its count.
+    The step's two threads already keep two cores busy, and a BLAS call
+    that splits itself over the cores as well stalls the other half of
+    the step. OpenBLAS splits a product over blocks of its output, so the
+    thread count does not change the bytes a run writes."""
+    calls = openblas_threads()
+    if calls is None:
+        yield
+        return
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 def train(corpus, state: dict, cfg: RunConfig, *, log_path=None):
     """Run the loop under ``cfg`` (its ``train``, ``model``, ``crops``,
     ``augment`` and ``seed``) from ``state`` (see ``init_state``; a loaded
     checkpoint resumes at its ``optimizer.epoch``), updating it in place.
     Returns (state, epoch_records); each record is also written as one
-    JSON line to ``log_path``, if given.
+    JSON line to ``log_path``, if given. Each step runs on this thread and
+    one worker, with OpenBLAS held to one thread until the run ends.
 
     ``cfg`` has passed ``config.validate``. Raises what ``check_inputs``
     raises before the first step, DataError if ``log_path`` cannot be
@@ -262,9 +365,13 @@ def train(corpus, state: dict, cfg: RunConfig, *, log_path=None):
     batch = None  # the view arrays every step overwrites
     workspace = None  # the encoder buffers every step overwrites
     records = []
-    with data_mod.os_errors("write", log_path):
-        log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
+    with contextlib.ExitStack() as run:
+        with data_mod.os_errors("write", log_path):
+            log_fh = None if not log_path else run.enter_context(
+                open(log_path, "w", encoding="utf-8"))
+        run.enter_context(one_blas_thread())
+        # the step's second thread, joined when the run ends or raises
+        pool = run.enter_context(ThreadPoolExecutor(max_workers=1))
         for epoch in range(int(state["optimizer.epoch"][0]), epochs):
             rng = np.random.default_rng([cfg.seed, epoch])
             order = rng.permutation(len(corpus))
@@ -286,7 +393,7 @@ def train(corpus, state: dict, cfg: RunConfig, *, log_path=None):
                 last_lr = lr_at(step, total_steps, cfg)
                 try:
                     terms, targets, student_global = train_step(
-                        state, gv, lv, cfg, last_lr, workspace)
+                        state, gv, lv, cfg, last_lr, workspace, pool)
                 except DivergedLoss as exc:
                     raise DivergedLoss(
                         f"{exc} at epoch {epoch} step {step_in_epoch}",
@@ -319,7 +426,4 @@ def train(corpus, state: dict, cfg: RunConfig, *, log_path=None):
                 log_fh.flush()
             state["optimizer.epoch"][0] = epoch + 1
             last_good = {k: v.copy() for k, v in state.items()}
-    finally:
-        if log_fh is not None:
-            log_fh.close()
     return state, records

@@ -423,32 +423,42 @@ def test_bad_config_value_exits_1_before_out_is_made(world, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("refused, code", [("regularizer", 1),
-                                           ("manifest", 2), ("short", 2)])
+                                           ("manifest", 2), ("short", 2),
+                                           ("resumed", 1)])
 def test_refused_train_exits_before_out_is_made(world, tmp_path, capsys,
                                                 refused, code):
     # load_config checks the regularizer name, train's input checks the
-    # manifest and every utterance's length; all before --out is created
+    # manifest, every utterance's length and a resumed checkpoint's step
+    # counters; all before --out is created
     doc = json.loads(json.dumps(CONFIG_DOC))
-    manifest = world["manifest"]
+    manifest, resume = world["manifest"], []
     if refused == "regularizer":
         doc["train"]["regularizer"] = "ridge"
     elif refused == "manifest":
         manifest = tmp_path / "missing.tsv"
-    else:  # utt00007 is under a global crop; seed 3's epoch 0 skips it
+    elif refused == "short":
+        # utt00007 is under a global crop; seed 3's epoch 0 skips it
         doc["seed"] = 3
         doc["crops"]["len_global"] = 30
         doc["train"]["batch_size"] = 8
         corpus = data.generate_synthetic_corpus(5, 4, 40, 6, 0.5, 11)
         corpus[7].frames = corpus[7].frames[:10]
         manifest = data.save_corpus(corpus, tmp_path / "short")
+    else:  # the world's checkpoint took 3 steps in each of its 2 epochs
+        corpus = data.generate_synthetic_corpus(4, 4, 40, 6, 0.5, 12)
+        manifest = data.save_corpus(corpus, tmp_path / "larger")
+        resume = ["--resume", str(world["ckpt"])]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     assert cli.main(["train", "--config", str(config),
-                     "--manifest", str(manifest),
+                     "--manifest", str(manifest), *resume,
                      "--out", str(tmp_path / "run")]) == code
     err = capsys.readouterr().err
     assert {"regularizer": "'ridge'", "manifest": "missing.tsv",
-            "short": "utterance 'utt00007' has 10 frames < 30"}[refused] in err
+            "short": "utterance 'utt00007' has 10 frames < 30",
+            "resumed": "optimizer.global_step 6 is not optimizer.epoch 2 "
+            "times the 4 steps per epoch of this corpus (16 utterances, "
+            "batch 4)"}[refused] in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
 

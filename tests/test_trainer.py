@@ -2,7 +2,10 @@
 
 import json
 import math
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -64,10 +67,10 @@ def record_steps(monkeypatch):
     ``targets`` and ``student_global`` projections to the returned list."""
     real, seen = trainer.train_step, []
 
-    def recorded(state, global_views, local_views, cfg, lr, workspace=None):
+    def recorded(state, global_views, local_views, cfg, lr, *rest):
         step = int(state["optimizer.global_step"][0])
         terms, targets, student_global = real(
-            state, global_views, local_views, cfg, lr, workspace)
+            state, global_views, local_views, cfg, lr, *rest)
         seen.append({"global_step": step, "lr": lr, "terms": terms,
                      "targets": targets, "student_global": student_global})
         return terms, targets, student_global
@@ -429,6 +432,193 @@ def test_state_tensor_roundtrip(tmp_path):
         assert back[name].shape == arr.shape, name
         npt.assert_array_equal(back[name], arr, err_msg=name)
     assert back["optimizer.epoch"].tolist() == [2.0]
+
+
+# ----------------------------------------------------------------------
+# the step's two threads
+
+PARTS = ("teacher", "local", "global")  # the order of a serial step
+
+
+class PartFailed(Exception):
+    pass
+
+
+def part_of(prefix, frames, cfg):
+    """Which part of a step a ``model.network_forward`` call belongs to."""
+    if prefix == "teacher":
+        return "teacher"
+    return "local" if frames.shape[1] == cfg.crops.len_local else "global"
+
+
+def fail_parts(monkeypatch, cfg, failing, delay):
+    """Make the forward of each part in ``failing`` raise PartFailed naming
+    it; a part before the last failing one in ``PARTS`` sleeps ``delay``
+    first, so later parts raise earlier in time."""
+    real = model.network_forward
+    last = max(PARTS.index(p) for p in failing)
+
+    def forward(params, prefix, frames, out=None):
+        part = part_of(prefix, frames, cfg)
+        if part in failing:
+            if PARTS.index(part) < last:
+                time.sleep(delay)
+            raise PartFailed(part)
+        return real(params, prefix, frames, out)
+
+    monkeypatch.setattr(model, "network_forward", forward)
+
+
+@pytest.mark.parametrize("delay", [0.0, 0.02])
+@pytest.mark.parametrize("failing", [
+    ("teacher",), ("local",), ("global",), ("teacher", "local"),
+    ("teacher", "global"), ("local", "global"), PARTS], ids="+".join)
+def test_a_failing_step_raises_what_a_serial_step_raises_first(
+        monkeypatch, failing, delay):
+    corpus, state, cfg = tiny_world(epochs=1)
+    before, threads = copy_state(state), set(threading.enumerate())
+    fail_parts(monkeypatch, cfg, failing, delay)
+    with pytest.raises(PartFailed) as exc_info:
+        trainer.train(corpus, state, cfg)
+    assert exc_info.value.args == (failing[0],)
+    assert_states_equal(state, before)
+    assert set(threading.enumerate()) <= threads
+
+
+def test_a_failing_step_returns_only_after_its_worker(monkeypatch):
+    # the caller's local path fails at once while the worker still runs
+    # the teacher and the student's global path into the workspace
+    corpus, state, cfg = tiny_world()
+    gv, lv = tiny_batch(corpus, cfg.crops)
+    workspace = trainer.encoder_workspace(gv, lv, DIMS["encoder_hidden"])
+    real, done = model.network_forward, []
+
+    def forward(params, prefix, frames, out=None):
+        part = part_of(prefix, frames, cfg)
+        if part == "local":
+            raise PartFailed(part)
+        time.sleep(0.02)
+        result = real(params, prefix, frames, out)
+        done.append(part)
+        return result
+
+    monkeypatch.setattr(model, "network_forward", forward)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        with pytest.raises(PartFailed):
+            trainer.train_step(state, gv, lv, cfg, 0.1, workspace, pool)
+        assert done == ["teacher", "global"]
+
+
+def test_a_step_on_two_threads_matches_the_step_on_one():
+    corpus, state, cfg = tiny_world()
+    gv, lv = tiny_batch(corpus, cfg.crops)
+
+    def step(pool):
+        run = copy_state(state)
+        workspace = trainer.encoder_workspace(gv, lv, DIMS["encoder_hidden"])
+        terms, targets, student_global = trainer.train_step(
+            run, gv, lv, cfg, 0.1, workspace, pool)
+        return run, terms, [*targets, student_global]
+
+    inline = step(None)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        threaded = step(pool)
+    for name, arr in inline[0].items():
+        assert arr.tobytes() == threaded[0][name].tobytes(), name
+    assert inline[1] == threaded[1]
+    for a, b in zip(inline[2], threaded[2]):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("slow", ["worker", "caller"])
+def test_a_slowed_thread_changes_no_byte(tmp_path, monkeypatch, slow):
+    # the results do not depend on which half of a step finishes first
+    runs = []
+    for slowed in (False, True):
+        corpus, state, cfg = tiny_world(epochs=2)
+        if slowed and slow == "worker":
+            real_teacher = trainer.teacher_targets
+
+            def teacher(*args):
+                time.sleep(0.005)
+                return real_teacher(*args)
+
+            monkeypatch.setattr(trainer, "teacher_targets", teacher)
+        elif slowed:
+            real_forward = model.network_forward
+
+            def forward(params, prefix, frames, out=None):
+                if part_of(prefix, frames, cfg) == "local":
+                    time.sleep(0.005)
+                return real_forward(params, prefix, frames, out)
+
+            monkeypatch.setattr(model, "network_forward", forward)
+        log = tmp_path / f"metrics{slowed}.jsonl"
+        state, _ = trainer.train(corpus, state, cfg, log_path=log)
+        ckpt = tmp_path / f"state{slowed}.sdck"
+        model.save_checkpoint(ckpt, state, "fp")
+        runs.append((ckpt.read_bytes(), log.read_bytes()))
+        monkeypatch.undo()
+    assert runs[0] == runs[1]
+
+
+def test_train_leaves_no_thread_behind():
+    threads = set(threading.enumerate())
+    corpus, state, cfg = tiny_world(epochs=1)
+    trainer.train(corpus, state, cfg)
+    assert set(threading.enumerate()) <= threads
+
+    corpus, state, cfg = tiny_world(epochs=1)
+    state["student.encoder.w1"].flat[0] = np.nan
+    with pytest.raises(DivergedLoss):
+        trainer.train(corpus, state, cfg)
+    assert set(threading.enumerate()) <= threads
+
+    corpus, state, cfg = tiny_world(batch_size=32)
+    with pytest.raises(InvalidConfig):
+        trainer.train(corpus, state, cfg)
+    assert set(threading.enumerate()) <= threads
+
+
+def test_train_runs_blas_on_one_thread_and_restores_its_count(monkeypatch):
+    calls = trainer.openblas_threads()
+    if calls is None:
+        pytest.skip("numpy calls no OpenBLAS that ctypes can reach")
+    set_threads, get_threads = calls
+    real, seen = trainer.train_step, []
+
+    def counted(*args):
+        seen.append(get_threads())
+        return real(*args)
+
+    monkeypatch.setattr(trainer, "train_step", counted)
+    before = get_threads()
+    set_threads(2)
+    try:
+        corpus, state, cfg = tiny_world(epochs=1)
+        trainer.train(corpus, state, cfg)
+        assert seen == [1] * 4 and get_threads() == 2
+        corpus, state, cfg = tiny_world(epochs=1)
+        state["student.encoder.w1"].flat[0] = np.nan
+        with pytest.raises(DivergedLoss):
+            trainer.train(corpus, state, cfg)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
+def test_check_inputs_refuses_step_counters_of_another_corpus():
+    corpus, state, cfg = tiny_world()  # 16 utterances: 4 steps per epoch
+    state["optimizer.epoch"][0] = 2
+    state["optimizer.global_step"][0] = 8
+    trainer.check_inputs(corpus, state, cfg)
+    state["optimizer.global_step"][0] = 10  # 5 steps per epoch
+    with pytest.raises(InvalidConfig, match=(
+            r"optimizer.global_step 10 is not optimizer.epoch 2 times the 4 "
+            r"steps per epoch of this corpus \(16 utterances, batch 4\)")):
+        trainer.check_inputs(corpus, state, cfg)
+    cfg.train.epochs = 0  # no step reads the counters
+    trainer.check_inputs(corpus, state, cfg)
 
 
 # ----------------------------------------------------------------------
