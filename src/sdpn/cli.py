@@ -18,15 +18,8 @@ import numpy as np
 from . import data as data_mod
 from . import metrics, model, proptests, scoring, trainer
 from .config import RunConfig, load_config
-from .errors import (
-    DataError,
-    DivergedLoss,
-    InvalidConfig,
-    MalformedFile,
-    MissingLabels,
-    SdpnError,
-    ShapeMismatch,
-)
+from .errors import (DataError, DivergedLoss, InvalidConfig, MalformedFile,
+                     SdpnError)
 
 
 class _UsageError(Exception):
@@ -261,7 +254,7 @@ def cmd_score(args) -> int:
                                            overlap=args.cohort_overlap)
         width, cohort_width = store.matrix.shape[1], cohort.matrix.shape[1]
         if len(store) and width != cohort_width:  # empty: no width to match
-            raise ShapeMismatch(
+            raise DataError(
                 f"store {args.store} holds {width}-dim embeddings, cohort "
                 f"{args.cohort} {cohort_width}-dim")
     scorer = scoring.TrialScorer(store, cohort, method=args.method,
@@ -292,7 +285,7 @@ def cmd_eval(args) -> int:
         i = min(map(labels.index, unusable))
         reason = (f"not present in {args.trials}" if labels[i] is None
                   else "is unlabeled; eval needs 1/0")
-        raise MissingLabels(f"trial ({enroll[i]}, {test[i]}) {reason}")
+        raise DataError(f"trial ({enroll[i]}, {test[i]}) {reason}")
     report = metrics.evaluation_report(
         normalized, np.array(labels, dtype=str) == "1", args.p_target,
         args.c_miss, args.c_fa)

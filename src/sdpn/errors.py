@@ -1,7 +1,8 @@
-"""Exception hierarchy.
+"""Exception hierarchy: one class per CLI exit code.
 
-Three branches matter to the CLI exit-code contract: configuration/usage
-errors exit 1, data errors exit 2, numerical failures exit 3.
+Configuration/usage errors exit 1, data errors exit 2, numerical failures
+exit 3. The message names the term, file or offset at fault; the class
+only picks the exit code.
 """
 
 
@@ -11,16 +12,8 @@ class SdpnError(Exception):
     exit_code = 1
 
 
-class ConfigError(SdpnError):
+class InvalidConfig(SdpnError):
     exit_code = 1
-
-
-class InvalidConfig(ConfigError):
-    pass
-
-
-class KTooLarge(ConfigError):
-    """Requested top-K exceeds the cohort size."""
 
 
 class DataError(SdpnError):
@@ -35,44 +28,14 @@ class MalformedFile(DataError):
         self.reason = reason
 
 
-class UtteranceTooShort(DataError):
-    pass
-
-
-class MissingEmbedding(DataError):
-    pass
-
-
-class MissingLabels(DataError):
-    """A trial needed a 1/0 label but carried '-'. """
-
-
-class SingleClassInput(DataError):
-    """Metrics need at least one target and one nontarget trial."""
-
-
-class DegenerateCohort(DataError):
-    """Cohort score spread too small to normalize against."""
-
-
-class ShapeMismatch(DataError):
-    pass
-
-
-class ZeroVector(DataError):
-    pass
-
-
-class NumericalError(SdpnError):
-    exit_code = 3
-
-
-class DivergedLoss(NumericalError):
+class DivergedLoss(SdpnError):
     """Training hit a non-finite loss term or gradient.
 
     Carries the last state that was still finite so the caller can persist
     it before aborting.
     """
+
+    exit_code = 3
 
     def __init__(self, message, last_good=None):
         super().__init__(message)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidConfig, SingleClassInput
+from .errors import DataError, InvalidConfig
 
 
 def _split_scores(scores, labels):
@@ -22,7 +22,7 @@ def _split_scores(scores, labels):
     tar = s[lab]
     non = s[~lab]
     if tar.size == 0 or non.size == 0:
-        raise SingleClassInput(
+        raise DataError(
             f"need both classes, got {tar.size} targets / {non.size} nontargets"
         )
     return np.sort(tar), np.sort(non)

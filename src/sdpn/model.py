@@ -30,7 +30,7 @@ import numpy as np
 
 from . import numerics
 from .data import BinaryReader, atomic_write, pack_float64s, pack_name
-from .errors import DataError, MalformedFile, ShapeMismatch, ZeroVector
+from .errors import DataError, MalformedFile
 
 # Keeps the std branch of the pooling differentiable at zero variance.
 EPS_POOL_VAR = 1e-10
@@ -136,7 +136,7 @@ def projection_forward(params, prefix: str, emb: np.ndarray):
     z3 = z2 @ w3 + b3
     r = np.linalg.norm(z3, axis=1, keepdims=True)
     if (r <= numerics.EPS_COLUMN).any():
-        raise ZeroVector("projection head produced a zero vector")
+        raise DataError("projection head produced a zero vector")
     y = z3 / r
     return y, (e, z1, z2, y, r)
 
@@ -190,8 +190,8 @@ def forward_embed(params, prefix: str, frames_list) -> np.ndarray:
     by_length: dict[int, list[int]] = {}
     for i, x in enumerate(utts):
         if x.ndim != 2 or x.shape[1] != feature_dim:
-            raise ShapeMismatch(f"utterance {i}: expected (T, {feature_dim}) "
-                                f"frames, got shape {x.shape}")
+            raise DataError(f"utterance {i}: expected (T, {feature_dim}) "
+                            f"frames, got shape {x.shape}")
         by_length.setdefault(x.shape[0], []).append(i)
     out = np.empty((len(utts), params[f"{prefix}.encoder.w2"].shape[1]))
     for t, rows in by_length.items():
@@ -216,7 +216,7 @@ def prototype_distribution(projected, prototypes,
 def normalize_prototypes(prototypes: np.ndarray):
     norms = np.linalg.norm(prototypes, axis=1, keepdims=True)
     if (norms <= numerics.EPS_COLUMN).any():
-        raise ZeroVector("a prototype collapsed to zero norm")
+        raise DataError("a prototype collapsed to zero norm")
     prototypes /= norms
     return prototypes
 

@@ -18,15 +18,7 @@ import numpy as np
 
 from .data import (BinaryReader, atomic_write, pack_float64s, pack_name,
                    read_lines)
-from .errors import (
-    DataError,
-    DegenerateCohort,
-    InvalidConfig,
-    KTooLarge,
-    MalformedFile,
-    MissingEmbedding,
-    ZeroVector,
-)
+from .errors import DataError, InvalidConfig, MalformedFile
 from .numerics import blocks
 
 EPS_SIGMA = 1e-9
@@ -53,21 +45,21 @@ class EmbeddingStore:
     @functools.cached_property
     def unit(self) -> np.ndarray:
         """The matrix with each row divided by its L2 norm, computed once;
-        a row of norm at most EPS_SIGMA has no cosine, a ZeroVector."""
+        a row of norm at most EPS_SIGMA has no cosine, a DataError."""
         norms = np.linalg.norm(self.matrix, axis=1)
         zero = np.flatnonzero(norms <= EPS_SIGMA)
         if zero.size:
-            raise ZeroVector(f"vector '{self.ids[zero[0]]}' has L2 norm "
-                             f"{norms[zero[0]]:.3g}; its cosine is undefined")
+            raise DataError(f"vector '{self.ids[zero[0]]}' has L2 norm "
+                            f"{norms[zero[0]]:.3g}; its cosine is undefined")
         return self.matrix / norms[:, None]
 
     def rows(self, keys) -> np.ndarray:
         """Matrix row of each id in ``keys``, as an intp array; the first
-        id the store lacks is a MissingEmbedding."""
+        id the store lacks is a DataError."""
         try:
             return np.fromiter(map(self._row.__getitem__, keys), dtype=np.intp)
         except KeyError as exc:
-            raise MissingEmbedding(
+            raise DataError(
                 f"no embedding for utterance '{exc.args[0]}'") from None
 
     def invalid_vector(self) -> tuple[str, str] | None:
@@ -247,7 +239,7 @@ class Cohort(EmbeddingStore):
         sorted id order, so that no normalization depends on the order of
         the store's rows; an overlap is rejected or its rows dropped
         depending on ``overlap`` ('error' or 'drop'). Fewer than 2 rows left
-        is a DegenerateCohort."""
+        is a DataError."""
         trial_set = set(trial_ids or ())
         overlapping = [i for i in store.ids if i in trial_set]
         if overlapping and overlap != "drop":
@@ -257,7 +249,7 @@ class Cohort(EmbeddingStore):
                 "cohort")
         ids = sorted(i for i in store.ids if i not in trial_set)
         if len(ids) < 2:
-            raise DegenerateCohort(f"cohort needs >= 2 entries, got {len(ids)}")
+            raise DataError(f"cohort needs >= 2 entries, got {len(ids)}")
         return cls(ids, store.matrix[store.rows(ids)])
 
 
@@ -289,9 +281,9 @@ def cohort_stats(scores, top_k: int | None = None):
 def standardize(raw, mu, sigma):
     """``(raw - mu) / sigma``, raw scores standardized by the cohort stats
     of one side (see ``cohort_stats``); a sigma at or under EPS_SIGMA is a
-    DegenerateCohort."""
+    DataError."""
     if np.min(sigma, initial=np.inf) <= EPS_SIGMA:
-        raise DegenerateCohort(
+        raise DataError(
             f"cohort score spread {np.min(sigma)} too small to normalize")
     return (raw - mu) / sigma
 
@@ -323,7 +315,7 @@ class TrialScorer:
             if top_k is None:
                 top_k = min(300, len(cohort))
             if top_k > len(cohort):
-                raise KTooLarge(
+                raise InvalidConfig(
                     f"top_k={top_k} exceeds cohort size {len(cohort)}")
             if top_k < 2:
                 raise InvalidConfig(f"top_k must be >= 2, got {top_k}")
@@ -335,7 +327,7 @@ class TrialScorer:
 
     def score_trials(self, trials: Trials) -> tuple[np.ndarray, np.ndarray]:
         """(raw cosine, normalized) float64 arrays in trial order; the first
-        id, in trial order, that the store lacks is a MissingEmbedding."""
+        id, in trial order, that the store lacks is a DataError."""
         unit = self.store.unit
         pairs = self.store.rows(chain.from_iterable(
             zip(trials.enroll, trials.test))).reshape(-1, 2)

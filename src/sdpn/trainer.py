@@ -45,8 +45,7 @@ import numpy as np
 from . import data as data_mod
 from . import losses, model, numerics
 from .config import RunConfig
-from .errors import (DivergedLoss, InvalidConfig, ShapeMismatch,
-                     UtteranceTooShort)
+from .errors import DataError, DivergedLoss, InvalidConfig
 
 
 def lr_at(step: int, total_steps: int, cfg: RunConfig) -> float:
@@ -54,11 +53,9 @@ def lr_at(step: int, total_steps: int, cfg: RunConfig) -> float:
     if not 0 <= step <= total_steps:
         raise InvalidConfig(f"step {step} outside [0, {total_steps}]")
     t = cfg.train
-    warmup_steps = (total_steps * t.warmup_epochs) // max(t.epochs, 1)
+    warmup_steps = (total_steps * t.warmup_epochs) // t.epochs
     if step < warmup_steps:
         return t.lr_peak * step / warmup_steps
-    if total_steps == warmup_steps:
-        return t.lr_peak
     progress = (step - warmup_steps) / (total_steps - warmup_steps)
     return t.lr_final + 0.5 * (t.lr_peak - t.lr_final) * (
         1.0 + math.cos(math.pi * progress))
@@ -227,33 +224,30 @@ def student_objective(params, global_views, local_views, targets,
 
 
 def train_step(state: dict, global_views, local_views, cfg: RunConfig,
-               lr: float, workspace=None, pool=None):
+               lr: float, workspace, pool):
     """One SGD+momentum update of the student and prototypes in ``state``,
-    with ``workspace`` as in ``student_objective``. With ``pool``, an
-    executor, the teacher and then the student's global path run on its
-    worker while this thread runs the student's local path; the worker is
-    done before this returns or raises. The teacher is untouched here; the
-    loop moves it via ema_update afterwards. Returns (terms, targets,
+    with ``workspace`` as in ``student_objective``. The teacher and then
+    the student's global path run on the worker of ``pool``, an executor,
+    while this thread runs the student's local path; the worker is done
+    before this returns or raises. The teacher is untouched here; the loop
+    moves it via ema_update afterwards. Returns (terms, targets,
     student_global) as ``teacher_targets`` and ``student_objective`` gave
     them.
 
     Raises DivergedLoss, naming the first non-finite loss term or else
     gradient (encoder, projection, prototypes), before anything is updated.
     """
-    teacher_args = (state, global_views, state["optimizer.center"], cfg,
-                    None if workspace is None else workspace[0])
-    targets = teacher_targets(*teacher_args) if pool is None \
-        else pool.submit(teacher_targets, *teacher_args)
+    targets = pool.submit(teacher_targets, state, global_views,
+                          state["optimizer.center"], cfg, workspace[0])
     try:
         terms, grads, student_global = student_objective(
             state, global_views, local_views, targets, cfg, workspace, pool)
     finally:
-        if pool is not None:
-            wait((targets,))
-    targets = _resolved(targets)
-    for key in ("loss_ce", "loss_re", "loss_dr", "loss"):
-        if not math.isfinite(terms[key]):
-            raise DivergedLoss(f"non-finite {key} {terms[key]}")
+        wait((targets,))
+    targets = targets.result()
+    for key, value in terms.items():
+        if not math.isfinite(value):
+            raise DivergedLoss(f"non-finite {key} {value}")
     for name, grad in grads.items():
         if not np.isfinite(grad).all():
             raise DivergedLoss(f"non-finite gradient {name}")
@@ -270,11 +264,11 @@ def check_inputs(corpus, state: dict, cfg: RunConfig):
     """Refuse a corpus ``train`` could not run on: InvalidConfig if it
     cannot fill a batch or if the state's ``optimizer.global_step`` is not
     its ``optimizer.epoch`` times this corpus's steps per epoch (a
-    checkpoint trained on a corpus of another size), ShapeMismatch for the
-    first utterance whose feature width is not the encoder's,
-    UtteranceTooShort for the first one shorter than a global crop. The
-    batch, counter and length checks apply only if ``train.epochs`` > 0.
-    ``cfg`` has passed ``config.validate``."""
+    checkpoint trained on a corpus of another size), DataError naming the
+    first utterance whose feature width is not the encoder's, else the
+    first one shorter than a global crop. The batch, counter and length
+    checks apply only if ``train.epochs`` > 0. ``cfg`` has passed
+    ``config.validate``."""
     batch_size, epochs = cfg.train.batch_size, cfg.train.epochs
     if epochs > 0 and len(corpus) < batch_size:
         raise InvalidConfig(
@@ -290,15 +284,15 @@ def check_inputs(corpus, state: dict, cfg: RunConfig):
     feature_dim = state["student.encoder.w1"].shape[0]
     for utt in corpus:
         if utt.frames.shape[1] != feature_dim:
-            raise ShapeMismatch(
+            raise DataError(
                 f"utterance '{utt.utterance_id}' has {utt.frames.shape[1]} "
                 f"features per frame; the model takes {feature_dim} "
                 "(data.feature_dim)")
     len_g = cfg.crops.len_global
     short = next((u for u in corpus if u.frames.shape[0] < len_g), None)
     if epochs > 0 and short is not None:
-        raise UtteranceTooShort(f"utterance '{short.utterance_id}' has "
-                                f"{short.frames.shape[0]} frames < {len_g}")
+        raise DataError(f"utterance '{short.utterance_id}' has "
+                        f"{short.frames.shape[0]} frames < {len_g}")
 
 
 # The thread-count setter and getter of OpenBLAS: as the numpy wheels
@@ -412,10 +406,7 @@ def train(corpus, state: dict, cfg: RunConfig, *, log_path=None):
                                        .reshape(-1, num_prototypes))
             record = {
                 "epoch": epoch,
-                "loss": sums["loss"] / steps_per_epoch,
-                "loss_ce": sums["loss_ce"] / steps_per_epoch,
-                "loss_re": sums["loss_re"] / steps_per_epoch,
-                "loss_dr": sums["loss_dr"] / steps_per_epoch,
+                **{key: sums[key] / steps_per_epoch for key in sums},
                 "lr": last_lr,
                 **diagnostics(np.concatenate(epoch_globals),
                               np.concatenate(epoch_teacher_p)),

@@ -1,13 +1,16 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import ast
+import errno
 import json
 import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sdpn import cli, data, model, numerics, scoring, trainer
+from sdpn import cli, data, errors, model, numerics, scoring, trainer
 
 CONFIG_DOC = {
     "seed": 11,
@@ -233,8 +236,8 @@ def test_eval_score_row_missing_from_trials_exits_2(world, tmp_path,
                       + "ghost\tutt00001\t0.5\t0.5\n", encoding="utf-8")
     assert cli.main(["eval", "--scores", str(scores),
                      "--trials", str(world["trials"])]) == 2
-    assert f"trial (ghost, utt00001) not present in {world['trials']}" \
-        in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: trial (ghost, utt00001) not " \
+        f"present in {world['trials']}\n"
 
 
 def test_normalize_methods_and_as_equals_s_at_full_k(world, tmp_path):
@@ -453,13 +456,14 @@ def test_refused_train_exits_before_out_is_made(world, tmp_path, capsys,
     assert cli.main(["train", "--config", str(config),
                      "--manifest", str(manifest), *resume,
                      "--out", str(tmp_path / "run")]) == code
-    err = capsys.readouterr().err
-    assert {"regularizer": "'ridge'", "manifest": "missing.tsv",
-            "short": "utterance 'utt00007' has 10 frames < 30",
-            "resumed": "optimizer.global_step 6 is not optimizer.epoch 2 "
-            "times the 4 steps per epoch of this corpus (16 utterances, "
-            "batch 4)"}[refused] in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == "error: " + {
+        "regularizer": "train.regularizer must be one of ['frobenius', "
+        "'none', 'off_diagonal'], got 'ridge'",
+        "manifest": f"cannot read {manifest}: {os.strerror(errno.ENOENT)}",
+        "short": "utterance 'utt00007' has 10 frames < 30",
+        "resumed": "optimizer.global_step 6 is not optimizer.epoch 2 "
+        "times the 4 steps per epoch of this corpus (16 utterances, "
+        "batch 4)"}[refused] + "\n"
     assert not (tmp_path / "run").exists()
 
 
@@ -527,7 +531,7 @@ def test_bad_top_k_exits_1_with_no_trials(world, tmp_path, capsys, top_k,
                      "--trials", str(trials),
                      "--cohort", str(world["cohort"]), "--method", "as",
                      "--top-k", top_k, "--out", str(out)]) == 1
-    assert message in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -540,12 +544,14 @@ def test_resume_under_different_config_exits_1(world, tmp_path, capsys):
     assert "fingerprint" in capsys.readouterr().err
 
 
-def test_missing_embedding_exits_2(world, tmp_path):
+def test_missing_embedding_exits_2(world, tmp_path, capsys):
     trials = tmp_path / "ghost.txt"
     trials.write_text("1 ghost utt00001\n", encoding="utf-8")
     assert cli.main(["score", "--store", str(world["store"]),
                      "--trials", str(trials),
                      "--out", str(tmp_path / "x.tsv")]) == 2
+    assert capsys.readouterr().err \
+        == "error: no embedding for utterance 'ghost'\n"
 
 
 def test_malformed_store_exits_2(world, tmp_path):
@@ -682,7 +688,8 @@ def test_cohort_emptied_by_overlap_drop_exits_2(world, tmp_path, capsys):
     scoring.EmbeddingStore(ids, full.matrix[full.rows(ids)]).save(cohort)
     argv = _argv_with(world, tmp_path, "normalize", "--cohort", cohort)
     assert cli.main(argv + ["--cohort-overlap", "drop"]) == 2
-    assert "cohort needs >= 2 entries, got 0" in capsys.readouterr().err
+    assert capsys.readouterr().err \
+        == "error: cohort needs >= 2 entries, got 0\n"
 
 
 def test_empty_cohort_store_exits_2(world, tmp_path, capsys):
@@ -693,7 +700,20 @@ def test_empty_cohort_store_exits_2(world, tmp_path, capsys):
     assert len(scoring.EmbeddingStore.load(cohort)) == 0
     assert cli.main(_argv_with(world, tmp_path, "normalize", "--cohort",
                                cohort)) == 2
-    assert "cohort needs >= 2 entries, got 0" in capsys.readouterr().err
+    assert capsys.readouterr().err \
+        == "error: cohort needs >= 2 entries, got 0\n"
+
+
+def test_flat_cohort_exits_2(world, tmp_path, capsys):
+    # two equal cohort rows give every id the same two cohort scores
+    row = scoring.EmbeddingStore.load(world["cohort"]).matrix[0]
+    cohort = tmp_path / "flat.emb"
+    scoring.EmbeddingStore(["c0", "c1"], [row, row]).save(cohort)
+    assert cli.main(_argv_with(world, tmp_path, "normalize", "--cohort",
+                               cohort)) == 2
+    assert capsys.readouterr().err \
+        == "error: cohort score spread 0.0 too small to normalize\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("method", ["as", "z"])
@@ -704,10 +724,8 @@ def test_cohort_of_another_width_exits_2(world, tmp_path, capsys, method):
         np.random.default_rng(5).standard_normal((5, 3))).save(cohort)
     argv = _argv_with(world, tmp_path, "normalize", "--cohort", cohort)
     assert cli.main(argv + ["--method", method]) == 2
-    err = capsys.readouterr().err
-    assert f"store {world['store']} holds 8-dim embeddings, cohort " \
-        f"{cohort} 3-dim" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == f"error: store {world['store']} " \
+        f"holds 8-dim embeddings, cohort {cohort} 3-dim\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -722,9 +740,8 @@ def test_zero_vector_exits_2_naming_it(world, tmp_path, capsys, command,
     scoring.EmbeddingStore(store.ids + ["silent"],
                            np.vstack([store.matrix, zero])).save(zeroed)
     assert cli.main(_argv_with(world, tmp_path, command, flag, zeroed)) == 2
-    err = capsys.readouterr().err
-    assert "vector 'silent' has L2 norm 0; its cosine is undefined" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == "error: vector 'silent' has L2 norm " \
+        "0; its cosine is undefined\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -766,7 +783,7 @@ def test_non_numeric_score_exits_2(world, tmp_path, capsys):
         in capsys.readouterr().err
 
 
-def test_single_class_eval_exits_2(world, tmp_path):
+def test_single_class_eval_exits_2(world, tmp_path, capsys):
     targets_only = [t for t in scoring.read_trials(world["trials"])
                     if t.label == "1"]
     trials = tmp_path / "targets.txt"
@@ -774,17 +791,22 @@ def test_single_class_eval_exits_2(world, tmp_path):
     scores = tmp_path / "targets_scores.tsv"
     assert cli.main(["score", "--store", str(world["store"]),
                      "--trials", str(trials), "--out", str(scores)]) == 0
+    capsys.readouterr()
     assert cli.main(["eval", "--scores", str(scores),
                      "--trials", str(trials)]) == 2
+    assert capsys.readouterr().err == "error: need both classes, got " \
+        f"{len(targets_only)} targets / 0 nontargets\n"
 
 
-def test_eval_with_unlabeled_trial_exits_2(world, tmp_path):
+def test_eval_with_unlabeled_trial_exits_2(world, tmp_path, capsys):
     scored = scoring.read_trials(world["trials"])
     unlabeled = [scoring.Trial("-", t.enroll, t.test) for t in scored]
     trials = tmp_path / "unlabeled.txt"
     scoring.write_trials(unlabeled, trials)
     assert cli.main(["eval", "--scores", str(world["scores"]),
                      "--trials", str(trials)]) == 2
+    assert capsys.readouterr().err == f"error: trial ({scored.enroll[0]}, " \
+        f"{scored.test[0]}) is unlabeled; eval needs 1/0\n"
 
 
 def test_eval_pair_with_two_labels_exits_2(world, tmp_path, capsys):
@@ -864,8 +886,20 @@ def test_train_on_mixed_feature_widths_exits_2(world, tmp_path, capsys):
     assert cli.main(["train", "--config", str(world["config"]),
                      "--manifest", str(manifest),
                      "--out", str(tmp_path / "run")]) == 2
-    assert "utterance 'u5' has 7 features per frame; the model takes 6 " \
-        "(data.feature_dim)" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: utterance 'u5' has 7 " \
+        "features per frame; the model takes 6 (data.feature_dim)\n"
+
+
+def test_embed_of_another_feature_width_exits_2(world, tmp_path, capsys):
+    rng = np.random.default_rng(72)
+    corpus = [data.Utterance(f"u{i}", None, rng.standard_normal((40, 7)))
+              for i in range(2)]
+    manifest = data.save_corpus(corpus, tmp_path / "corpus")
+    assert cli.main(_argv_with(world, tmp_path, "embed", "--manifest",
+                               manifest)) == 2
+    assert capsys.readouterr().err == "error: utterance 0: expected (T, 6) " \
+        "frames, got shape (40, 7)\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_zero_frame_feature_file_exits_2(world, tmp_path, capsys):
@@ -911,6 +945,26 @@ def test_nan_checkpoint_exits_2(world, tmp_path, capsys):
                      str(world["manifest"]), "--out", str(store)]) == 2
     assert reason in capsys.readouterr().err
     assert not store.exists()
+
+
+@pytest.mark.parametrize("zeroed, message", [
+    ("teacher.projection", "projection head produced a zero vector"),
+    ("prototypes", "a prototype collapsed to zero norm")],
+    ids=["projection", "prototype"])
+def test_train_zero_vector_exits_2(world, tmp_path, capsys, zeroed, message):
+    # resumed at step 0, where the warmup learning rate is 0, so no update
+    # moves the zeroed prototype row
+    tensors, fp = model.load_checkpoint(world["ckpt"])
+    for name in ("optimizer.epoch", "optimizer.global_step"):
+        tensors[name][0] = 0.0
+    if zeroed == "prototypes":
+        tensors["prototypes"][0] = 0.0
+    else:  # every teacher projection is zero
+        tensors["teacher.projection.w3"][:] = 0.0
+        tensors["teacher.projection.b3"][:] = 0.0
+    code, _ = _resume_from(world, tmp_path, tensors, fp)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_embed_refuses_vector_whose_norm_overflows(world, tmp_path, capsys):
@@ -1002,3 +1056,33 @@ def test_grad_check_negative_seed_exits_1(loss, offset, named, capsys):
     captured = capsys.readouterr()
     assert f"--seed {offset} gives {named}" in captured.err
     assert "PASS" not in captured.out
+
+
+# ----------------------------------------------------------------------
+# the exit-code contract
+
+
+def test_every_raise_names_a_class_with_an_exit_code():
+    # main turns each SdpnError into its exit code and one stderr line, and
+    # the parser's _UsageError into exit 1; any other class raised in the
+    # package would escape as a traceback
+    allowed = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.SdpnError)}
+    assert allowed == {"SdpnError", "InvalidConfig", "DataError",
+                       "MalformedFile", "DivergedLoss"}
+    package = Path(cli.__file__).parent
+    raised, strays = 0, []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue  # a bare raise re-raises what its handler caught
+            raised += 1
+            exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            name = exc.id if isinstance(exc, ast.Name) else ast.unparse(exc)
+            if not (name in allowed
+                    or (path.name, name) == ("cli.py", "_UsageError")):
+                strays.append(f"{path.name}:{node.lineno} raises {name}")
+    assert raised > 50
+    assert strays == []

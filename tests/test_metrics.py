@@ -5,7 +5,7 @@ import pytest
 
 from oracles import oracle_det_points, oracle_eer, oracle_min_dcf
 from sdpn import metrics
-from sdpn.errors import SingleClassInput
+from sdpn.errors import DataError
 
 TARGETS = [0.9, 0.8, 0.4]
 NONTARGETS = [0.7, 0.3, 0.2]
@@ -142,9 +142,11 @@ def test_negating_scores_and_labels_swaps_error_types():
 
 
 def test_single_class_raises():
-    with pytest.raises(SingleClassInput):
+    with pytest.raises(DataError, match="^need both classes, got 2 targets "
+                       "/ 0 nontargets$"):
         metrics.det_sweep([0.1, 0.2], [1, 1])
-    with pytest.raises(SingleClassInput):
+    with pytest.raises(DataError, match="^need both classes, got 0 targets "
+                       "/ 2 nontargets$"):
         metrics.evaluation_report([0.1, 0.2], [0, 0])
 
 

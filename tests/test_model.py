@@ -1,5 +1,7 @@
 """Encoder/projection forward-backward, prototypes, EMA, checkpoints."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,7 +9,7 @@ import pytest
 import oracles
 from sdpn import losses, model, numerics, trainer
 from sdpn.config import ModelConfig, RunConfig, validate
-from sdpn.errors import InvalidConfig, MalformedFile, ShapeMismatch
+from sdpn.errors import DataError, InvalidConfig, MalformedFile
 
 
 def tiny_params(seed=81, **kw):
@@ -55,10 +57,12 @@ def test_pooling_invariant_to_frame_duplication():
 
 def test_forward_embed_shape_checks():
     params = tiny_params(seed=80)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match=re.escape(
+            "utterance 1: expected (T, 5) frames, got shape (4, 4, 5)")):
         model.forward_embed(params, "student",
                             [np.zeros((4, 5)), np.zeros((4, 4, 5))])
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DataError, match=re.escape(
+            "utterance 1: expected (T, 5) frames, got shape (4, 6)")):
         model.forward_embed(params, "student",
                             [np.zeros((4, 5)), np.zeros((4, 6))])
     assert model.forward_embed(params, "student", []).shape == (0, 4)

@@ -15,8 +15,7 @@ import oracles
 from sdpn import data, losses, model, trainer
 from sdpn.config import (CropConfig, MaskConfig, ModelConfig, RunConfig,
                          TrainSection, validate)
-from sdpn.errors import (DataError, DivergedLoss, InvalidConfig,
-                         UtteranceTooShort)
+from sdpn.errors import DataError, DivergedLoss, InvalidConfig
 
 FEATURE_DIM = 6
 DIMS = dict(encoder_hidden=8, embed_dim=8, proj_hidden=10, proj_dim=4,
@@ -239,8 +238,8 @@ def test_check_inputs_names_first_utterance_shorter_than_global_crop():
     corpus, state, cfg = tiny_world()
     for i in (5, 2):
         corpus[i].frames = corpus[i].frames[:cfg.crops.len_global - 1]
-    with pytest.raises(UtteranceTooShort,
-                       match="'utt00002' has 23 frames < 24"):
+    with pytest.raises(DataError,
+                       match="^utterance 'utt00002' has 23 frames < 24$"):
         trainer.check_inputs(corpus, state, cfg)
     cfg.train.epochs = 0  # no epoch crops anything
     trainer.check_inputs(corpus, state, cfg)
@@ -276,7 +275,9 @@ def test_zero_lr_step_changes_nothing():
     corpus, state, cfg = tiny_world()
     gv, lv = tiny_batch(corpus, cfg.crops)
     before = copy_state(state)
-    trainer.train_step(state, gv, lv, cfg, lr=0.0)
+    workspace = trainer.encoder_workspace(gv, lv, DIMS["encoder_hidden"])
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        trainer.train_step(state, gv, lv, cfg, 0.0, workspace, pool)
     for name in (n for n in state if not n.startswith("optimizer.")):
         if name == "prototypes":
             npt.assert_allclose(state[name], before[name], rtol=0, atol=1e-14)
@@ -510,24 +511,22 @@ def test_a_failing_step_returns_only_after_its_worker(monkeypatch):
 
 
 def test_a_step_on_two_threads_matches_the_step_on_one():
+    # the objective on this thread alone, with its own buffers, against
+    # the objective split over a worker and this thread into a workspace
     corpus, state, cfg = tiny_world()
     gv, lv = tiny_batch(corpus, cfg.crops)
-
-    def step(pool):
-        run = copy_state(state)
-        workspace = trainer.encoder_workspace(gv, lv, DIMS["encoder_hidden"])
-        terms, targets, student_global = trainer.train_step(
-            run, gv, lv, cfg, 0.1, workspace, pool)
-        return run, terms, [*targets, student_global]
-
-    inline = step(None)
+    targets = trainer.teacher_targets(state, gv, state["optimizer.center"],
+                                      cfg)
+    inline = trainer.student_objective(state, gv, lv, targets, cfg)
+    workspace = trainer.encoder_workspace(gv, lv, DIMS["encoder_hidden"])
     with ThreadPoolExecutor(max_workers=1) as pool:
-        threaded = step(pool)
-    for name, arr in inline[0].items():
-        assert arr.tobytes() == threaded[0][name].tobytes(), name
-    assert inline[1] == threaded[1]
-    for a, b in zip(inline[2], threaded[2]):
-        assert a.tobytes() == b.tobytes()
+        threaded = trainer.student_objective(state, gv, lv, targets, cfg,
+                                             workspace, pool)
+    assert inline[0] == threaded[0]
+    assert list(inline[1]) == list(threaded[1])
+    for name, grad in inline[1].items():
+        assert grad.tobytes() == threaded[1][name].tobytes(), name
+    assert inline[2].tobytes() == threaded[2].tobytes()
 
 
 @pytest.mark.parametrize("slow", ["worker", "caller"])
