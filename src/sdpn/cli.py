@@ -2,8 +2,8 @@
 
 Subcommands: gen-data, train, embed, score, normalize, eval, grad-check.
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numerical
-failure. The SDPN_SEED environment variable overrides the config seed;
-explicit flags override both.
+failure. train reads its run config from the --config file alone;
+gen-data's --seed and size flags apply to the corpus it writes only.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import data as data_mod
 from . import metrics, model, proptests, scoring, trainer
-from .config import RunConfig, load_config
+from .config import load_config
 from .errors import (DataError, DivergedLoss, InvalidConfig, MalformedFile,
                      SdpnError)
 
@@ -31,23 +31,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_config_arg(sub):
-    sub.add_argument("--config", help="JSON run-config file")
-    sub.add_argument("--seed", type=int, help="override the config seed")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="sdpn", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("gen-data", help="write a synthetic corpus")
-    _add_config_arg(p)
+    p.add_argument("--config", help="JSON run-config file")
+    p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--num-speakers", type=int)
     p.add_argument("--utts-per-speaker", type=int)
     p.add_argument("--frames-per-utt", type=int)
-    p.add_argument("--feature-dim", type=int)
-    p.add_argument("--spread", type=float, help="intra-speaker noise scale")
     p.add_argument("--prefix", default="",
                    help="prepend to utterance/speaker ids (cohort corpora "
                         "must not share ids with trial utterances)")
@@ -55,13 +49,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_gen_data)
 
     p = subs.add_parser("train", help="run the teacher-student loop")
-    _add_config_arg(p)
+    p.add_argument("--config", help="JSON run-config file")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr-peak", type=float)
-    p.add_argument("--regularizer", help="override train.regularizer")
     p.add_argument("--resume", help="checkpoint to continue from")
     p.set_defaults(func=cmd_train)
 
@@ -110,17 +100,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _effective_config(args, overrides: dict) -> RunConfig:
-    return load_config(args.config, {**overrides, "seed": args.seed})
-
-
 def cmd_gen_data(args) -> int:
-    cfg = _effective_config(args, {
+    cfg = load_config(args.config, {
+        "seed": args.seed,
         "data.num_speakers": args.num_speakers,
         "data.utts_per_speaker": args.utts_per_speaker,
         "data.frames_per_utt": args.frames_per_utt,
-        "data.feature_dim": args.feature_dim,
-        "data.intra_speaker_spread": args.spread,
     })
     corpus = data_mod.generate_synthetic_corpus(
         cfg.data.num_speakers, cfg.data.utts_per_speaker,
@@ -148,12 +133,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _effective_config(args, {
-        "train.epochs": args.epochs,
-        "train.batch_size": args.batch_size,
-        "train.lr_peak": args.lr_peak,
-        "train.regularizer": args.regularizer,
-    })
+    cfg = load_config(args.config)
     fingerprint = cfg.fingerprint()
     corpus = data_mod.load_corpus(args.manifest)
     state = trainer.init_state(model.init_params(
@@ -171,10 +151,9 @@ def cmd_train(args) -> int:
         state, _ = trainer.train(corpus, state, cfg,
                                  log_path=out_dir / "metrics.jsonl")
     except DivergedLoss as exc:
-        if exc.last_good is not None:
-            model.save_checkpoint(ckpt_path, exc.last_good, fingerprint)
-            print(f"diverged; last-good checkpoint written to {ckpt_path}",
-                  file=sys.stderr)
+        model.save_checkpoint(ckpt_path, exc.last_good, fingerprint)
+        print(f"diverged; last-good checkpoint written to {ckpt_path}",
+              file=sys.stderr)
         raise
     model.save_checkpoint(ckpt_path, state, fingerprint)
     print(ckpt_path)

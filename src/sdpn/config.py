@@ -14,7 +14,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -22,7 +21,6 @@ from . import losses
 from .errors import InvalidConfig
 
 SCHEMA_VERSION = 1
-SEED_ENV_VAR = "SDPN_SEED"
 
 
 @dataclass
@@ -135,8 +133,9 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
-    """Resolve the effective config (file < SDPN_SEED env var < CLI flags)
-    and ``validate`` it."""
+    """The config in the JSON file at ``path`` (the defaults if None), with
+    each non-None ``overrides`` value set at its dotted field, checked by
+    ``validate``."""
     if path is not None:
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -148,14 +147,6 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
         cfg = config_from_dict(raw)
     else:
         cfg = RunConfig()
-
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            cfg.seed = int(env_seed)
-        except ValueError:
-            raise InvalidConfig(
-                f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}")
 
     for dotted, value in (overrides or {}).items():
         if value is None:

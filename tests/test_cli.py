@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from sdpn import cli, data, errors, model, numerics, scoring, trainer
+from sdpn.config import RunConfig
 
 CONFIG_DOC = {
     "seed": 11,
@@ -302,21 +303,24 @@ def test_gen_data_prefix_disjoins_cohort_ids(world, tmp_path):
     scoring.Cohort.from_store(store, ids)  # must not raise
 
 
-def test_seed_env_var_matches_seed_flag(world, tmp_path, monkeypatch):
-    monkeypatch.setenv("SDPN_SEED", "5")
-    via_env = tmp_path / "env"
+def test_environment_does_not_reach_the_run_config(world, tmp_path,
+                                                   monkeypatch):
+    # the config file alone sets a run's values: no environment variable
+    # named after a config field, the seed's included, reaches them
+    for key, value in RunConfig().to_dict().items():
+        for name in value if isinstance(value, dict) else [""]:
+            monkeypatch.setenv(f"SDPN_{key}_{name}".rstrip("_").upper(), "5")
+    corpus, run = tmp_path / "corpus", tmp_path / "run"
     assert cli.main(["gen-data", "--config", str(world["config"]),
-                     "--out", str(via_env)]) == 0
-    monkeypatch.delenv("SDPN_SEED")
-    via_flag = tmp_path / "flag"
-    assert cli.main(["gen-data", "--config", str(world["config"]),
-                     "--seed", "5", "--out", str(via_flag)]) == 0
-    other = tmp_path / "other"
-    assert cli.main(["gen-data", "--config", str(world["config"]),
-                     "--seed", "6", "--out", str(other)]) == 0
-    first = (via_env / "manifest.tsv").read_text().splitlines()[0].split("\t")[1]
-    assert (via_env / first).read_bytes() == (via_flag / first).read_bytes()
-    assert (via_env / first).read_bytes() != (other / first).read_bytes()
+                     "--out", str(corpus)]) == 0
+    manifest = corpus / "manifest.tsv"
+    assert manifest.read_bytes() == world["manifest"].read_bytes()
+    first = manifest.read_text().splitlines()[0].split("\t")[1]
+    assert (corpus / first).read_bytes() \
+        == (world["manifest"].parent / first).read_bytes()
+    assert cli.main(["train", "--config", str(world["config"]),
+                     "--manifest", str(manifest), "--out", str(run)]) == 0
+    assert (run / "checkpoint.sdck").read_bytes() == world["ckpt"].read_bytes()
 
 
 def test_resume_of_finished_run_rewrites_same_checkpoint(world, tmp_path):
@@ -330,10 +334,13 @@ def test_resume_of_finished_run_rewrites_same_checkpoint(world, tmp_path):
 
 
 def test_train_epochs_zero(world, tmp_path):
-    out = tmp_path / "zero"
-    assert cli.main(["train", "--config", str(world["config"]),
+    out, config = tmp_path / "zero", tmp_path / "zero.json"
+    doc = json.loads(json.dumps(CONFIG_DOC))
+    doc["train"]["epochs"] = 0
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["train", "--config", str(config),
                      "--manifest", str(world["manifest"]),
-                     "--epochs", "0", "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
     assert (out / "checkpoint.sdck").exists()
     assert (out / "metrics.jsonl").read_text() == ""
 
@@ -350,6 +357,25 @@ def test_usage_errors_exit_1(capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("gen-data", "--feature-dim", "6"), ("gen-data", "--spread", "0.3"),
+    ("train", "--seed", "5"), ("train", "--epochs", "1"),
+    ("train", "--batch-size", "4"), ("train", "--lr-peak", "0.01"),
+    ("train", "--regularizer", "none")])
+def test_config_field_flags_are_unknown(world, tmp_path, capsys, command,
+                                        flag, value):
+    # each names a field that only the config file sets
+    out = tmp_path / "out"
+    argv = [command, "--config", str(world["config"]), "--out", str(out),
+            flag, value]
+    if command == "train":
+        argv += ["--manifest", str(world["manifest"])]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err \
+        == f"usage error: unrecognized arguments: {flag} {value}\n"
+    assert not out.exists()
+
+
 def test_unknown_config_key_exits_1(world, tmp_path, capsys):
     # "scoring" and "metrics" were sections once; nothing read them
     for key in ("sed", "scoring", "metrics"):
@@ -360,20 +386,10 @@ def test_unknown_config_key_exits_1(world, tmp_path, capsys):
         assert repr(key) in capsys.readouterr().err
 
 
-def test_train_batch_size_flag_is_validated(world, tmp_path, capsys):
-    # load_config validates the config after the flags are applied, so a
-    # bad flag is refused like a bad file value, before --out is made
-    assert cli.main(["train", "--config", str(world["config"]),
-                     "--manifest", str(world["manifest"]),
-                     "--out", str(tmp_path / "run"),
-                     "--batch-size", "1"]) == 1
-    assert "batch_size must be >= 2" in capsys.readouterr().err
-    assert not (tmp_path / "run" / "checkpoint.sdck").exists()
-
-
 @pytest.mark.parametrize("train_section, named", [
     ({"warmup_epochs": 60}, "warmup_epochs"),
     ({"diversity_summed": False}, "diversity_summed"),
+    ({"batch_size": 1}, "batch_size must be >= 2"),
 ])
 def test_bad_train_section_exits_1(world, tmp_path, capsys, train_section,
                                    named):
@@ -383,6 +399,7 @@ def test_bad_train_section_exits_1(world, tmp_path, capsys, train_section,
                      "--manifest", str(world["manifest"]),
                      "--out", str(tmp_path / "run")]) == 1
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "run" / "checkpoint.sdck").exists()
 
 
 @pytest.mark.parametrize("dotted, bad", [
@@ -480,16 +497,14 @@ def test_gen_data_refuses_unknown_regularizer(tmp_path, capsys):
     assert not (tmp_path / "corpus").exists()
 
 
-@pytest.mark.parametrize("source", ["flag", "env", "file"])
-def test_negative_seed_exits_1(tmp_path, monkeypatch, capsys, source):
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_negative_seed_exits_1(tmp_path, capsys, source):
     doc = dict(CONFIG_DOC, seed=-1 if source == "file" else 11)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     argv = ["gen-data", "--config", str(config), "--out", str(tmp_path / "x")]
     if source == "flag":
         argv += ["--seed", "-1"]
-    elif source == "env":
-        monkeypatch.setenv("SDPN_SEED", "-1")
     assert cli.main(argv) == 1
     assert "seed must be a non-negative integer, got -1" \
         in capsys.readouterr().err
@@ -536,8 +551,10 @@ def test_bad_top_k_exits_1_with_no_trials(world, tmp_path, capsys, top_k,
 
 
 def test_resume_under_different_config_exits_1(world, tmp_path, capsys):
-    assert cli.main(["train", "--config", str(world["config"]),
-                     "--seed", "999",
+    config = tmp_path / "other_seed.json"
+    config.write_text(json.dumps(dict(CONFIG_DOC, seed=999)),
+                      encoding="utf-8")
+    assert cli.main(["train", "--config", str(config),
                      "--manifest", str(world["manifest"]),
                      "--resume", str(world["ckpt"]),
                      "--out", str(tmp_path / "x")]) == 1

@@ -1,5 +1,6 @@
-"""Run-config loading: strict keys, env/flag precedence, fingerprints."""
+"""Run-config loading: strict keys, overrides, fingerprints."""
 
+import argparse
 import dataclasses
 import json
 import re
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from sdpn import cli
 from sdpn.config import (
-    SEED_ENV_VAR,
     CropConfig,
     DataConfig,
     MaskConfig,
@@ -79,26 +80,8 @@ def test_load_config_missing_file_and_bad_json(tmp_path):
         load_config(bad)
 
 
-def test_env_seed_beats_file_and_flag_beats_env(tmp_path, monkeypatch):
-    path = write_config(tmp_path, {"seed": 1})
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
-    assert load_config(path).seed == 1
-    monkeypatch.setenv(SEED_ENV_VAR, "42")
-    assert load_config(path).seed == 42
-    cfg = load_config(path, overrides={"seed": 99})
-    assert cfg.seed == 99
-
-
-def test_env_seed_must_be_integer(tmp_path, monkeypatch):
-    path = write_config(tmp_path, {"seed": 1})
-    monkeypatch.setenv(SEED_ENV_VAR, "lots")
-    with pytest.raises(InvalidConfig):
-        load_config(path)
-
-
-def test_dotted_overrides(tmp_path, monkeypatch):
+def test_dotted_overrides(tmp_path):
     path = write_config(tmp_path, {"train": {"epochs": 10}})
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     cfg = load_config(path, overrides={"train.epochs": 7,
                                        "train.batch_size": None})
     assert cfg.train.epochs == 7
@@ -154,9 +137,8 @@ def test_validate_refuses_each_wrong_type(dotted, kind):
         assert repr(bad) in str(err.value)
 
 
-def test_int_in_float_field_is_kept_as_int(tmp_path, monkeypatch):
+def test_int_in_float_field_is_kept_as_int(tmp_path):
     # never coerced: 1 and 1.0 give different fingerprints
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     as_int = load_config(write_config(tmp_path, {"train": {"lr_peak": 1}}))
     assert type(as_int.train.lr_peak) is int
     as_float = RunConfig()
@@ -251,18 +233,16 @@ def test_frames_per_utt_is_not_compared_with_len_global():
                        crops=CropConfig(len_global=120, len_local=60)))
 
 
-def test_load_config_validates_after_env_and_flags(tmp_path, monkeypatch):
+def test_load_config_validates_after_overrides(tmp_path):
     path = write_config(tmp_path, {"seed": -3, "train": {"batch_size": 1}})
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     with pytest.raises(InvalidConfig, match="seed must be"):
         load_config(path)
-    monkeypatch.setenv(SEED_ENV_VAR, "3")
     with pytest.raises(InvalidConfig, match="train.batch_size must be"):
-        load_config(path)
-    cfg = load_config(path, overrides={"train.batch_size": 4})
+        load_config(path, overrides={"seed": 3})
+    cfg = load_config(path, overrides={"seed": 3, "train.batch_size": 4})
     assert (cfg.seed, cfg.train.batch_size) == (3, 4)
     with pytest.raises(InvalidConfig, match="train.lr_peak must be a finite"):
-        load_config(path, overrides={"train.batch_size": 4,
+        load_config(path, overrides={"seed": 3, "train.batch_size": 4,
                                      "train.lr_peak": float("nan")})
 
 
@@ -312,3 +292,18 @@ def test_readme_config_table_matches_config_fields():
             expected[f.name] = {g.name for g in
                                 dataclasses.fields(f.default_factory)}
     assert table == expected
+
+
+def test_documented_flags_are_cli_options():
+    """Every ``--flag`` token of README.md and docs/formats.md is an option
+    of some subcommand, so a removed flag cannot linger in the docs (pip's
+    flag in the README's Install section aside)."""
+    root = Path(__file__).resolve().parents[1]
+    text = "".join((root / name).read_text(encoding="utf-8")
+                   for name in ("README.md", "docs/formats.md"))
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    subcommands, = (action.choices for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {flag for sub in subcommands.values()
+               for flag in sub._option_string_actions}
+    assert documented - {"--no-build-isolation"} - options == set()
