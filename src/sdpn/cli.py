@@ -209,10 +209,11 @@ def cmd_embed(args) -> int:
     tensors, _ = model.load_checkpoint(args.checkpoint)
     _check_encoder_tensors(tensors, args.branch, args.checkpoint)
     corpus = data_mod.load_corpus(args.manifest)
+    ids = [u.utterance_id for u in corpus]
     embeddings = model.forward_embed(tensors, args.branch,
-                                     [u.frames for u in corpus])
-    scoring.EmbeddingStore([u.utterance_id for u in corpus],
-                           embeddings).save(args.out)
+                                     [u.frames for u in corpus], ids,
+                                     args.manifest)
+    scoring.EmbeddingStore(ids, embeddings).save(args.out)
     print(args.out)
     return 0
 

@@ -144,8 +144,8 @@ class os_errors(contextlib.AbstractContextManager):
 
 def read_bytes(path) -> bytes:
     """The bytes of the file at ``path``; see ``os_errors``."""
-    with os_errors("read", path):
-        return Path(path).read_bytes()
+    with os_errors("read", path), open(path, "rb") as fh:
+        return fh.read()
 
 
 def read_lines(path) -> list[str]:
@@ -181,15 +181,22 @@ class BinaryReader:
             raise MalformedFile(path, 4, f"unsupported {kind} version {found}")
 
     def take(self, n: int, what: str) -> bytes:
-        if self.off + n > len(self.blob):
-            raise MalformedFile(self.path, self.off,
+        start = self.off
+        if start + n > len(self.blob):
+            raise MalformedFile(self.path, start,
                                 f"truncated while reading {what}")
-        chunk = self.blob[self.off:self.off + n]
-        self.off += n
-        return chunk
+        self.off = start + n
+        return self.blob[start:start + n]
 
     def unpack(self, fmt: str, what: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+        """``fmt``'s fields, read in place at the cursor."""
+        start = self.off
+        end = start + struct.calcsize(fmt)
+        if end > len(self.blob):
+            raise MalformedFile(self.path, start,
+                                f"truncated while reading {what}")
+        self.off = end
+        return struct.unpack_from(fmt, self.blob, start)
 
     def name(self, what: str) -> str:
         """A name field (see ``pack_name``): u16 byte length, then UTF-8."""
@@ -203,15 +210,20 @@ class BinaryReader:
 
     def float64s(self, shape: tuple[int, ...], what: str) -> np.ndarray:
         """Little-endian float64 values filling ``shape`` as a fresh float64
-        array; a value that is not finite is a MalformedFile at its offset."""
-        start = self.off
-        raw = np.frombuffer(self.take(8 * math.prod(shape), what), "<f8")
-        bad = np.flatnonzero(~np.isfinite(raw))[:1]
-        if bad.size:
-            index = tuple(map(int, np.unravel_index(bad[0], shape)))
-            raise MalformedFile(self.path, start + 8 * int(bad[0]),
-                                f"non-finite value {raw[bad[0]]} at {index} "
+        array, read from the file's bytes without an intermediate copy; a
+        value that is not finite is a MalformedFile at its offset."""
+        start, count = self.off, math.prod(shape)
+        if start + 8 * count > len(self.blob):
+            raise MalformedFile(self.path, start,
+                                f"truncated while reading {what}")
+        raw = np.frombuffer(self.blob, "<f8", count, start)
+        if not np.isfinite(raw).all():
+            bad = int(np.flatnonzero(~np.isfinite(raw))[0])
+            index = tuple(map(int, np.unravel_index(bad, shape)))
+            raise MalformedFile(self.path, start + 8 * bad,
+                                f"non-finite value {raw[bad]} at {index} "
                                 f"of {what}")
+        self.off = start + 8 * count
         return raw.astype(np.float64).reshape(shape)
 
     def expect_end(self, what: str):

@@ -15,6 +15,10 @@ activations into buffers its caller owns, and the encoder backward consumes
 its cache: it builds the frame-level gradient in place inside those
 buffers. So a training step that reuses its buffers allocates no array of
 that size, and each forward cache serves exactly one backward.
+``forward_embed`` runs the encoder over a corpus in blocks of utterances
+of one length, alternately on the calling thread and one worker, each
+reusing one such pair of buffers; its bytes do not depend on the blocks
+or on thread scheduling.
 
 Checkpoints are a single self-describing binary container (see
 docs/formats.md): magic ``SDCK``, version, a config fingerprint string, then
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -95,7 +100,11 @@ def encoder_forward(params, prefix: str, frames: np.ndarray, out=None):
     var = np.einsum("bth,bth->bh", centered, centered) / t
     sd = np.sqrt(var + EPS_POOL_VAR)
     pooled = np.concatenate([mu, sd], axis=1)
-    emb = pooled @ w2 + b2
+    # numpy hands a one-row product to BLAS gemv, whose sums round unlike
+    # gemm's; so one row is multiplied as two, and a row's bytes do not
+    # depend on how many rows share the batch
+    emb = (np.resize(pooled, (2, pooled.shape[1])) @ w2)[:1] + b2 \
+        if len(pooled) == 1 else pooled @ w2 + b2
     return emb, (x, h1, centered, sd, pooled)
 
 
@@ -180,25 +189,72 @@ def network_backward(params, prefix: str, caches, g_proj: np.ndarray) -> dict:
     return grads
 
 
-def forward_embed(params, prefix: str, frames_list) -> np.ndarray:
+def forward_embed(params, prefix: str, frames_list, ids=None,
+                  source=None) -> np.ndarray:
     """Backbone embeddings (N, E) of N utterances of (T, F) frames each, in
-    input order; reads only the ``<prefix>.encoder.*`` tensors. Utterances
-    of one length go through ``encoder_forward`` together, in blocks of
-    about ``numerics.BLOCK_ELEMENTS`` frame activations."""
+    input order; reads only the ``<prefix>.encoder.*`` tensors. Frames of
+    another width are a DataError naming the utterance by its entry of
+    ``ids`` (else by its index) and, if given, the ``source`` it was read
+    from.
+
+    Utterances of one length go through ``encoder_forward`` together, in
+    blocks of about ``numerics.BLOCK_ELEMENTS`` frame activations. The
+    blocks run alternately on this thread and on one worker, with OpenBLAS
+    on one thread. Each thread reuses one pair of activation buffers, sized
+    for the largest block, and writes only its own blocks' rows of the
+    result. A row's bytes depend only on its utterance, not on the block
+    it shares (see ``encoder_forward``) or on thread scheduling. The worker
+    is done before this returns or raises; if several blocks fail, the
+    error of the first in block order is raised."""
     utts = [np.asarray(f, dtype=np.float64) for f in frames_list]
     feature_dim, hidden = params[f"{prefix}.encoder.w1"].shape
     by_length: dict[int, list[int]] = {}
     for i, x in enumerate(utts):
         if x.ndim != 2 or x.shape[1] != feature_dim:
-            raise DataError(f"utterance {i}: expected (T, {feature_dim}) "
-                            f"frames, got shape {x.shape}")
+            name = i if ids is None else f"'{ids[i]}'"
+            where = "" if source is None else f" in {source}"
+            if x.ndim != 2:
+                raise DataError(f"utterance {name}{where} has frames of "
+                                f"shape {x.shape}, not (T, {feature_dim})")
+            raise DataError(f"utterance {name}{where} has {x.shape[1]} "
+                            "features per frame; the encoder takes "
+                            f"{feature_dim}")
         by_length.setdefault(x.shape[0], []).append(i)
+    jobs = [rows[b] for t, rows in by_length.items()
+            for b in numerics.blocks(len(rows), t * hidden)]
     out = np.empty((len(utts), params[f"{prefix}.encoder.w2"].shape[1]))
-    for t, rows in by_length.items():
-        for b in numerics.blocks(len(rows), t * hidden):
-            block = rows[b]
-            out[block], _ = encoder_forward(
-                params, prefix, np.stack([utts[i] for i in block]))
+    size = hidden * max((len(rows) * len(utts[rows[0]]) for rows in jobs),
+                        default=0)
+
+    failed_at = {}  # the first failed block of this thread (0), the worker (1)
+
+    def embed(share, buffers):
+        """Run the blocks numbered ``share`` in order into ``out``, their
+        activations into ``buffers``; a block's error is noted in
+        ``failed_at``, then raised."""
+        for k in share:
+            try:
+                x = np.stack([utts[i] for i in jobs[k]])
+                shape = (*x.shape[:2], hidden)
+                out[jobs[k]], _ = encoder_forward(
+                    params, prefix, x,
+                    [buf[:math.prod(shape)].reshape(shape) for buf in buffers])
+            except Exception:
+                failed_at[share.start] = k
+                raise
+
+    mine, theirs = ((np.empty(size), np.empty(size)) for _ in range(2))
+    with numerics.one_blas_thread(), \
+            ThreadPoolExecutor(max_workers=1) as pool:
+        worker = pool.submit(embed, range(1, len(jobs), 2), theirs)
+        try:
+            embed(range(0, len(jobs), 2), mine)
+        except Exception:
+            wait((worker,))
+            if failed_at.get(1, len(jobs)) < failed_at[0]:
+                worker.result()  # raises the earlier block's error
+            raise
+        worker.result()
     return out
 
 

@@ -2,14 +2,18 @@
 
 Everything here operates on plain numpy arrays in double precision: the
 normalized cross-dimension covariance and its vector-Jacobian product,
-nearest-neighbour distances, a temperature softmax, row blocks, and a
-central finite-difference gradient checker for ``grad-check`` and tests.
+nearest-neighbour distances, a temperature softmax, row blocks, a
+central finite-difference gradient checker for ``grad-check`` and tests,
+and ``one_blas_thread``, which ``train`` and ``forward_embed`` hold while
+they run their own two threads.
 A batch is an (n, d) array with n >= 2, as the validated config's batch
 size guarantees; nothing here re-checks its shape.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 from typing import Callable
 
 import numpy as np
@@ -28,6 +32,45 @@ def blocks(rows: int, width: int) -> list[slice]:
     """Slices of ``rows`` rows of ``width`` values, ~BLOCK_ELEMENTS each."""
     step = max(1, BLOCK_ELEMENTS // max(1, width))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+# The thread-count setter and getter of OpenBLAS: as the numpy wheels
+# link it (64-bit ints, prefixed names), then as a system library.
+OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"))
+
+
+def openblas_threads():
+    """(set, get) of the thread count of the OpenBLAS that numpy calls, or
+    None if numpy links another BLAS or the library cannot be reached."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    return next(((getattr(lib, s), getattr(lib, g))
+                 for s, g in OPENBLAS_THREAD_CALLS if hasattr(lib, s)), None)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with OpenBLAS on one thread, then restore its count.
+    A caller that runs its own two threads already keeps two cores busy,
+    and a BLAS call that splits itself over the cores as well stalls the
+    other thread. OpenBLAS splits a product over blocks of its output, so the
+    thread count does not change the bytes a run writes."""
+    calls = openblas_threads()
+    if calls is None:
+        yield
+        return
+    set_threads, get_threads = calls
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
 
 
 def _column_scales(z: np.ndarray):

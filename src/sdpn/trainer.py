@@ -19,8 +19,9 @@ backward), while the calling thread runs the student's local path and its
 distillation term. numpy releases the GIL in the array work of both. The
 gradients are summed in a fixed order after the join, so the result does
 not depend on thread scheduling; the updates run on the calling thread.
-While the loop runs, OpenBLAS runs each product on one thread, because
-the two halves already fill two cores.
+While the loop runs, OpenBLAS runs each product on one thread
+(``numerics.one_blas_thread``), because the two halves already fill two
+cores.
 
 The training state is one dict of float64 arrays keyed by checkpoint tensor
 name: the weights of ``model.init_params`` plus the ``optimizer.*`` tensors
@@ -34,7 +35,6 @@ from an epoch checkpoint bit-identical to the uninterrupted run.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import json
 import math
 from concurrent.futures import Future, ThreadPoolExecutor, wait
@@ -295,45 +295,6 @@ def check_inputs(corpus, state: dict, cfg: RunConfig):
                         f"{short.frames.shape[0]} frames < {len_g}")
 
 
-# The thread-count setter and getter of OpenBLAS: as the numpy wheels
-# link it (64-bit ints, prefixed names), then as a system library.
-OPENBLAS_THREAD_CALLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"))
-
-
-def openblas_threads():
-    """(set, get) of the thread count of the OpenBLAS that numpy calls, or
-    None if numpy links another BLAS or the library cannot be reached."""
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except (AttributeError, OSError):
-        return None
-    return next(((getattr(lib, s), getattr(lib, g))
-                 for s, g in OPENBLAS_THREAD_CALLS if hasattr(lib, s)), None)
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the block with OpenBLAS on one thread, then restore its count.
-    The step's two threads already keep two cores busy, and a BLAS call
-    that splits itself over the cores as well stalls the other half of
-    the step. OpenBLAS splits a product over blocks of its output, so the
-    thread count does not change the bytes a run writes."""
-    calls = openblas_threads()
-    if calls is None:
-        yield
-        return
-    set_threads, get_threads = calls
-    before = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(before)
-
-
 def train(corpus, state: dict, cfg: RunConfig, *, log_path=None):
     """Run the loop under ``cfg`` (its ``train``, ``model``, ``crops``,
     ``augment`` and ``seed``) from ``state`` (see ``init_state``; a loaded
@@ -363,7 +324,7 @@ def train(corpus, state: dict, cfg: RunConfig, *, log_path=None):
         with data_mod.os_errors("write", log_path):
             log_fh = None if not log_path else run.enter_context(
                 open(log_path, "w", encoding="utf-8"))
-        run.enter_context(one_blas_thread())
+        run.enter_context(numerics.one_blas_thread())
         # the step's second thread, joined when the run ends or raises
         pool = run.enter_context(ThreadPoolExecutor(max_workers=1))
         for epoch in range(int(state["optimizer.epoch"][0]), epochs):

@@ -5,6 +5,8 @@ import errno
 import json
 import os
 import struct
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +121,32 @@ def test_embed_interleaved_lengths_in_manifest_order(world, tmp_path,
     for u, got in zip(corpus, store.matrix):
         want, _, _ = model.network_forward(tensors, "teacher", u.frames[None])
         np.testing.assert_allclose(got, want[0], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("slow", ["worker", "caller"])
+def test_embed_with_a_slowed_thread_changes_no_byte(world, tmp_path,
+                                                    monkeypatch, slow):
+    # four blocks of three of the twelve 40-frame utterances, alternating
+    # between the calling thread and the worker; the store does not depend
+    # on which of them finishes first
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS",
+                        3 * 40 * CONFIG_DOC["model"]["encoder_hidden"])
+    real, seen = model.encoder_forward, []
+
+    def forward(*args):
+        on_worker = threading.current_thread() is not threading.main_thread()
+        seen.append(on_worker)
+        if on_worker == (slow == "worker"):
+            time.sleep(0.005)
+        return real(*args)
+
+    monkeypatch.setattr(model, "encoder_forward", forward)
+    out = tmp_path / "emb.store"
+    assert cli.main(["embed", "--checkpoint", str(world["ckpt"]),
+                     "--manifest", str(world["manifest"]),
+                     "--out", str(out)]) == 0
+    assert sorted(seen) == [False, False, True, True]
+    assert out.read_bytes() == world["store"].read_bytes()
 
 
 @pytest.mark.parametrize("branch", ["teacher", "student"])
@@ -914,8 +942,8 @@ def test_embed_of_another_feature_width_exits_2(world, tmp_path, capsys):
     manifest = data.save_corpus(corpus, tmp_path / "corpus")
     assert cli.main(_argv_with(world, tmp_path, "embed", "--manifest",
                                manifest)) == 2
-    assert capsys.readouterr().err == "error: utterance 0: expected (T, 6) " \
-        "frames, got shape (40, 7)\n"
+    assert capsys.readouterr().err == f"error: utterance 'u0' in {manifest} " \
+        "has 7 features per frame; the encoder takes 6\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -285,6 +285,31 @@ def test_benchmark_parsers_read_what_every_writer_wrote(fmt, draw):
                 _same_array(got[name], arr)
 
 
+def memory_owner(arr):
+    """The object that holds ``arr``'s memory: an array that owns its data,
+    or the buffer of the bytes it was made from."""
+    while isinstance(arr, np.ndarray) and not arr.flags.owndata:
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
+
+
+def test_readers_return_owned_writable_arrays(tmp_path):
+    # train --resume updates the tensors of a loaded checkpoint in place, so
+    # no reader may hand out a read-only view of the file's bytes
+    frames = np.arange(6.0).reshape(3, 2)
+    data.write_feature_file(data.Utterance("u", None, frames),
+                            tmp_path / "u.sdfk")
+    model.save_checkpoint(tmp_path / "c.sdck", {"w": frames}, "fp")
+    scoring.EmbeddingStore(["u", "v"], frames[:2]).save(tmp_path / "e.store")
+    tensors, _ = model.load_checkpoint(tmp_path / "c.sdck")
+    for arr in (data.read_feature_file(tmp_path / "u.sdfk").frames,
+                tensors["w"],
+                scoring.EmbeddingStore.load(tmp_path / "e.store").matrix):
+        assert arr.dtype == np.float64 and arr.flags.writeable
+        assert isinstance(memory_owner(arr), (np.ndarray, bytearray))
+        arr += 1.0
+
+
 def test_checkpoint_golden_bytes(tmp_path):
     # authored from the layout of docs/formats.md, independent of the
     # writer: fingerprint "fp", then "b" = [0.5, -1] and "wé" = [[3, 4]]

@@ -1,6 +1,10 @@
-"""Encoder/projection forward-backward, prototypes, EMA, checkpoints."""
+"""Encoder/projection forward-backward, embedding, prototypes, EMA,
+checkpoints."""
 
 import re
+import sys
+import threading
+import time
 
 import numpy as np
 import numpy.testing as npt
@@ -58,13 +62,19 @@ def test_pooling_invariant_to_frame_duplication():
 def test_forward_embed_shape_checks():
     params = tiny_params(seed=80)
     with pytest.raises(DataError, match=re.escape(
-            "utterance 1: expected (T, 5) frames, got shape (4, 4, 5)")):
+            "utterance 1 has frames of shape (4, 4, 5), not (T, 5)")):
         model.forward_embed(params, "student",
                             [np.zeros((4, 5)), np.zeros((4, 4, 5))])
     with pytest.raises(DataError, match=re.escape(
-            "utterance 1: expected (T, 5) frames, got shape (4, 6)")):
+            "utterance 1 has 6 features per frame; the encoder takes 5")):
         model.forward_embed(params, "student",
                             [np.zeros((4, 5)), np.zeros((4, 6))])
+    with pytest.raises(DataError, match=re.escape(
+            "utterance 'b' in m.tsv has 6 features per frame; the encoder "
+            "takes 5")):
+        model.forward_embed(params, "student",
+                            [np.zeros((4, 5)), np.zeros((4, 6))], ["a", "b"],
+                            "m.tsv")
     assert model.forward_embed(params, "student", []).shape == (0, 4)
 
 
@@ -78,6 +88,128 @@ def test_forward_golden_value():
     _, proj, _ = model.network_forward(params, "student", frames[None])
     assert emb[0] == pytest.approx(GOLDEN_EMB0, abs=1e-12)
     assert proj[0, 0] == pytest.approx(GOLDEN_PROJ0, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# embedding on two threads
+
+
+def test_an_embedding_does_not_depend_on_its_block():
+    # numpy hands a one-row product to BLAS gemv, whose sums round unlike
+    # gemm's; alone, in a pair and as the lone last row of a corpus one row
+    # longer than a block, an utterance gets the bytes it gets in a block
+    params = model.init_params(np.random.default_rng(84), feature_dim=24,
+                               encoder_hidden=48, embed_dim=48, proj_hidden=4,
+                               proj_dim=4, num_prototypes=4)
+    t = 20
+    step = numerics.blocks(numerics.BLOCK_ELEMENTS, t * 48)[0].stop
+    corpus = list(np.random.default_rng(85).standard_normal((step + 1, t, 24)))
+    full = model.forward_embed(params, "student", corpus)
+    for k in (0, step - 1, step):
+        alone = model.forward_embed(params, "student", [corpus[k]])
+        pair = model.forward_embed(params, "student",
+                                   [corpus[k], corpus[k - 1]])
+        assert alone[0].tobytes() == full[k].tobytes(), k
+        assert pair[0].tobytes() == full[k].tobytes(), k
+
+
+def embed_inputs(lengths=(7, 9, 7, 11, 9, 7, 13, 7)):
+    """Tiny-model weights and one utterance of frames per length: the
+    default gives four blocks (lengths 7, 9, 11, 13) at the default block
+    size."""
+    rng = np.random.default_rng(86)
+    return tiny_params(seed=86), [rng.standard_normal((t, 5))
+                                  for t in lengths]
+
+
+def on_worker() -> bool:
+    return threading.current_thread() is not threading.main_thread()
+
+
+def test_forward_embed_under_frequent_thread_switches(monkeypatch):
+    # 80 one-utterance blocks, the two threads switching every microsecond,
+    # give the bytes of two whole blocks
+    params, frames = embed_inputs(lengths=(7, 9) * 40)
+    whole = model.forward_embed(params, "student", frames)
+    monkeypatch.setattr(numerics, "BLOCK_ELEMENTS", 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = model.forward_embed(params, "student", frames)
+    finally:
+        sys.setswitchinterval(interval)
+    assert split.tobytes() == whole.tobytes()
+
+
+def test_forward_embed_leaves_no_thread_behind(monkeypatch):
+    threads = set(threading.enumerate())
+    params, frames = embed_inputs()
+    model.forward_embed(params, "student", frames)
+    assert set(threading.enumerate()) <= threads
+
+    real, seen = model.encoder_forward, []
+
+    def forward(*args):
+        seen.append(on_worker())
+        if on_worker():
+            raise ValueError("a worker block failed")
+        return real(*args)
+
+    monkeypatch.setattr(model, "encoder_forward", forward)
+    with pytest.raises(ValueError, match="a worker block failed"):
+        model.forward_embed(params, "student", frames)
+    assert True in seen and set(threading.enumerate()) <= threads
+
+
+def test_forward_embed_runs_blas_on_one_thread_and_restores_its_count(
+        monkeypatch):
+    calls = numerics.openblas_threads()
+    if calls is None:
+        pytest.skip("numpy calls no OpenBLAS that ctypes can reach")
+    set_threads, get_threads = calls
+    params, frames = embed_inputs()
+    real, seen = model.encoder_forward, []
+
+    def counted(*args):
+        seen.append(get_threads())
+        if fail:
+            raise ValueError("a block failed")
+        return real(*args)
+
+    monkeypatch.setattr(model, "encoder_forward", counted)
+    before = get_threads()
+    set_threads(2)
+    try:
+        fail = False
+        model.forward_embed(params, "student", frames)
+        assert seen == [1] * 4 and get_threads() == 2
+        fail = True
+        with pytest.raises(ValueError):
+            model.forward_embed(params, "student", frames)
+        assert get_threads() == 2
+    finally:
+        set_threads(before)
+
+
+@pytest.mark.parametrize("failing", [(0, 1), (1, 2), (0, 3), (1, 3)])
+def test_forward_embed_raises_the_first_failed_blocks_error(monkeypatch,
+                                                            failing):
+    # block k holds the one utterance of 3 + k frames; the earlier of the
+    # two failing blocks is slowed, so the later one fails first
+    params, frames = embed_inputs(lengths=(3, 4, 5, 6))
+    real = model.encoder_forward
+
+    def forward(params, prefix, x, out=None):
+        k = x.shape[1] - 3
+        if k == failing[0]:
+            time.sleep(0.05)
+        if k in failing:
+            raise ValueError(f"block {k} failed")
+        return real(params, prefix, x, out)
+
+    monkeypatch.setattr(model, "encoder_forward", forward)
+    with pytest.raises(ValueError, match=f"^block {failing[0]} failed$"):
+        model.forward_embed(params, "student", frames)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 import oracles
-from sdpn import data, losses, model, trainer
+from sdpn import data, losses, model, numerics, trainer
 from sdpn.config import (CropConfig, MaskConfig, ModelConfig, RunConfig,
                          TrainSection, validate)
 from sdpn.errors import DataError, DivergedLoss, InvalidConfig
@@ -580,7 +580,7 @@ def test_train_leaves_no_thread_behind():
 
 
 def test_train_runs_blas_on_one_thread_and_restores_its_count(monkeypatch):
-    calls = trainer.openblas_threads()
+    calls = numerics.openblas_threads()
     if calls is None:
         pytest.skip("numpy calls no OpenBLAS that ctypes can reach")
     set_threads, get_threads = calls
